@@ -11,7 +11,6 @@ verification suite over randomly drawn feasible markets.
 
 from __future__ import annotations
 
-from ._kernels import default_backend
 from .errors import (
     AssumptionViolationError,
     ConvergenceError,
@@ -19,7 +18,6 @@ from .errors import (
     FeasibilityWarning,
     InfeasibleScenarioError,
     NonConcaveObjectiveError,
-    SingularParameterError,
 )
 from .hackers import (
     EffortProfile,
@@ -110,7 +108,6 @@ __all__ = [
     "SampledScenario",
     "SimMode",
     "SimOutcome",
-    "SingularParameterError",
     "SuccessProfile",
     "ValidationReport",
     "VendorDecision",
@@ -119,7 +116,6 @@ __all__ = [
     "concentrated_bbp_profit",
     "condition1",
     "corner_equilibrium",
-    "default_backend",
     "equilibrium",
     "figure1_sweep",
     "focal_payoff",

@@ -14,47 +14,7 @@ from typing import Callable
 
 from .errors import ConvergenceError
 
-__all__ = ["bisect_root", "newton_bisect", "golden_section_max"]
-
-
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    ftol: float = 1e-9,
-    max_iter: int = 200,
-) -> float:
-    """Find a root of f on [lo, hi] by bisection.
-
-    Requires f(lo) and f(hi) to have opposite signs (or be zero).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ConvergenceError(
-            f"no sign change on [{lo}, {hi}]", last_iterate=(lo, hi), residuals=(flo, fhi)
-        )
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= ftol or hi - lo <= 4.0 * abs(x) * 2.2e-16:
-            return x
-        if flo * fx < 0.0:
-            hi = x
-        else:
-            lo, flo = x, fx
-    raise ConvergenceError(
-        f"bisection did not reach |f| <= {ftol} in {max_iter} iterations",
-        last_iterate=x,
-        residuals=(f(x),),
-        iterations=max_iter,
-    )
+__all__ = ["newton_bisect", "golden_section_max"]
 
 
 def newton_bisect(

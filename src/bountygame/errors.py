@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class SingularParameterError(DomainError):
-    """A parameter value makes a closed form singular (e.g. c_w = 1)."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge.
 

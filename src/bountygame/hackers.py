@@ -11,9 +11,10 @@ symmetric equilibrium families:
 
 The corner family is the empirically relevant one and the vendor stage is
 built on it. Closed forms for both families live here, next to the success
-probabilities they imply and a brute-force grid oracle used by the
-verification suite to confirm every closed form is actually a best
-response.
+probabilities they imply. The deviation payoff ``focal_payoff`` is written
+once and accepts numpy arrays of efforts, so the brute-force grid oracle
+used by the verification suite evaluates it on a whole effort grid at once
+to confirm every closed form is actually a best response.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import _kernels
+import numpy as np
+
 from .errors import DomainError
 from .scenario import CurveSet, MarketParams, VendorDecision, k_nonsevere, k_severe
 
@@ -114,8 +116,8 @@ def _check_market(params: MarketParams) -> None:
         raise DomainError("hacker stage needs at least one hacker of each type")
     if params.c_w <= 1.0:
         raise DomainError("expert cost parameter c_w must exceed 1")
-    if params.c_b <= 0.0:
-        raise DomainError("black hat cost parameter c_b must be positive")
+    if params.c_b <= 1.0:
+        raise DomainError("black hat cost parameter c_b must exceed 1")
 
 
 def _marginal_values(
@@ -331,8 +333,9 @@ def focal_payoff(
     """Expected payoff of one hacker deviating while everyone else plays ``others``.
 
     For an expert, ``focal_efforts`` is the pair (severe, non-severe); for
-    the other two types it is a single effort. The contest form the focal
-    hacker faces follows ``others.regime``.
+    the other two types it is a single effort. Efforts may be numpy arrays
+    that broadcast against each other, giving one payoff per grid point.
+    The contest form the focal hacker faces follows ``others.regime``.
     """
     _check_market(params)
     if focal_type is HackerType.EWHH:
@@ -360,27 +363,25 @@ def best_response_oracle(
     others: EffortProfile,
     focal_type: HackerType,
     resolution: float = 0.001,
-    impl: str | None = None,
 ) -> float | tuple[float, float]:
     """Brute-force best response of one hacker against a fixed profile.
 
-    Scans effort on a uniform grid over [0, 1] with the given step (a 2-D
-    grid for experts) and returns the payoff-maximizing effort, first grid
-    point winning ties. This is deliberately independent of the closed
-    forms: it evaluates the deviation payoff directly, so agreement with
-    the formulas is evidence rather than tautology.
+    Evaluates ``focal_payoff`` on a uniform grid over [0, 1] with the given
+    step (a 2-D grid for experts) and returns the payoff-maximizing effort,
+    first grid point in row-major order winning ties. This is deliberately
+    independent of the closed forms: it evaluates the deviation payoff
+    directly, so agreement with the formulas is evidence rather than
+    tautology.
     """
     _check_market(params)
     if not 0.0 < resolution <= 0.001:
         raise DomainError("oracle resolution must be in (0, 0.001]")
-    npts = int(round(1.0 / resolution)) + 1
+    grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
     if focal_type is HackerType.EWHH:
-        a_s, a_ns, avg_s, avg_ns = _ewhh_contest_terms(params, decision, curves, others)
-        return _kernels.ewhh_grid_argmax(
-            a_s, a_ns, avg_s, avg_ns, params.c_w, resolution, npts, impl=impl
+        payoff = focal_payoff(
+            params, decision, curves, others, focal_type, (grid[:, None], grid[None, :])
         )
-    if focal_type is HackerType.NEWHH:
-        a, avg = _newhh_contest_terms(params, decision, curves, others)
-        return _kernels.scalar_grid_argmax(a, avg, 1.0, resolution, npts, impl=impl)
-    a, avg = _bhh_contest_terms(params, decision, curves, others)
-    return _kernels.scalar_grid_argmax(a, avg, params.c_b, resolution, npts, impl=impl)
+        i, j = np.unravel_index(np.argmax(payoff), payoff.shape)
+        return float(grid[i]), float(grid[j])
+    payoff = focal_payoff(params, decision, curves, others, focal_type, grid)
+    return float(grid[np.argmax(payoff)])

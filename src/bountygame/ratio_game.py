@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AssumptionViolationError, ConvergenceError, DomainError
+from .hackers import _check_market
 from .scenario import CurveSet, MarketParams, VendorDecision, k_nonsevere, k_severe
 
 __all__ = [
@@ -85,13 +86,8 @@ def _prizes(
 
 
 def _check_ratio_domain(params: MarketParams, decision: VendorDecision) -> None:
+    _check_market(params)
     n, m = params.n, params.m
-    if n < 1 or m < 1:
-        raise DomainError("ratio contest needs at least one hacker on each side")
-    if params.c_w <= 1.0:
-        raise DomainError("expert cost parameter c_w must exceed 1")
-    if params.c_b <= 0.0:
-        raise DomainError("black hat cost parameter c_b must be positive")
     if params.r_s + decision.p_s <= 0.0 or params.W <= 0.0:
         raise DomainError("ratio contest needs strictly positive prizes on both sides")
     if n == 1 and m == 1:

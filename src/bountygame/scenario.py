@@ -17,14 +17,12 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "SeverityClass",
     "MarketParams",
     "CurveSet",
     "ReleaseCurves",
@@ -38,13 +36,6 @@ __all__ = [
 
 # Number of sample points for the numeric curve-shape check.
 SHAPE_GRID_POINTS = 160
-
-
-class SeverityClass(Enum):
-    """Two-level vulnerability severity classification."""
-
-    SEVERE = "severe"
-    NON_SEVERE = "non_severe"
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -112,10 +103,9 @@ class CurveSet(ABC):
     """Interface for the release curves K_s(t), K_ns(t), R(t).
 
     Implementations must provide values and first derivatives on
-    [0, t_max]. Second derivatives have finite-difference defaults; override
-    them when analytic forms are available. Any implementation has to pass
-    the numeric shape check in ``validate``: decreasing likelihoods with
-    slowing decay, decreasing concave revenue, positive revenue at t_max.
+    [0, t_max], and have to pass the numeric shape check in ``validate``:
+    decreasing likelihoods with slowing decay, decreasing concave revenue,
+    positive revenue at t_max.
     """
 
     t_max: float
@@ -138,20 +128,6 @@ class CurveSet(ABC):
     @abstractmethod
     def revenue_prime(self, t: float) -> float: ...
 
-    def k_severe_second(self, t: float) -> float:
-        return self._fd_second(self.k_severe_prime, t)
-
-    def k_nonsevere_second(self, t: float) -> float:
-        return self._fd_second(self.k_nonsevere_prime, t)
-
-    def revenue_second(self, t: float) -> float:
-        return self._fd_second(self.revenue_prime, t)
-
-    def _fd_second(self, prime, t: float) -> float:
-        h = 1e-6 * max(self.t_max, 1.0)
-        lo = max(0.0, t - h)
-        hi = min(self.t_max, t + h)
-        return (prime(hi) - prime(lo)) / (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -197,15 +173,6 @@ class ReleaseCurves(CurveSet):
 
     def revenue_prime(self, t: float) -> float:
         return -self.a - self.b * t
-
-    def k_severe_second(self, t: float) -> float:
-        return self.lambda_s * self.lambda_s * self.k_severe(t)
-
-    def k_nonsevere_second(self, t: float) -> float:
-        return self.lambda_ns * self.lambda_ns * self.k_nonsevere(t)
-
-    def revenue_second(self, t: float) -> float:
-        return -self.b
 
     def replace(self, **changes) -> "ReleaseCurves":
         kwargs = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -9,9 +9,11 @@ expected profit, which is what the verification suite checks.
 
 Determinism contract: trials are processed in fixed-size chunks and chunk
 i draws its uniforms from a counter-based Philox generator keyed with
-(seed, i). Per-chunk sums use compensated (fsum) accumulation and chunks
-are combined in index order, so results are bit-identical for a given
-(seed, trials) regardless of kernel backend or how work is scheduled.
+(seed, i). Each trial is classified into one of nine (severe, non-severe)
+outcomes and only the outcome counts are accumulated. Counts are exact
+integers, so results are bit-identical for a given (seed, trials) however
+the chunks are scheduled; the mean cost and its variance are then taken
+from the nine cells of the outcome cost table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, InfeasibleScenarioError
 from .hackers import Regime, equilibrium, success_probabilities
 from .scenario import (
@@ -40,8 +41,11 @@ __all__ = ["SimMode", "SimOutcome", "simulate", "CHUNK_TRIALS"]
 
 CHUNK_TRIALS = 1 << 18
 
-_SEVERE_LABELS = {0: "none", 1: "ewhh", 2: "bhh"}
-_NONSEVERE_LABELS = {0: "none", 1: "newhh", 2: "user"}
+# Outcome codes: severe 0 no bug, 1 expert white hat first, 2 black hat
+# first; non-severe 0 no bug, 1 non-expert white hat first, 2 user first.
+# A trial's joint code is 3 * severe + non_severe.
+_SEVERE_LABELS = ("none", "ewhh", "bhh")
+_NONSEVERE_LABELS = ("none", "newhh", "user")
 
 
 class SimMode(Enum):
@@ -98,7 +102,6 @@ def simulate(
     seed: int,
     mode: SimMode,
     trace_path: str | None = None,
-    impl: str | None = None,
 ) -> SimOutcome:
     """Run the release simulation and return aggregate outcome statistics.
 
@@ -158,10 +161,8 @@ def simulate(
     cost_b = params.TC_s
     cost_user = params.TC_ns
 
-    counts_severe = np.zeros(3, dtype=np.int64)
-    counts_nonsevere = np.zeros(3, dtype=np.int64)
-    chunk_sums: list[float] = []
-    chunk_sq_sums: list[float] = []
+    cost_table = np.add.outer([0.0, cost_e, cost_b], [0.0, cost_ne, cost_user]).ravel()
+    counts = np.zeros(9, dtype=np.int64)
 
     writer = None
     trace_file = None
@@ -169,6 +170,10 @@ def simulate(
         trace_file = open(trace_path, "w", newline="")
         writer = csv.writer(trace_file, lineterminator="\n")
         writer.writerow(["trial", "severe_event", "nonsevere_event", "cost"])
+        row_tails = [
+            (_SEVERE_LABELS[code // 3], _NONSEVERE_LABELS[code % 3], repr(float(cost)))
+            for code, cost in enumerate(cost_table)
+        ]
 
     try:
         done = 0
@@ -176,39 +181,30 @@ def simulate(
         while done < trials:
             count = min(CHUNK_TRIALS, trials - done)
             u = _chunk_uniforms(seed, index, count)
-            sev, ns, costs = _kernels.classify_trials(
-                u, ks, kns, q_e, q_ne, cost_e, cost_b, cost_ne, cost_user, impl=impl
-            )
-            counts_severe += np.bincount(sev, minlength=3)[:3]
-            counts_nonsevere += np.bincount(ns, minlength=3)[:3]
-            cost_values = costs.tolist()
-            chunk_sums.append(math.fsum(cost_values))
-            chunk_sq_sums.append(math.fsum(c * c for c in cost_values))
+            sev = (u[:, 0] < ks) * (1 + (u[:, 1] >= q_e))
+            ns = (u[:, 2] < kns) * (1 + (u[:, 3] >= q_ne))
+            codes = 3 * sev + ns
+            counts += np.bincount(codes, minlength=9)
             if writer is not None:
-                for i in range(count):
-                    writer.writerow(
-                        [
-                            done + i,
-                            _SEVERE_LABELS[int(sev[i])],
-                            _NONSEVERE_LABELS[int(ns[i])],
-                            repr(float(costs[i])),
-                        ]
-                    )
+                writer.writerows(
+                    (done + i, *row_tails[code]) for i, code in enumerate(codes.tolist())
+                )
             done += count
             index += 1
     finally:
         if trace_file is not None:
             trace_file.close()
 
-    total_cost = math.fsum(chunk_sums)
-    total_sq = math.fsum(chunk_sq_sums)
-    mean_cost = total_cost / trials
+    mean_cost = math.fsum(counts * cost_table) / trials
     if trials > 1:
-        variance = max(0.0, (total_sq - trials * mean_cost * mean_cost) / (trials - 1))
+        variance = math.fsum(counts * (cost_table - mean_cost) ** 2) / (trials - 1)
         std_error = math.sqrt(variance / trials)
     else:
         std_error = 0.0
 
+    by_outcome = counts.reshape(3, 3)
+    counts_severe = by_outcome.sum(axis=1)
+    counts_nonsevere = by_outcome.sum(axis=0)
     return SimOutcome(
         trials=trials,
         freq_severe_ewhh=float(counts_severe[1]) / trials,

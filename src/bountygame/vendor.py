@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 from ._rootfind import golden_section_max, newton_bisect
 from .errors import (
+    AssumptionViolationError,
     DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
     NonConcaveObjectiveError,
 )
-from .hackers import Regime, select_regime
+from .hackers import Regime, _check_market, select_regime
 from .scenario import (
     CurveSet,
     MarketParams,
@@ -204,15 +205,6 @@ class WhhCountReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_vendor_market(params: MarketParams) -> None:
-    if params.n < 1 or params.l < 1 or params.m < 1:
-        raise DomainError("vendor stage needs at least one hacker of each type")
-    if params.c_w <= 1.0:
-        raise DomainError("expert cost parameter c_w must exceed 1")
-    if params.c_b <= 0.0:
-        raise DomainError("black hat cost parameter c_b must be positive")
-
-
 def _positive_k_severe(curves: CurveSet, t: float) -> float:
     ks = k_severe(curves, t)
     if ks <= 0.0:
@@ -228,7 +220,7 @@ def optimal_bounties(params: MarketParams, curves: CurveSet, t: float) -> Optima
     minus a competition correction that grows as the severe bug gets less
     likely. The non-severe bounty is half the user-discovery cost.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     ks = _positive_k_severe(curves, t)
     n, m = params.n, params.m
     big_n = n + m
@@ -242,7 +234,7 @@ def optimal_bounties(params: MarketParams, curves: CurveSet, t: float) -> Optima
 
 def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bounds:
     """Feasibility band for running a bounty program at release time t."""
-    _check_vendor_market(params)
+    _check_market(params)
     ks = _positive_k_severe(curves, t)
     n, m = params.n, params.m
     big_n = n + m
@@ -315,7 +307,7 @@ def _with_bbp_breakdown(
     total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
     check = _profit_polynomial(params, curves, t, p_s, p_ns)
     if abs(total - check) > 1e-12 * max(1.0, abs(total), abs(check)):
-        raise AssertionError(
+        raise AssumptionViolationError(
             f"profit forms disagree: {total!r} vs {check!r} at t={t!r}, "
             f"p_s={p_s!r}, p_ns={p_ns!r}"
         )
@@ -341,7 +333,7 @@ def profit_with_bbp(
     ``FeasibilityWarning`` is emitted: the breakdown then describes the
     program the vendor planned for, not the equilibrium it would get.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     t, p_s, p_ns = decision.t, decision.p_s, decision.p_ns
     ks = _positive_k_severe(curves, t)
     kns = k_nonsevere(curves, t)
@@ -373,7 +365,7 @@ def profit_without_bbp(
     open, costing the vendor a fraction x of the exploit cost; every
     existing non-severe bug costs the full user-discovery amount.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     ks = _positive_k_severe(curves, t)
     kns = k_nonsevere(curves, t)
     p_e0, p_b0 = _severe_probs_formula(params, ks, 0.0)
@@ -475,11 +467,20 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     )
 
 
+def _scan_grid(t_max: float, points: int) -> list[float]:
+    """``points`` evenly spaced times on [0, t_max], the last exactly t_max.
+
+    t_max * i / (points - 1) can round above t_max at i = points - 1,
+    which would put the scan outside the curves' domain.
+    """
+    return [t_max * i / (points - 1) for i in range(points - 1)] + [t_max]
+
+
 def _scan_foc_brackets(
     foc, t_max: float, points: int
 ) -> tuple[list[tuple[float, float]], list[float]]:
     """Sign-change brackets of a first-order condition on [0, t_max]."""
-    ts = [t_max * i / (points - 1) for i in range(points)]
+    ts = _scan_grid(t_max, points)
     vals = [foc(t) for t in ts]
     brackets: list[tuple[float, float]] = []
     for i in range(points - 1):
@@ -508,8 +509,22 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     optimum (the better endpoint is returned, flagged); multiple sign
     changes mean the objective is not concave, which is reported as an
     error carrying every root found rather than silently picking one.
+
+    The slope is that of the unclamped profit, so the zero-bounty race
+    probabilities must stay in [0, 1] on the whole domain. They are affine
+    in K_s(t), which peaks at t = 0, so checking t = 0 covers every t;
+    where they leave [0, 1] the clamped profit has kinks the slope does not
+    see, and ``AssumptionViolationError`` is raised instead of returning a
+    wrong optimum.
     """
-    _check_vendor_market(params)
+    _check_market(params)
+    p_e0, p_b0 = _severe_probs_formula(params, k_severe(curves, 0.0), 0.0)
+    if not (0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0):
+        raise AssumptionViolationError(
+            "zero-bounty race probabilities leave [0, 1] at t = 0 "
+            f"(p_e = {p_e0!r}, p_b = {p_b0!r}); the no-program profit slope "
+            "assumes they do not"
+        )
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)
@@ -557,7 +572,7 @@ def _feasible_interval(
         return condition1(params, curves, t).feasible
 
     points = _FEASIBILITY_SCAN_POINTS
-    ts = [curves.t_max * i / (points - 1) for i in range(points)]
+    ts = _scan_grid(curves.t_max, points)
     flags = [ok(t) for t in ts]
     if not any(flags):
         return None
@@ -588,7 +603,7 @@ def _feasible_interval(
 
 
 def _describe_infeasibility(params: MarketParams, curves: CurveSet) -> str:
-    probes = [curves.t_max * i / 8.0 for i in range(9)]
+    probes = _scan_grid(curves.t_max, 9)
     below = all(
         condition1(params, curves, t).gap_value <= condition1(params, curves, t).lb
         for t in probes
@@ -618,7 +633,7 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     interval = _feasible_interval(params, curves)
     if interval is None:
         raise InfeasibleScenarioError(_describe_infeasibility(params, curves))
@@ -664,7 +679,7 @@ def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
     the sign of how much earlier a program-running vendor wants to
     release; it is meaningful where the feasibility band holds.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     ks = _positive_k_severe(curves, t)
     kns = k_nonsevere(curves, t)
     ks_prime = curves.k_severe_prime(t)
@@ -695,7 +710,7 @@ def profit_decomposition_check(params: MarketParams, curves: CurveSet, t: float)
     left side minus right side; anything beyond rounding noise means the
     algebra has been broken.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     ks = _positive_k_severe(curves, t)
     kns = k_nonsevere(curves, t)
     n, m = params.n, params.m
@@ -735,7 +750,7 @@ def optimal_whh_count(params: MarketParams, curves: CurveSet, t: float) -> WhhCo
     bounties re-optimized per head count and the no-program profit used
     where the feasibility band fails. Ties go to the smallest count.
     """
-    _check_vendor_market(params)
+    _check_market(params)
     m = params.m
     disc = 9 * m * m - 10 * m + 1
     if disc < 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bountygame import vendor
 from bountygame.cli import main
 
 BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
@@ -127,6 +128,40 @@ def test_optimize_reports_unviable_program_as_data(capsys, tmp_path, baseline_do
     assert report["no_viable_bbp"] is True
     assert report["detail"]
     assert "no_bbp" in report
+
+
+def test_optimize_at_a_release_horizon_the_scan_used_to_overshoot(
+    capsys, tmp_path, baseline_doc
+):
+    # 6.510518 * 200 / 200 rounds to 6.510518000000001, one step past t_max.
+    baseline_doc["curves"]["t_max"] = 6.510518
+    rc, out, err = run_cli(capsys, "optimize", write_scenario(tmp_path, baseline_doc))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert 0.0 <= report["no_bbp"]["t"] <= 6.510518
+    assert 0.0 <= report["with_bbp"]["t"] <= 6.510518
+
+
+def test_optimize_refuses_clamped_no_program_slope(capsys, tmp_path, baseline_doc):
+    baseline_doc["market"].update(n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
+    rc, out, err = run_cli(
+        capsys, "optimize", write_scenario(tmp_path, baseline_doc), "--mode", "no-bbp"
+    )
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "AssumptionViolationError"
+
+
+def test_profit_form_mismatch_exits_1(capsys, monkeypatch):
+    polynomial = vendor._profit_polynomial
+    monkeypatch.setattr(
+        vendor, "_profit_polynomial", lambda *args: polynomial(*args) + 1.0
+    )
+    rc, out, err = run_cli(capsys, "evaluate", str(BASELINE))
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "AssumptionViolationError"
+    assert "profit forms disagree" in payload["detail"]
 
 
 def test_sweep_baseline_csv(capsys, tmp_path):

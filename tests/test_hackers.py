@@ -13,7 +13,9 @@ from bountygame import (
     equilibrium,
     focal_payoff,
     interior_equilibrium,
+    optimal_bounties,
     select_regime,
+    solve_ratio_equilibrium,
     success_probabilities,
 )
 from bountygame.verification import FeasibleSampler
@@ -166,6 +168,24 @@ def test_oracle_agrees_with_closed_forms(s0_params, s0_curves, s0_decision, p_ns
     assert mu == pytest.approx(profile.mu_s, abs=0.001)
 
 
+def test_oracle_grid_edges(s0_params, s0_curves, s0_decision):
+    # A zero prize leaves only the effort cost, so the first grid point
+    # wins; a prize whose unconstrained optimum lies above 1 pins the
+    # argmax to the last point.
+    for p_ns, want in ((0.0, 0.0), (20.0, 1.0)):
+        dec = s0_decision.replace(p_ns=p_ns)
+        profile = corner_equilibrium(s0_params, dec, s0_curves)
+        assert best_response_oracle(
+            s0_params, dec, s0_curves, profile, HackerType.NEWHH
+        ) == want
+    rich = s0_params.replace(r_s=100.0)
+    profile = corner_equilibrium(rich, s0_decision, s0_curves)
+    assert profile.alpha_s > 1.0
+    assert best_response_oracle(
+        rich, s0_decision, s0_curves, profile, HackerType.EWHH
+    ) == (1.0, 0.0)
+
+
 def test_oracle_resolution_bounds(s0_params, s0_curves, s0_decision):
     profile = equilibrium(s0_params, s0_decision, s0_curves)
     with pytest.raises(DomainError):
@@ -196,3 +216,15 @@ def test_market_guards(s0_params, s0_curves, s0_decision):
         corner_equilibrium(s0_params.replace(c_w=1.0), s0_decision, s0_curves)
     with pytest.raises(DomainError):
         interior_equilibrium(s0_params.replace(m=0), s0_decision, s0_curves)
+
+
+def test_market_guard_requires_c_b_above_one(s0_params, s0_curves, s0_decision):
+    # One guard serves the hacker, vendor and ratio stages, with the same
+    # c_b > 1 rule that ``validate`` applies.
+    edge = s0_params.replace(c_b=1.0)
+    with pytest.raises(DomainError, match="c_b must exceed 1"):
+        equilibrium(edge, s0_decision, s0_curves)
+    with pytest.raises(DomainError, match="c_b must exceed 1"):
+        optimal_bounties(edge, s0_curves, s0_decision.t)
+    with pytest.raises(DomainError, match="c_b must exceed 1"):
+        solve_ratio_equilibrium(edge, s0_decision, s0_curves)

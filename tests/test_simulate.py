@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 
-from bountygame import DomainError, InfeasibleScenarioError, SimMode, simulate
-from bountygame._kernels import HAS_NUMBA
+from bountygame import (
+    DomainError,
+    InfeasibleScenarioError,
+    SimMode,
+    equilibrium,
+    k_nonsevere,
+    k_severe,
+    simulate,
+    success_probabilities,
+)
 from bountygame.simulate import CHUNK_TRIALS
 
 
@@ -91,14 +100,6 @@ def test_identical_bytes_per_seed_across_chunk_boundary(s0_params, s0_curves, s0
     assert other.to_json() != first.to_json()
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_bit_for_bit(s0_params, s0_curves, s0_decision):
-    kwargs = dict(trials=50_000, seed=7, mode=SimMode.WITH_BBP)
-    fast = simulate(s0_params, s0_decision, s0_curves, impl="numba", **kwargs)
-    plain = simulate(s0_params, s0_decision, s0_curves, impl="numpy", **kwargs)
-    assert fast.to_json() == plain.to_json()
-
-
 def test_trace_file_has_one_labeled_row_per_trial(
     s0_params, s0_curves, s0_decision, tmp_path
 ):
@@ -116,3 +117,37 @@ def test_trace_file_has_one_labeled_row_per_trial(
         assert severe in {"none", "ewhh", "bhh"}
         assert nonsevere in {"none", "newhh", "user"}
         float(cost)
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_path, mode):
+    # Regenerate chunk 0's uniforms from the (seed, chunk) Philox key and
+    # classify every trial one at a time, independently of the simulator.
+    trials, seed = 1000, 9
+    path = tmp_path / "trace.csv"
+    simulate(s0_params, s0_decision, s0_curves, trials, seed, mode, trace_path=str(path))
+    with open(path, newline="") as fh:
+        body = list(csv.reader(fh))[1:]
+
+    if mode is SimMode.WITH_BBP:
+        dec = s0_decision
+        cost_e, cost_ne = dec.p_s, dec.p_ns
+    else:
+        dec = s0_decision.replace(p_s=0.0, p_ns=0.0)
+        cost_e, cost_ne = s0_params.x * s0_params.TC_s, 0.0
+    probs = success_probabilities(
+        s0_params, dec, s0_curves, equilibrium(s0_params, dec, s0_curves)
+    )
+    ks, kns = k_severe(s0_curves, dec.t), k_nonsevere(s0_curves, dec.t)
+    q_e, q_ne = s0_params.n * probs.p_e_s, s0_params.l * probs.p_ne_ns
+    key = np.array([seed, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random((trials, 4))
+
+    assert len(body) == trials
+    for i, (trial, severe, nonsevere, cost) in enumerate(body):
+        want_sev = "none" if u[i, 0] >= ks else ("ewhh" if u[i, 1] < q_e else "bhh")
+        want_ns = "none" if u[i, 2] >= kns else ("newhh" if u[i, 3] < q_ne else "user")
+        want_cost = {"none": 0.0, "ewhh": cost_e, "bhh": s0_params.TC_s}[want_sev]
+        want_cost += {"none": 0.0, "newhh": cost_ne, "user": s0_params.TC_ns}[want_ns]
+        assert (int(trial), severe, nonsevere) == (i, want_sev, want_ns)
+        assert float(cost) == want_cost

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from bountygame import (
+    AssumptionViolationError,
     FeasibilityWarning,
     InfeasibleScenarioError,
     NonConcaveObjectiveError,
@@ -25,7 +26,9 @@ from bountygame import (
     release_gap_term,
     success_probabilities,
 )
+from bountygame import vendor
 from bountygame.vendor import _concentrated_prime, _profit_nb_prime
+from bountygame.verification import FeasibleSampler
 
 
 def test_baseline_optimal_bounties(s0_params, s0_curves):
@@ -107,6 +110,17 @@ def test_profit_without_bbp_clamps_probabilities(s0_params, s0_curves):
     assert got.total == pytest.approx(100.0 - 36.0 - 0.95, abs=1e-12)
 
 
+def test_profit_forms_disagreeing_is_a_package_error(
+    s0_params, s0_curves, s0_decision, monkeypatch
+):
+    polynomial = vendor._profit_polynomial
+    monkeypatch.setattr(
+        vendor, "_profit_polynomial", lambda *args: polynomial(*args) + 1.0
+    )
+    with pytest.raises(AssumptionViolationError, match="profit forms disagree"):
+        profit_with_bbp(s0_params, s0_decision, s0_curves)
+
+
 def test_severe_probability_crossing_at_hand_value(s0_params, s0_curves):
     # The two race probabilities cross where the cost-adjusted prizes are
     # equal: p_s = c_w W / c_b - r_s = 7, both sides landing on 1/7.
@@ -153,6 +167,38 @@ def test_release_boundary_at_zero_when_waiting_never_pays(s0_params, s0_curves):
     nb = optimal_release_no_bbp(params, curves)
     assert nb.boundary
     assert nb.t == 0.0
+
+
+def test_release_without_program_refuses_clamped_probabilities(s0_params, s0_curves):
+    # The market of the clamping test above: at t = 0 the zero-bounty
+    # probabilities leave [0, 1], where the unclamped slope misleads.
+    params = s0_params.replace(n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
+    with pytest.raises(AssumptionViolationError, match="leave \\[0, 1\\] at t = 0"):
+        optimal_release_no_bbp(params, s0_curves)
+
+
+def test_release_optimizers_cover_wide_release_horizons():
+    # Unpinned t_max: scans used to overshoot it by one rounding step (a
+    # DomainError on these validated draws fails the test), and clamped
+    # zero-bounty probabilities used to yield a no-program optimum below
+    # the grid maximum (draw 105 of this sampler, by 0.04%).
+    sampler = FeasibleSampler(77, ranges={"t_max": (1.0, 30.0)})
+    checked = 0
+    for scen in sampler.draws("raw", 120):
+        params, curves = scen.params, scen.curves
+        try:
+            optimal_release_with_bbp(params, curves)
+        except InfeasibleScenarioError:
+            pass
+        try:
+            nb = optimal_release_no_bbp(params, curves)
+        except (AssumptionViolationError, NonConcaveObjectiveError):
+            continue
+        ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
+        best = max(profit_without_bbp(params, t, curves).total for t in ts)
+        assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), scen.to_dict()
+        checked += 1
+    assert checked >= 100
 
 
 def test_release_rejects_multi_peaked_profit(s0_params, s0_curves):
