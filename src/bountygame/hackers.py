@@ -343,9 +343,11 @@ def focal_payoff(
             raise DomainError("expert white hat efforts must be a (severe, non_severe) pair")
         e_s, e_ns = focal_efforts
         a_s, a_ns, avg_s, avg_ns = _ewhh_contest_terms(params, decision, curves, others)
-        value = a_s * (1.0 + e_s - avg_s) + a_ns * (1.0 + e_ns - avg_ns)
-        cost = 0.5 * params.c_w * e_s * e_s + 0.5 * e_ns * e_ns + e_s * e_ns
-        return value - cost
+        # Grouped per effort, so on a broadcast grid only the cross term and
+        # the two sums span the whole grid.
+        severe = a_s * (1.0 + e_s - avg_s) - 0.5 * params.c_w * e_s * e_s
+        nonsevere = a_ns * (1.0 + e_ns - avg_ns) - 0.5 * e_ns * e_ns
+        return severe + nonsevere - e_s * e_ns
     if isinstance(focal_efforts, tuple):
         raise DomainError("non-expert and black hat efforts are a single value")
     e = focal_efforts

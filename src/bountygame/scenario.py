@@ -103,9 +103,11 @@ class CurveSet(ABC):
     """Interface for the release curves K_s(t), K_ns(t), R(t).
 
     Implementations must provide values and first derivatives on
-    [0, t_max], and have to pass the numeric shape check in ``validate``:
+    [0, t_max], and have to pass the shape check in ``validate``:
     decreasing likelihoods with slowing decay, decreasing concave revenue,
-    positive revenue at t_max.
+    positive revenue at t_max. ``validate`` checks ``ReleaseCurves`` itself
+    from its parameters and every other implementation, subclasses of
+    ``ReleaseCurves`` included, numerically on a grid.
     """
 
     t_max: float
@@ -245,12 +247,14 @@ def revenue(curves: CurveSet, t: float) -> float:
 def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
     """Check every model assumption, returning a report instead of raising.
 
-    Parameter checks are direct. Curve shape is checked numerically: values
-    and first and second finite differences are sampled on a grid of
-    ``SHAPE_GRID_POINTS`` points over [0, t_max], so the check applies to
-    user-supplied curve implementations as well as the built-in family.
-    The cost asymmetry TC_s >> TC_ns is qualitative in the model, so a mild
-    ratio only triggers a warning rather than a failure.
+    Parameter checks are direct. The shape of the built-in family
+    ``ReleaseCurves`` is decided from its closed forms: the signs of its
+    parameters and its values at t_max. Any other curve implementation,
+    subclasses of ``ReleaseCurves`` included since they may override a
+    curve, is checked numerically: values and first and second finite
+    differences are sampled on a grid of ``SHAPE_GRID_POINTS`` points over
+    [0, t_max]. The cost asymmetry TC_s >> TC_ns is qualitative in the
+    model, so a mild ratio only triggers a warning rather than a failure.
     """
     failures: list[str] = []
     warnings: list[str] = []
@@ -294,6 +298,49 @@ def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
         if curves.b < 0.0:
             failures.append("b >= 0")
 
+    if type(curves) is ReleaseCurves:
+        failures.extend(_release_curve_shape_failures(curves))
+    else:
+        failures.extend(_grid_shape_failures(curves))
+
+    return ValidationReport(
+        passed=not failures, failures=tuple(failures), warnings=tuple(warnings)
+    )
+
+
+def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
+    """Shape failures of the built-in family, named as the grid names them.
+
+    K(t) = K0 exp(-lambda t) is monotone, so its range on [0, t_max] is
+    spanned by K(0) = K0 and K(t_max); K' = -lambda K and K'' = lambda^2 K
+    keep one sign throughout. R' = -a - b t is linear in t, so it is
+    negative on [0, t_max] when it is at both ends, and R'' = -b.
+    """
+    failures: list[str] = []
+    t_max = curves.t_max
+    for name, k0, lam, k_end in (
+        ("K_s", curves.K_s0, curves.lambda_s, curves.k_severe(t_max)),
+        ("K_ns", curves.K_ns0, curves.lambda_ns, curves.k_nonsevere(t_max)),
+    ):
+        tol = 1e-12 * max(1.0, abs(k0), abs(k_end))
+        if min(k0, k_end) <= 0.0 or max(k0, k_end) > 1.0 + tol:
+            failures.append(f"{name}(t) in (0, 1]")
+        if not (lam > 0.0 and k0 > 0.0 or lam < 0.0 and k0 < 0.0):
+            failures.append(f"{name}'(t) < 0")
+        if lam != 0.0 and k0 < 0.0:
+            failures.append(f"{name}''(t) >= 0")
+    if not (curves.a > 0.0 and curves.revenue_prime(t_max) < 0.0):
+        failures.append("R'(t) < 0")
+    if curves.b < 0.0:
+        failures.append("R''(t) <= 0")
+    if not curves.revenue(t_max) > 0.0:
+        failures.append("R(t_max) > 0")
+    return failures
+
+
+def _grid_shape_failures(curves: CurveSet) -> list[str]:
+    """Shape failures of any curve set, from finite differences on a grid."""
+    failures: list[str] = []
     grid = np.linspace(0.0, curves.t_max, SHAPE_GRID_POINTS)
     ks = np.array([curves.k_severe(t) for t in grid])
     kns = np.array([curves.k_nonsevere(t) for t in grid])
@@ -319,7 +366,4 @@ def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
         failures.append("R''(t) <= 0")
     if not rev[-1] > 0.0:
         failures.append("R(t_max) > 0")
-
-    return ValidationReport(
-        passed=not failures, failures=tuple(failures), warnings=tuple(warnings)
-    )
+    return failures

@@ -59,7 +59,6 @@ __all__ = [
 
 _FOC_TOL = 1e-9
 _FOC_SCAN_POINTS = 201
-_FEASIBILITY_SCAN_POINTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -558,68 +557,131 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     )
 
 
+def _condition1_in_u(params: MarketParams) -> tuple[float, float, float]:
+    """Condition 1 as three edges on u = 1/K_s(t), where its bounds are linear.
+
+    With A = N kappa / m, B = (2m + n) N kappa / (m n) and r = TC_s / c_w,
+    ``condition1`` has ub = A u + r and lb = max(A u - r, r - B u). So
+    gap < ub iff u > (gap - r) / A, gap > r - B u iff u > (r - gap) / B,
+    and gap > A u - r iff u < (gap + r) / A. Returns those three edges in
+    that order; the band holds on the u-interval between the larger of the
+    first two and the third.
+    """
+    n, m = params.n, params.m
+    big_n = n + m
+    kappa = big_n - 1
+    slope_ub = big_n * kappa / m
+    slope_lb = (2 * m + n) * big_n * kappa / (m * n)
+    tc_ratio = params.TC_s / params.c_w
+    gap = params.W / params.c_b - params.r_s / params.c_w
+    return (
+        (gap - tc_ratio) / slope_ub,
+        (tc_ratio - gap) / slope_lb,
+        (gap + tc_ratio) / slope_ub,
+    )
+
+
+def _time_of_u(curves: CurveSet, u: float, tol: float) -> float:
+    """The t in [0, t_max] where 1/K_s(t) reaches u, to within ``tol``.
+
+    Bisects on K_s, which ``validate`` requires to fall, so 1/K_s rises;
+    returns 0 or t_max when u lies outside the range 1/K_s takes there.
+    """
+    lo, hi = 0.0, curves.t_max
+    if curves.k_severe(lo) * u <= 1.0:
+        return lo
+    if curves.k_severe(hi) * u > 1.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if curves.k_severe(mid) * u > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _feasible_edge(ok, inside: float, estimate: float, end: float, step: float) -> float:
+    """The feasible float nearest ``end`` on the side of ``inside``.
+
+    ``ok(inside)`` holds and ``estimate`` is the closed-form edge between
+    ``inside`` and ``end``. The bisection starts from a bracket of
+    ``step`` on either side of the estimate, falls back to ``inside`` or
+    ``end`` where rounding put the edge outside that bracket, and stops
+    when its two ends are adjacent floats.
+    """
+    toward = 1.0 if end > inside else -1.0
+    bad = estimate + toward * step
+    if toward * (bad - end) >= 0.0:
+        bad = end
+    if ok(bad):
+        if bad == end or ok(end):
+            return end
+        good, bad = bad, end
+    else:
+        good = estimate - toward * step
+        if toward * (good - inside) <= 0.0 or not ok(good):
+            good = inside
+    while True:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            return good
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+
+
 def _feasible_interval(
     params: MarketParams, curves: CurveSet
 ) -> tuple[float, float] | None:
     """The sub-interval of [0, t_max] where the feasibility band holds.
 
-    The band's bounds move monotonically with K_s(t), so the feasible set
-    is an interval; a dense scan finds it and bisection sharpens the
-    edges.
+    Condition 1 holds on an open interval of u = 1/K_s(t) (see
+    ``_condition1_in_u``), and u rises with t because ``validate``
+    requires K_s to fall, so the feasible times form one interval. Its
+    edges are found by bisection on K_s; then a short bisection of
+    ``condition1`` itself around each edge inside (0, t_max) returns the
+    last float at which the band holds, so the ends always pass
+    ``condition1``. Returns None when no time in [0, t_max] is feasible.
     """
+    above_ub, above_lb, below_cap = _condition1_in_u(params)
+    u_lo = max(above_ub, above_lb)
+    if not u_lo < below_cap:
+        return None
+    step = 1e-9 * curves.t_max
+    t_lo = _time_of_u(curves, u_lo, 0.25 * step)
+    t_hi = _time_of_u(curves, below_cap, 0.25 * step)
+    if not t_lo < t_hi:
+        return None
 
     def ok(t: float) -> bool:
         return condition1(params, curves, t).feasible
 
-    points = _FEASIBILITY_SCAN_POINTS
-    ts = _scan_grid(curves.t_max, points)
-    flags = [ok(t) for t in ts]
-    if not any(flags):
+    inside = 0.5 * (t_lo + t_hi)
+    if not ok(inside):
         return None
-    first = flags.index(True)
-    last = points - 1 - flags[::-1].index(True)
-
-    lo = ts[first]
-    if first > 0:
-        bad, good = ts[first - 1], ts[first]
-        for _ in range(60):
-            mid = 0.5 * (bad + good)
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-        lo = good
-    hi = ts[last]
-    if last < points - 1:
-        good, bad = ts[last], ts[last + 1]
-        for _ in range(60):
-            mid = 0.5 * (good + bad)
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-        hi = good
-    return lo, hi
+    return (
+        _feasible_edge(ok, inside, t_lo, 0.0, step),
+        _feasible_edge(ok, inside, t_hi, curves.t_max, step),
+    )
 
 
 def _describe_infeasibility(params: MarketParams, curves: CurveSet) -> str:
-    probes = _scan_grid(curves.t_max, 9)
-    below = all(
-        condition1(params, curves, t).gap_value <= condition1(params, curves, t).lb
-        for t in probes
-    )
-    above = all(
-        condition1(params, curves, t).gap_value >= condition1(params, curves, t).ub
-        for t in probes
-    )
-    sample = condition1(params, curves, probes[4])
+    above_ub, above_lb, below_cap = _condition1_in_u(params)
+    u_first = 1.0 / curves.k_severe(0.0)
+    u_last = 1.0 / curves.k_severe(curves.t_max)
+    t_mid = 0.5 * curves.t_max
+    sample = condition1(params, curves, t_mid)
     detail = (
-        f"at t={probes[4]:g}: lb={sample.lb:.6g}, gap={sample.gap_value:.6g}, "
+        f"at t={t_mid:g}: lb={sample.lb:.6g}, gap={sample.gap_value:.6g}, "
         f"ub={sample.ub:.6g}"
     )
-    if below:
+    # gap > lb exactly on the u-interval (above_lb, below_cap), and gap < ub
+    # exactly above above_ub; u runs from u_first to u_last over [0, t_max].
+    if u_last <= above_lb or u_first >= below_cap or above_lb >= below_cap:
         return f"prize gap never exceeds the lower feasibility bound ({detail})"
-    if above:
+    if u_last <= above_ub:
         return f"prize gap never falls below the upper feasibility bound ({detail})"
     return f"prize gap leaves the feasibility band everywhere on [0, t_max] ({detail})"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -102,6 +103,46 @@ def test_validate_checks_curve_shape_numerically(s0_params, s0_curves):
     report = validate(s0_params, bad)
     assert not report.passed
     assert any("K_s" in f for f in report.failures)
+
+
+_SIGN_FAILURES = {
+    "K_s0 in (0, 1]", "lambda_s > 0", "K_ns0 in (0, 1]", "lambda_ns > 0",
+    "R0 > 0", "a > 0", "b >= 0",
+}
+
+
+def test_validate_built_in_family_agrees_with_grid(s0_params):
+    # The built-in family is checked from its closed forms; an empty
+    # subclass takes the grid path. Wherever the parameter signs are valid
+    # the two must report the same failures. With invalid signs only the
+    # verdict must match: the grid then names derivative failures from
+    # finite differences, which can differ (R' at grid midpoints, say).
+    class GridChecked(ReleaseCurves):
+        pass
+
+    rng = random.Random(2024)
+    sign_valid = 0
+    for _ in range(2000):
+        fields = dict(
+            K_s0=rng.uniform(-0.5, 1.5), lambda_s=rng.uniform(-0.5, 1.0),
+            K_ns0=rng.uniform(-0.5, 1.5), lambda_ns=rng.uniform(-0.5, 1.0),
+            R0=rng.uniform(-20.0, 200.0), a=rng.uniform(-2.0, 5.0),
+            b=rng.uniform(-1.0, 2.0), t_max=rng.uniform(0.1, 30.0),
+        )
+        closed = validate(s0_params, ReleaseCurves(**fields))
+        grid = validate(s0_params, GridChecked(**fields))
+        assert closed.passed == grid.passed, fields
+        if not _SIGN_FAILURES & set(closed.failures):
+            sign_valid += 1
+            assert closed.failures == grid.failures, fields
+    assert sign_valid >= 50
+
+
+def test_validate_accepts_a_tiny_decay_rate(s0_params, s0_curves):
+    # exp(-1e-17 t) rounds to 1, so K_ns is flat in binary64 and a grid of
+    # finite differences reads K_ns' = 0; the rate itself is valid.
+    report = validate(s0_params, s0_curves.replace(lambda_ns=1e-17))
+    assert report.passed, report.failures
 
 
 def test_nonfinite_parameters_rejected_at_construction():

@@ -25,6 +25,7 @@ from bountygame import (
     profit_without_bbp,
     release_gap_term,
     success_probabilities,
+    validate,
 )
 from bountygame import vendor
 from bountygame.vendor import _concentrated_prime, _profit_nb_prime
@@ -220,8 +221,51 @@ def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):
     curves = s0_curves.replace(K_s0=0.2)
     band = condition1(params, curves, 0.0)
     assert not band.feasible
-    with pytest.raises(InfeasibleScenarioError):
+    with pytest.raises(InfeasibleScenarioError, match="never exceeds the lower"):
         optimal_release_with_bbp(params, curves)
+
+
+def test_no_viable_program_names_the_upper_bound(s0_params, s0_curves):
+    # A black-hat prize this large keeps the gap above ub = A/K_s(t) + r
+    # until K_s(2) = 0.5, the end of this horizon.
+    params = s0_params.replace(W=200.0)
+    curves = s0_curves.replace(t_max=2.0)
+    for t in (0.0, 1.0, 2.0):
+        band = condition1(params, curves, t)
+        assert band.gap_value >= band.ub
+    with pytest.raises(InfeasibleScenarioError, match="never falls below the upper"):
+        optimal_release_with_bbp(params, curves)
+
+
+def test_feasible_window_narrower_than_a_scan_step_is_found(s0_params, s0_curves):
+    # Condition 1 holds for (r - gap)/B < 1/K_s(t) < (gap + r)/A. Putting
+    # the gap just inside r(A - B)/(A + B) brings the two edges within
+    # 6e-6 of each other in t, around t = 4.0123, so an evenly spaced scan
+    # of [0, t_max] would need millions of points to land in the window.
+    n, m, c_w = s0_params.n, s0_params.m, s0_params.c_w
+    big_n = n + m
+    a_slope = big_n * (big_n - 1) / m
+    b_slope = (2 * m + n) * big_n * (big_n - 1) / (m * n)
+    r = 200.0 / c_w
+    gap = r * (a_slope - b_slope) / (a_slope + b_slope) * (1.0 - 1e-6)
+    params = s0_params.replace(
+        TC_s=200.0, W=1.0, r_s=c_w * (1.0 / s0_params.c_b - gap)
+    )
+    curves = s0_curves.replace(
+        K_s0=math.exp(s0_curves.lambda_s * 4.0123) / ((gap + r) / a_slope)
+    )
+    assert validate(params, curves).passed
+
+    interval = vendor._feasible_interval(params, curves)
+    assert interval is not None
+    lo, hi = interval
+    assert 0.0 < lo < hi < curves.t_max
+    assert hi - lo < 1e-5
+    assert condition1(params, curves, lo).feasible
+    assert condition1(params, curves, hi).feasible
+    assert not condition1(params, curves, math.nextafter(lo, 0.0)).feasible
+    assert not condition1(params, curves, math.nextafter(hi, curves.t_max)).feasible
+    assert lo <= optimal_release_with_bbp(params, curves).t <= hi
 
 
 def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):
