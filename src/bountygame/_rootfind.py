@@ -16,21 +16,21 @@ from .errors import ConvergenceError
 
 __all__ = ["newton_bisect", "golden_section_max"]
 
+_NEWTON_MAX_ITER = 200
+_GOLDEN_MAX_ITER = 500
+
 
 def newton_bisect(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
-    fprime: Callable[[float], float] | None = None,
     ftol: float = 1e-9,
-    max_iter: int = 200,
 ) -> float:
     """Safeguarded Newton with a bisection fallback on [lo, hi].
 
-    When ``fprime`` is omitted the slope is taken by a central difference
-    scaled to the bracket width; the bracket safeguard makes the method
-    robust either way.
+    The slope is taken by a central difference scaled to the bracket
+    width; the bracket safeguard keeps a poor slope from leaving [lo, hi].
     """
     flo = f(lo)
     fhi = f(hi)
@@ -45,14 +45,11 @@ def newton_bisect(
 
     x = 0.5 * (lo + hi)
     fx = f(x)
-    for it in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if abs(fx) <= ftol:
             return x
-        if fprime is not None:
-            slope = fprime(x)
-        else:
-            h = 1e-7 * max(hi - lo, abs(x), 1e-30)
-            slope = (f(x + h) - f(x - h)) / (2.0 * h)
+        h = 1e-7 * max(hi - lo, abs(x), 1e-30)
+        slope = (f(x + h) - f(x - h)) / (2.0 * h)
         took_newton = False
         if slope != 0.0:
             x_new = x - fx / slope
@@ -70,10 +67,10 @@ def newton_bisect(
         if hi - lo <= 4.0 * abs(x) * 2.2e-16 and abs(fx) <= max(ftol, 1e-6 * abs(flo)):
             return x
     raise ConvergenceError(
-        f"newton_bisect did not reach |f| <= {ftol} in {max_iter} iterations",
+        f"newton_bisect did not reach |f| <= {ftol} in {_NEWTON_MAX_ITER} iterations",
         last_iterate=x,
         residuals=(fx,),
-        iterations=max_iter,
+        iterations=_NEWTON_MAX_ITER,
     )
 
 
@@ -86,7 +83,6 @@ def golden_section_max(
     hi: float,
     *,
     xtol: float = 1e-10,
-    max_iter: int = 500,
 ) -> float:
     """Golden-section search for a maximizer of f on [lo, hi].
 
@@ -99,7 +95,7 @@ def golden_section_max(
     d = a + _INV_PHI * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= xtol * max(1.0, abs(a), abs(b)):
             break
         if fc > fd:

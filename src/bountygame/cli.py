@@ -33,7 +33,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import (
     AssumptionViolationError,
@@ -217,12 +217,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     _emit(
         {
-            "decision": decision.to_dict(),
-            "efforts": profile.to_dict(),
-            "probabilities": probs.to_dict(),
+            "decision": asdict(decision),
+            "efforts": asdict(profile),
+            "probabilities": asdict(probs),
             "profit": {
-                "with_bbp": with_bbp.to_dict(),
-                "without_bbp": without_bbp.to_dict(),
+                "with_bbp": asdict(with_bbp),
+                "without_bbp": asdict(without_bbp),
             },
             "notes": notes,
         }
@@ -238,14 +238,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     no_bbp = None
     if args.mode in ("no-bbp", "both"):
         no_bbp = optimal_release_no_bbp(params, curves)
-        report["no_bbp"] = no_bbp.to_dict()
+        report["no_bbp"] = asdict(no_bbp)
 
     if args.mode in ("with-bbp", "both"):
         try:
             opt = optimal_release_with_bbp(params, curves)
-            report["with_bbp"] = opt.to_dict()
-            report["condition1_at_optimum"] = condition1(params, curves, opt.t).to_dict()
-            report["optimal_n"] = optimal_whh_count(params, curves, opt.t).to_dict()
+            report["with_bbp"] = asdict(opt)
+            report["condition1_at_optimum"] = asdict(condition1(params, curves, opt.t))
+            report["optimal_n"] = asdict(optimal_whh_count(params, curves, opt.t))
         except InfeasibleScenarioError as exc:
             report["with_bbp"] = None
             report["no_viable_bbp"] = True
@@ -286,11 +286,11 @@ def _apply_sweep_value(
                     f"sweep over integer field {path!r} hit non-integer {value!r}"
                 )
             value = int(rounded)
-        params = params.replace(**{field: value})
+        params = replace(params, **{field: value})
     elif block == "curves" and field in _CURVE_FIELDS:
-        curves = curves.replace(**{field: value})
+        curves = replace(curves, **{field: value})
     elif block == "decision" and field in _DECISION_FIELDS:
-        decision = decision.replace(**{field: value})
+        decision = replace(decision, **{field: value})
     else:
         raise ScenarioFormatError(f"unknown sweep path {path!r}")
     return params, curves, decision
@@ -315,7 +315,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         notes.append(note)
 
     path = scen.sweep["path"]
-    rows: list[list[str]] = []
+    rows: list[list] = []
     for value in _sweep_values(scen.sweep):
         params, curves, dec = _apply_sweep_value(scen, decision, path, value)
         if (params, curves) != (scen.params, scen.curves):
@@ -334,45 +334,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             bounties = optimal_bounties(params, curves, dec.t)
             band = condition1(params, curves, dec.t)
             heads = optimal_whh_count(params, curves, dec.t)
-        rows.append(
-            [
-                _format_cell(float(value)),
-                profile.regime.value,
-                _format_cell(profile.alpha_s),
-                _format_cell(profile.alpha_ns),
-                _format_cell(profile.beta_ns),
-                _format_cell(profile.mu_s),
-                _format_cell(probs.p_e_s),
-                _format_cell(probs.p_e_ns),
-                _format_cell(probs.p_ne_ns),
-                _format_cell(probs.p_b_s),
-                _format_cell(pw.total),
-                _format_cell(pn.total),
-                _format_cell(bounties.p_s),
-                _format_cell(bounties.p_ns),
-                _format_cell(bounties.bbp_viable),
-                _format_cell(band.lb),
-                _format_cell(band.ub),
-                _format_cell(band.gap_value),
-                _format_cell(band.feasible),
-                _format_cell(heads.n_closed_form),
-                _format_cell(heads.n_quadratic),
-                _format_cell(heads.n_brute_force),
-            ]
-        )
+        cells = {
+            "regime": profile.regime.value,
+            "alpha_s": profile.alpha_s,
+            "alpha_ns": profile.alpha_ns,
+            "beta_ns": profile.beta_ns,
+            "mu_s": profile.mu_s,
+            "p_e_s": probs.p_e_s,
+            "p_e_ns": probs.p_e_ns,
+            "p_ne_ns": probs.p_ne_ns,
+            "p_b_s": probs.p_b_s,
+            "profit_with_bbp": pw.total,
+            "profit_without_bbp": pn.total,
+            "p_s_opt": bounties.p_s,
+            "p_ns_opt": bounties.p_ns,
+            "bbp_viable": bounties.bbp_viable,
+            "cond1_lb": band.lb,
+            "cond1_ub": band.ub,
+            "cond1_gap": band.gap_value,
+            "cond1_feasible": band.feasible,
+            "n_closed_form": heads.n_closed_form,
+            "n_quadratic": heads.n_quadratic,
+            "n_brute_force": heads.n_brute_force,
+        }
+        rows.append([float(value), *(cells[column] for column in _SWEEP_COLUMNS)])
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([path, *_SWEEP_COLUMNS])
-        writer.writerows(rows)
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
     _emit({"out": args.out, "rows": len(rows), "path": path, "notes": notes})
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_full_suite(
-        args.seed, args.draws, normalization_tol=args.normalization_tol
-    )
+    report = run_full_suite(args.seed, args.draws)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -413,9 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--draws", type=int, default=200)
     p_verify.add_argument("--out", default=None, help="also write the JSON report here")
-    p_verify.add_argument(
-        "--normalization-tol", type=float, default=1e-12, help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

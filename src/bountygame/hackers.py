@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class Regime(Enum):
+class Regime(str, Enum):
     CORNER = "corner"
     INTERIOR = "interior"
 
@@ -69,16 +69,6 @@ class EffortProfile:
     regime: Regime
     feasible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_s": self.alpha_s,
-            "alpha_ns": self.alpha_ns,
-            "beta_ns": self.beta_ns,
-            "mu_s": self.mu_s,
-            "regime": self.regime.value,
-            "feasible": self.feasible,
-        }
-
 
 @dataclass(frozen=True)
 class SuccessProfile:
@@ -100,15 +90,6 @@ class SuccessProfile:
     @property
     def any_clipped(self) -> bool:
         return len(self.clipped) > 0
-
-    def to_dict(self) -> dict:
-        return {
-            "p_e_s": self.p_e_s,
-            "p_e_ns": self.p_e_ns,
-            "p_ne_ns": self.p_ne_ns,
-            "p_b_s": self.p_b_s,
-            "clipped": list(self.clipped),
-        }
 
 
 def _check_market(params: MarketParams) -> None:
@@ -220,6 +201,34 @@ def _clamp(name: str, value: float, clipped: list[str]) -> float:
     return value
 
 
+def _corner_severe_probs(params: MarketParams, ks: float, p_s: float) -> tuple[float, float]:
+    """Corner-regime severe-race probabilities (p_e_s, p_b_s), not clamped."""
+    n, m = params.n, params.m
+    big_n = n + m
+    kappa = big_n - 1
+    g = (params.r_s + p_s) / params.c_w - params.W / params.c_b
+    p_e = (1.0 + m * ks * g / (kappa * big_n)) / big_n
+    p_b = (1.0 - n * ks * g / (kappa * big_n)) / big_n
+    return p_e, p_b
+
+
+def _corner_slope_factors(params: MarketParams, ks: float, g: float) -> tuple[float, float]:
+    """N d(K_s p_b_s)/dK_s and N d(K_s p_e_s)/dK_s of the corner race.
+
+    With the prize advantage g held fixed, K_s p_b_s = (K_s/N)(1 - n K_s g /
+    (kappa N)), so the black hat factor is 1 - 2 n K_s g / (kappa N) and the
+    expert factor 1 + 2 m K_s g / (kappa N). The vendor's profit slopes in t
+    carry these factors times K_s'(t).
+    """
+    n, m = params.n, params.m
+    big_n = n + m
+    kappa = big_n - 1
+    return (
+        1.0 - 2.0 * n * ks * g / (kappa * big_n),
+        1.0 + 2.0 * m * ks * g / (kappa * big_n),
+    )
+
+
 def success_probabilities(
     params: MarketParams,
     decision: VendorDecision,
@@ -242,19 +251,16 @@ def success_probabilities(
     """
     _check_market(params)
     n, l, m = params.n, params.l, params.m
-    big_n = n + m
-    kappa = big_n - 1
     clipped: list[str] = []
 
     if profile.regime is Regime.CORNER:
         ks = k_severe(curves, decision.t)
-        kns = k_nonsevere(curves, decision.t)
-        g = (params.r_s + decision.p_s) / params.c_w - params.W / params.c_b
-        p_e_s = (1.0 + m * ks * g / (kappa * big_n)) / big_n
-        p_b_s = (1.0 - n * ks * g / (kappa * big_n)) / big_n
-        p_ne_ns = kns * decision.p_ns / l
+        p_e_s, p_b_s = _corner_severe_probs(params, ks, decision.p_s)
+        p_ne_ns = k_nonsevere(curves, decision.t) * decision.p_ns / l
         p_e_ns = 0.0
     else:
+        big_n = n + m
+        kappa = big_n - 1
         pool_ns = n + l
         kappa_ns = pool_ns - 1
         p_e_s = (1.0 + m * (profile.alpha_s - profile.mu_s) / kappa) / big_n

@@ -54,15 +54,6 @@ class RatioEquilibrium:
     def max_residual(self) -> float:
         return max(abs(self.residuals[0]), abs(self.residuals[1]))
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_s": self.alpha_s,
-            "mu_s": self.mu_s,
-            "residuals": list(self.residuals),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class RatioSensitivities:
@@ -71,9 +62,6 @@ class RatioSensitivities:
     dalpha_dps: float
     dmu_dps: float
     det: float
-
-    def to_dict(self) -> dict:
-        return {"dalpha_dps": self.dalpha_dps, "dmu_dps": self.dmu_dps, "det": self.det}
 
 
 def _prizes(

@@ -6,10 +6,12 @@ and a pair of bounties (p_s, p_ns). Everything downstream consumes the
 residual-bug likelihood curves K_s(t), K_ns(t) and the revenue curve R(t)
 through the interfaces defined here.
 
-All types are immutable value objects. Construction only checks structure
-(finite numbers, integral counts); the economic assumptions are enforced by
-``validate``, which returns a report instead of raising so that callers can
-inspect every violated condition at once.
+The value types are frozen dataclasses: copy them with
+``dataclasses.replace`` and serialize them with ``dataclasses.asdict``.
+Construction only checks structure (finite numbers, integral counts); the
+economic assumptions are enforced by ``validate``, which returns a report
+instead of raising so that callers can inspect every violated condition at
+once.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ class MarketParams:
         for name in ("c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
-    def replace(self, **changes) -> "MarketParams":
-        """Return a copy with the given fields replaced."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(changes)
-        return MarketParams(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 class CurveSet(ABC):
     """Interface for the release curves K_s(t), K_ns(t), R(t).
@@ -176,14 +169,6 @@ class ReleaseCurves(CurveSet):
     def revenue_prime(self, t: float) -> float:
         return -self.a - self.b * t
 
-    def replace(self, **changes) -> "ReleaseCurves":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(changes)
-        return ReleaseCurves(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class VendorDecision:
@@ -197,14 +182,6 @@ class VendorDecision:
         for name in ("t", "p_s", "p_ns"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
-    def replace(self, **changes) -> "VendorDecision":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(changes)
-        return VendorDecision(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "p_s": self.p_s, "p_ns": self.p_ns}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -213,13 +190,6 @@ class ValidationReport:
     passed: bool
     failures: tuple[str, ...]
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "warnings": list(self.warnings),
-        }
 
 
 def _check_t(curves: CurveSet, t: float) -> float:
@@ -318,13 +288,19 @@ def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
     """
     failures: list[str] = []
     t_max = curves.t_max
-    for name, k0, lam, k_end in (
-        ("K_s", curves.K_s0, curves.lambda_s, curves.k_severe(t_max)),
-        ("K_ns", curves.K_ns0, curves.lambda_ns, curves.k_nonsevere(t_max)),
+    for name, k0, lam, curve in (
+        ("K_s", curves.K_s0, curves.lambda_s, curves.k_severe),
+        ("K_ns", curves.K_ns0, curves.lambda_ns, curves.k_nonsevere),
     ):
-        tol = 1e-12 * max(1.0, abs(k0), abs(k_end))
-        if min(k0, k_end) <= 0.0 or max(k0, k_end) > 1.0 + tol:
+        try:
+            k_end = curve(t_max)
+        except OverflowError:
+            # exp(-lambda t_max) is beyond binary64, so K leaves (0, 1].
             failures.append(f"{name}(t) in (0, 1]")
+        else:
+            tol = 1e-12 * max(1.0, abs(k0), abs(k_end))
+            if min(k0, k_end) <= 0.0 or max(k0, k_end) > 1.0 + tol:
+                failures.append(f"{name}(t) in (0, 1]")
         if not (lam > 0.0 and k0 > 0.0 or lam < 0.0 and k0 < 0.0):
             failures.append(f"{name}'(t) < 0")
         if lam != 0.0 and k0 < 0.0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,21 +71,8 @@ class SimOutcome:
     mean_profit: float
     std_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "freq_severe_ewhh": self.freq_severe_ewhh,
-            "freq_severe_bhh": self.freq_severe_bhh,
-            "freq_severe_none": self.freq_severe_none,
-            "freq_nonsevere_newhh": self.freq_nonsevere_newhh,
-            "freq_nonsevere_user": self.freq_nonsevere_user,
-            "freq_nonsevere_none": self.freq_nonsevere_none,
-            "mean_profit": self.mean_profit,
-            "std_error": self.std_error,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _chunk_uniforms(seed: int, index: int, count: int) -> np.ndarray:

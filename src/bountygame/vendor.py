@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._rootfind import golden_section_max, newton_bisect
 from .errors import (
@@ -28,7 +28,13 @@ from .errors import (
     InfeasibleScenarioError,
     NonConcaveObjectiveError,
 )
-from .hackers import Regime, _check_market, select_regime
+from .hackers import (
+    Regime,
+    _check_market,
+    _corner_severe_probs,
+    _corner_slope_factors,
+    select_regime,
+)
 from .scenario import (
     CurveSet,
     MarketParams,
@@ -84,17 +90,6 @@ class ProfitBreakdown:
     uncoordinated_disclosure_cost: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "revenue": self.revenue,
-            "bhh_exploit_cost": self.bhh_exploit_cost,
-            "severe_bounty_cost": self.severe_bounty_cost,
-            "nonsevere_bounty_cost": self.nonsevere_bounty_cost,
-            "user_discovery_cost": self.user_discovery_cost,
-            "uncoordinated_disclosure_cost": self.uncoordinated_disclosure_cost,
-            "total": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class Condition1Bounds:
@@ -111,14 +106,6 @@ class Condition1Bounds:
     gap_value: float
     feasible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lb": self.lb,
-            "ub": self.ub,
-            "gap_value": self.gap_value,
-            "feasible": self.feasible,
-        }
-
 
 @dataclass(frozen=True)
 class OptimalBounties:
@@ -133,9 +120,6 @@ class OptimalBounties:
     p_ns: float
     bbp_viable: bool
 
-    def to_dict(self) -> dict:
-        return {"p_s": self.p_s, "p_ns": self.p_ns, "bbp_viable": self.bbp_viable}
-
 
 @dataclass(frozen=True)
 class ReleaseOptimum:
@@ -145,14 +129,6 @@ class ReleaseOptimum:
     boundary: bool
     foc_value: float
     profit: float
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "boundary": self.boundary,
-            "foc_value": self.foc_value,
-            "profit": self.profit,
-        }
 
 
 @dataclass(frozen=True)
@@ -164,15 +140,6 @@ class BbpRelease:
     p_ns: float
     profit: float
     boundary: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "p_s": self.p_s,
-            "p_ns": self.p_ns,
-            "profit": self.profit,
-            "boundary": self.boundary,
-        }
 
 
 @dataclass(frozen=True)
@@ -189,14 +156,6 @@ class WhhCountReport:
     n_quadratic: float
     n_brute_force: int
     note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n_closed_form": self.n_closed_form,
-            "n_quadratic": self.n_quadratic,
-            "n_brute_force": self.n_brute_force,
-            "note": self.note,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +210,6 @@ def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bo
 # ---------------------------------------------------------------------------
 
 
-def _severe_probs_formula(
-    params: MarketParams, ks: float, p_s: float
-) -> tuple[float, float]:
-    """Specialized-regime severe-race probabilities, no clamping."""
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    g = (params.r_s + p_s) / params.c_w - params.W / params.c_b
-    p_e = (1.0 + m * ks * g / (kappa * big_n)) / big_n
-    p_b = (1.0 - n * ks * g / (kappa * big_n)) / big_n
-    return p_e, p_b
-
-
 def _profit_polynomial(
     params: MarketParams, curves: CurveSet, t: float, p_s: float, p_ns: float
 ) -> float:
@@ -297,7 +243,7 @@ def _with_bbp_breakdown(
 ) -> ProfitBreakdown:
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
-    p_e, p_b = _severe_probs_formula(params, ks, p_s)
+    p_e, p_b = _corner_severe_probs(params, ks, p_s)
     rev = revenue(curves, t)
     bhh_cost = ks * params.m * p_b * params.TC_s
     bounty_s = ks * params.n * p_e * p_s
@@ -343,7 +289,7 @@ def profit_with_bbp(
             FeasibilityWarning,
             stacklevel=2,
         )
-    p_e, p_b = _severe_probs_formula(params, ks, p_s)
+    p_e, p_b = _corner_severe_probs(params, ks, p_s)
     if not (0.0 <= p_e <= 1.0 and 0.0 <= p_b <= 1.0 and 0.0 <= kns * p_ns <= 1.0):
         warnings.warn(
             "success probabilities leave [0, 1] at this decision; profit "
@@ -367,7 +313,7 @@ def profit_without_bbp(
     _check_market(params)
     ks = _positive_k_severe(curves, t)
     kns = k_nonsevere(curves, t)
-    p_e0, p_b0 = _severe_probs_formula(params, ks, 0.0)
+    p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     p_e0 = min(1.0, max(0.0, p_e0))
     p_b0 = min(1.0, max(0.0, p_b0))
     rev = revenue(curves, t)
@@ -393,7 +339,7 @@ def _profit_nb_unclamped(params: MarketParams, curves: CurveSet, t: float) -> fl
     """
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
-    p_e0, p_b0 = _severe_probs_formula(params, ks, 0.0)
+    p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     return (
         revenue(curves, t)
         - ks * params.m * p_b0 * params.TC_s
@@ -425,16 +371,12 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     kns_prime = curves.k_nonsevere_prime(t)
     n, m = params.n, params.m
     big_n = n + m
-    kappa = big_n - 1
     g0 = params.r_s / params.c_w - params.W / params.c_b
+    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g0)
     return (
         curves.revenue_prime(t)
-        - ks_prime * (m / big_n) * (1.0 - 2.0 * n * ks * g0 / (kappa * big_n)) * params.TC_s
-        - ks_prime
-        * (n / big_n)
-        * (1.0 + 2.0 * m * ks * g0 / (kappa * big_n))
-        * params.x
-        * params.TC_s
+        - ks_prime * (m / big_n) * bhh_factor * params.TC_s
+        - ks_prime * (n / big_n) * ewhh_factor * params.x * params.TC_s
         - kns_prime * params.TC_ns
     )
 
@@ -452,12 +394,12 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     kns_prime = curves.k_nonsevere_prime(t)
     n, m = params.n, params.m
     big_n = n + m
-    kappa = big_n - 1
     bounties = optimal_bounties(params, curves, t)
     g_star = (params.r_s + bounties.p_s) / params.c_w - params.W / params.c_b
-    severe_terms = (m * params.TC_s / big_n) * (
-        1.0 - 2.0 * n * ks * g_star / (kappa * big_n)
-    ) + (n * bounties.p_s / big_n) * (1.0 + 2.0 * m * ks * g_star / (kappa * big_n))
+    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g_star)
+    severe_terms = (
+        (m * params.TC_s / big_n) * bhh_factor + (n * bounties.p_s / big_n) * ewhh_factor
+    )
     return (
         curves.revenue_prime(t)
         - ks_prime * severe_terms
@@ -517,7 +459,7 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     wrong optimum.
     """
     _check_market(params)
-    p_e0, p_b0 = _severe_probs_formula(params, k_severe(curves, 0.0), 0.0)
+    p_e0, p_b0 = _corner_severe_probs(params, k_severe(curves, 0.0), 0.0)
     if not (0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0):
         raise AssumptionViolationError(
             "zero-bounty race probabilities leave [0, 1] at t = 0 "
@@ -752,11 +694,11 @@ def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
     bounties = optimal_bounties(params, curves, t)
     p_s, p_ns = bounties.p_s, bounties.p_ns
     g0 = params.r_s / params.c_w - params.W / params.c_b
+    _, ewhh_factor = _corner_slope_factors(params, ks, g0)
     bracket = (
         n * p_s / big_n
         + 2.0 * m * n * ks * p_s * p_s / (params.c_w * kappa * big_n * big_n)
-        + (n * params.x * params.TC_s / big_n)
-        * (1.0 + 2.0 * m * ks * g0 / (kappa * big_n))
+        + (n * params.x * params.TC_s / big_n) * ewhh_factor
     )
     return ks_prime * bracket + 2.0 * kns * kns_prime * p_ns * p_ns
 
@@ -781,7 +723,7 @@ def profit_decomposition_check(params: MarketParams, curves: CurveSet, t: float)
     bounties = optimal_bounties(params, curves, t)
     p_s, p_ns = bounties.p_s, bounties.p_ns
     lhs = _profit_polynomial(params, curves, t, p_s, p_ns)
-    p_e0, _ = _severe_probs_formula(params, ks, 0.0)
+    p_e0, _ = _corner_severe_probs(params, ks, 0.0)
     rhs = (
         _profit_nb_unclamped(params, curves, t)
         + m * n * ks * ks * p_s * p_s / (kappa * big_n * big_n * params.c_w)
@@ -824,7 +766,7 @@ def optimal_whh_count(params: MarketParams, curves: CurveSet, t: float) -> WhhCo
     best_n = 1
     best_value = -math.inf
     for candidate in range(1, 4 * m + 1):
-        trial = params.replace(n=candidate)
+        trial = replace(params, n=candidate)
         if condition1(trial, curves, t).feasible:
             value = concentrated_bbp_profit(trial, curves, t)
         else:

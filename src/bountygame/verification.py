@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .errors import (
 )
 from .hackers import (
     Regime,
+    _corner_severe_probs,
+    _corner_slope_factors,
     corner_equilibrium,
     equilibrium,
     interior_equilibrium,
@@ -97,13 +99,6 @@ class SampledScenario:
     params: MarketParams
     curves: ReleaseCurves
     decision: VendorDecision
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "curves": self.curves.to_dict(),
-            "decision": self.decision.to_dict(),
-        }
 
 
 class FeasibleSampler:
@@ -261,12 +256,8 @@ class FeasibleSampler:
         # The zero-bounty race probabilities and the slope brackets of the
         # no-program profit must stay sign-definite for every t; both are
         # extremal at t = 0 where K_s peaks.
-        ks0 = curves.k_severe(0.0)
-        big_n = params.n + params.m
-        kappa = big_n - 1
         g0 = params.r_s / params.c_w - params.W / params.c_b
-        lower = 1.0 - 2.0 * params.n * ks0 * g0 / (kappa * big_n)
-        upper = 1.0 + 2.0 * params.m * ks0 * g0 / (kappa * big_n)
+        lower, upper = _corner_slope_factors(params, curves.k_severe(0.0), g0)
         return lower > _PROB_MARGIN and upper > _PROB_MARGIN
 
     def draw_release(self) -> SampledScenario:
@@ -360,17 +351,6 @@ class PropositionReport:
     min_margin: float | None
     median_margin: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "draws_tested": self.draws_tested,
-            "excluded": self.excluded,
-            "failures": list(self.failures),
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "median_margin": self.median_margin,
-        }
-
 
 def _make_report(
     report_id: str, margins: list[float], failures: list[dict], excluded: int = 0
@@ -422,7 +402,7 @@ def verify_proposition_1(
         clip_e: list[bool] = []
         clip_b: list[bool] = []
         for p_s in grid:
-            dec = scen.decision.replace(p_s=p_s)
+            dec = replace(scen.decision, p_s=p_s)
             profile = corner_equilibrium(scen.params, dec, scen.curves)
             probs = success_probabilities(scen.params, dec, scen.curves, profile)
             alphas.append(profile.alpha_s)
@@ -461,7 +441,7 @@ def verify_proposition_1(
             margins.append(worst)
         else:
             margins.append(0.0)
-            failures.append({"detail": problem, "scenario": scen.to_dict()})
+            failures.append({"detail": problem, "scenario": asdict(scen)})
     return _make_report("proposition-1", margins, failures)
 
 
@@ -485,12 +465,7 @@ def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionRep
         t = scen.decision.t
         bounties = optimal_bounties(params, curves, t)
         band = condition1(params, curves, t)
-        ks = k_severe(curves, t)
-        big_n = params.n + params.m
-        kappa = big_n - 1
-        g0 = params.r_s / params.c_w - params.W / params.c_b
-        p_e0 = (1.0 + params.m * ks * g0 / (kappa * big_n)) / big_n
-        p_b0 = (1.0 - params.n * ks * g0 / (kappa * big_n)) / big_n
+        p_e0, p_b0 = _corner_severe_probs(params, k_severe(curves, t), 0.0)
         unclipped = 0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0
         if not (bounties.bbp_viable and band.feasible and unclipped):
             excluded += 1
@@ -504,7 +479,7 @@ def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionRep
             failures.append(
                 {
                     "detail": f"profit gap {gap!r}, decomposition residual {residual!r}",
-                    "scenario": scen.to_dict(),
+                    "scenario": asdict(scen),
                 }
             )
         else:
@@ -542,7 +517,7 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
                         f"t_no_program={nb.t!r}, t_with_program={bbp.t!r}, "
                         f"slope gap at t_no_program={slope_gap!r}"
                     ),
-                    "scenario": scen.to_dict(),
+                    "scenario": asdict(scen),
                 }
             )
         else:
@@ -632,7 +607,7 @@ def identity_suite(
         p_ns_boundary = (
             ks * (params.r_s + dec.p_s) * (n + l) / ((n + m) * params.c_w * kns)
         )
-        dec_b = dec.replace(p_ns=p_ns_boundary)
+        dec_b = replace(dec, p_ns=p_ns_boundary)
         corner_b = corner_equilibrium(params, dec_b, curves)
         interior_b = interior_equilibrium(params, dec_b, curves)
         continuity_err = max(
@@ -644,7 +619,7 @@ def identity_suite(
         if continuity_err > 1e-9:
             problems.append(f"regime-boundary effort gap {continuity_err!r}")
 
-        dec0 = dec.replace(p_s=0.0)
+        dec0 = replace(dec, p_s=0.0)
         probs0 = success_probabilities(
             params, dec0, curves, corner_equilibrium(params, dec0, curves)
         )
@@ -660,7 +635,7 @@ def identity_suite(
 
         margins.append(min(slacks))
         if problems:
-            failures.append({"detail": "; ".join(problems), "scenario": scen.to_dict()})
+            failures.append({"detail": "; ".join(problems), "scenario": asdict(scen)})
     return _make_report("identity-suite", margins, failures)
 
 
@@ -674,19 +649,14 @@ def _condition1_band(sampler: FeasibleSampler, draws: int) -> PropositionReport:
         width = band.ub - band.lb
         if width <= 0.0:
             failures.append(
-                {"detail": f"band width {width!r}", "scenario": scen.to_dict()}
+                {"detail": f"band width {width!r}", "scenario": asdict(scen)}
             )
         else:
             margins.append(width)
     return _make_report("condition-1-band", margins, failures)
 
 
-def run_full_suite(
-    seed: int,
-    draws: int = 1000,
-    normalization_tol: float = 1e-12,
-    bounty_grid=None,
-) -> dict:
+def run_full_suite(seed: int, draws: int = 1000) -> dict:
     """Run every verifier and return a JSON-ready summary.
 
     Each verifier gets its own sampler derived from ``seed`` so reports
@@ -694,18 +664,17 @@ def run_full_suite(
     ``passed`` is the conjunction of all report outcomes.
     """
     _require_draws(draws)
-    if bounty_grid is None:
-        bounty_grid = [20.0 * i / 49 for i in range(50)]
+    bounty_grid = [20.0 * i / 49 for i in range(50)]
     reports = [
         verify_proposition_1(FeasibleSampler(seed), draws, bounty_grid),
         verify_proposition_2(FeasibleSampler(seed + 1), draws),
         verify_proposition_3(FeasibleSampler(seed + 2), draws),
-        identity_suite(FeasibleSampler(seed + 3), draws, normalization_tol),
+        identity_suite(FeasibleSampler(seed + 3), draws),
         _condition1_band(FeasibleSampler(seed + 4), draws),
     ]
     return {
         "seed": seed,
         "draws": draws,
-        "reports": {report.id: report.to_dict() for report in reports},
+        "reports": {report.id: asdict(report) for report in reports},
         "passed": all(report.passed for report in reports),
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -240,14 +241,14 @@ def test_criterion_08_expert_count_candidates(capsys, s0_params, s0_curves):
     increasing = True
     below_m = True
     for m in range(1, 11):
-        report = optimal_whh_count(s0_params.replace(m=m), s0_curves, 2.0)
+        report = optimal_whh_count(replace(s0_params, m=m), s0_curves, 2.0)
         exact = exact and report.n_quadratic == (m + 1) / 2
         if m >= 2:
             below_m = below_m and report.n_closed_form < m
             if previous is not None:
                 increasing = increasing and report.n_closed_form > previous
             previous = report.n_closed_form
-    big = optimal_whh_count(s0_params.replace(m=20), s0_curves, 2.0)
+    big = optimal_whh_count(replace(s0_params, m=20), s0_curves, 2.0)
     documented = "not a root" in big.note and "(m+1)/2" in big.note
     ok = exact and below_m and increasing and big.n_brute_force >= 1 and documented
     _verdict(
@@ -274,8 +275,8 @@ def test_criterion_09_ratio_contest_solver(capsys):
         if dec.p_s - h <= 0.0:
             continue
         guess = (eq.alpha_s, eq.mu_s)
-        hi = solve_ratio_equilibrium(params, dec.replace(p_s=dec.p_s + h), curves, guess)
-        lo = solve_ratio_equilibrium(params, dec.replace(p_s=dec.p_s - h), curves, guess)
+        hi = solve_ratio_equilibrium(params, replace(dec, p_s=dec.p_s + h), curves, guess)
+        lo = solve_ratio_equilibrium(params, replace(dec, p_s=dec.p_s - h), curves, guess)
         fd_alpha = (hi.alpha_s - lo.alpha_s) / (2 * h)
         fd_mu = (hi.mu_s - lo.mu_s) / (2 * h)
         worst_rel = max(

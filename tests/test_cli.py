@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from bountygame import vendor
+from bountygame import vendor, verification
 from bountygame.cli import main
 
 BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
@@ -77,6 +79,9 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         (lambda d: d["market"].update(n=3.5), "must be an integer"),
         (lambda d: d["market"].update(c_w=1.0), "c_w > 1"),
         (lambda d: d["curves"].update(K_s0=True), "must be a number"),
+        # exp(-lambda * t_max) = exp(1000) is beyond binary64.
+        (lambda d: d["curves"].update(lambda_s=-100.0), "lambda_s > 0"),
+        (lambda d: d["curves"].update(lambda_ns=-100.0), "lambda_ns > 0"),
     ],
 )
 def test_schema_violations_exit_2(capsys, tmp_path, baseline_doc, mutate, fragment):
@@ -240,14 +245,46 @@ def test_verify_command_round_trip(capsys, tmp_path):
     assert rc2 == 0 and out2 == out
 
 
-def test_verify_failure_exits_1_with_evidence(capsys):
-    rc, out, _ = run_cli(
-        capsys, "verify", "--seed", "24", "--draws", "5",
-        "--normalization-tol", "1e-30",
+def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
+    monkeypatch.setattr(
+        verification,
+        "identity_suite",
+        functools.partial(verification.identity_suite, normalization_tol=1e-30),
     )
+    rc, out, _ = run_cli(capsys, "verify", "--seed", "24", "--draws", "5")
     assert rc == 1
     report = json.loads(out)
     assert not report["passed"]
     failures = report["reports"]["identity-suite"]["failures"]
     assert failures and "normalization" in failures[0]["detail"]
     assert "scenario" in failures[0]
+
+
+# sha256 of the output bytes on scenarios/baseline.json, recorded with
+# CPython 3.11 and numpy 2.4 on x86-64 Linux. A change meant to keep every
+# result bit-for-bit must leave these alone.
+PINNED_SHA256 = {
+    "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
+    "optimize": "5aeafc9adc22a4b9db63e1cbd0f5d2946503294092e9f41c3cd034658b0d07d8",
+    "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
+    "verify": "da3de69c0477abf6a3f47b5aa71845e5075974adf8411c16a5fd36a87bee6323",
+}
+
+
+def test_output_bytes_are_pinned(capsys, tmp_path):
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    digests = {}
+    for command in ("evaluate", "optimize"):
+        rc, out, _ = run_cli(capsys, command, str(BASELINE))
+        assert rc == 0
+        digests[command] = sha256(out.encode())
+    csv_path = tmp_path / "sweep.csv"
+    rc, _, _ = run_cli(capsys, "sweep", str(BASELINE), "--out", str(csv_path))
+    assert rc == 0
+    digests["sweep_csv"] = sha256(csv_path.read_bytes())
+    rc, out, _ = run_cli(capsys, "verify", "--seed", "0", "--draws", "8")
+    assert rc == 0
+    digests["verify"] = sha256(out.encode())
+    assert digests == PINNED_SHA256

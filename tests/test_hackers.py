@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from bountygame import (
@@ -54,16 +56,16 @@ def test_regime_selection_boundary(s0_params, s0_curves, s0_decision):
     # At t = 2: E_s / c_w = 0.5 * 3.5 / (7 * 2) = 0.125 and
     # E_ns = 0.8 * p_ns / 8 = 0.1 * p_ns, so the boundary sits at p_ns = 1.25.
     assert select_regime(s0_params, s0_decision, s0_curves) is Regime.CORNER
-    high = s0_decision.replace(p_ns=1.3)
+    high = replace(s0_decision, p_ns=1.3)
     assert select_regime(s0_params, high, s0_curves) is Regime.INTERIOR
     # Exact tie goes to the interior family.
-    tie = s0_decision.replace(p_ns=1.25)
+    tie = replace(s0_decision, p_ns=1.25)
     assert select_regime(s0_params, tie, s0_curves) is Regime.INTERIOR
 
 
 def test_interior_efforts_hand_computed(s0_params, s0_curves, s0_decision):
     # p_ns = 2: E_s = 0.25, E_ns = 0.2, c_w - 1 = 1.
-    dec = s0_decision.replace(p_ns=2.0)
+    dec = replace(s0_decision, p_ns=2.0)
     profile = equilibrium(s0_params, dec, s0_curves)
     assert profile.regime is Regime.INTERIOR
     assert profile.alpha_s == pytest.approx(0.05, abs=1e-15)
@@ -73,7 +75,7 @@ def test_interior_efforts_hand_computed(s0_params, s0_curves, s0_decision):
 
 
 def test_equilibrium_dispatches_on_regime(s0_params, s0_curves, s0_decision):
-    dec = s0_decision.replace(p_ns=2.0)
+    dec = replace(s0_decision, p_ns=2.0)
     assert equilibrium(s0_params, dec, s0_curves) == interior_equilibrium(
         s0_params, dec, s0_curves
     )
@@ -83,7 +85,7 @@ def test_equilibrium_dispatches_on_regime(s0_params, s0_curves, s0_decision):
 
 
 def test_efforts_never_clamped_but_flagged(s0_params, s0_curves, s0_decision):
-    dec = s0_decision.replace(p_s=100.0)
+    dec = replace(s0_decision, p_s=100.0)
     profile = corner_equilibrium(s0_params, dec, s0_curves)
     # alpha_s = 0.5 * 101 / (7 * 2) is far above 1 and reported as is.
     assert profile.alpha_s > 3.0
@@ -91,7 +93,7 @@ def test_efforts_never_clamped_but_flagged(s0_params, s0_curves, s0_decision):
 
 
 def test_probabilities_clip_and_break_normalization(s0_params, s0_curves, s0_decision):
-    dec = s0_decision.replace(p_s=100.0)
+    dec = replace(s0_decision, p_s=100.0)
     profile = corner_equilibrium(s0_params, dec, s0_curves)
     probs = success_probabilities(s0_params, dec, s0_curves, profile)
     assert probs.p_b_s == 0.0
@@ -155,7 +157,7 @@ def test_focal_payoff_shape_errors(s0_params, s0_curves, s0_decision):
 
 @pytest.mark.parametrize("p_ns", [0.5, 2.0])
 def test_oracle_agrees_with_closed_forms(s0_params, s0_curves, s0_decision, p_ns):
-    dec = s0_decision.replace(p_ns=p_ns)
+    dec = replace(s0_decision, p_ns=p_ns)
     profile = equilibrium(s0_params, dec, s0_curves)
     e_s, e_ns = best_response_oracle(
         s0_params, dec, s0_curves, profile, HackerType.EWHH
@@ -173,12 +175,12 @@ def test_oracle_grid_edges(s0_params, s0_curves, s0_decision):
     # wins; a prize whose unconstrained optimum lies above 1 pins the
     # argmax to the last point.
     for p_ns, want in ((0.0, 0.0), (20.0, 1.0)):
-        dec = s0_decision.replace(p_ns=p_ns)
+        dec = replace(s0_decision, p_ns=p_ns)
         profile = corner_equilibrium(s0_params, dec, s0_curves)
         assert best_response_oracle(
             s0_params, dec, s0_curves, profile, HackerType.NEWHH
         ) == want
-    rich = s0_params.replace(r_s=100.0)
+    rich = replace(s0_params, r_s=100.0)
     profile = corner_equilibrium(rich, s0_decision, s0_curves)
     assert profile.alpha_s > 1.0
     assert best_response_oracle(
@@ -202,7 +204,7 @@ def test_oracle_resolution_bounds(s0_params, s0_curves, s0_decision):
 
 def test_single_population_markets(s0_params, s0_curves, s0_decision):
     # l = 1: the lone non-expert races only the clock, contest average 0.
-    solo = s0_params.replace(l=1)
+    solo = replace(s0_params, l=1)
     profile = equilibrium(solo, s0_decision, s0_curves)
     assert profile.beta_ns == pytest.approx(0.8 * 0.5 / 1.0, abs=1e-15)
     probs = success_probabilities(solo, s0_decision, s0_curves, profile)
@@ -213,15 +215,15 @@ def test_market_guards(s0_params, s0_curves, s0_decision):
     # c_w must exceed 1 (the interior family divides by c_w - 1) and the
     # guard applies uniformly to both families.
     with pytest.raises(DomainError):
-        corner_equilibrium(s0_params.replace(c_w=1.0), s0_decision, s0_curves)
+        corner_equilibrium(replace(s0_params, c_w=1.0), s0_decision, s0_curves)
     with pytest.raises(DomainError):
-        interior_equilibrium(s0_params.replace(m=0), s0_decision, s0_curves)
+        interior_equilibrium(replace(s0_params, m=0), s0_decision, s0_curves)
 
 
 def test_market_guard_requires_c_b_above_one(s0_params, s0_curves, s0_decision):
     # One guard serves the hacker, vendor and ratio stages, with the same
     # c_b > 1 rule that ``validate`` applies.
-    edge = s0_params.replace(c_b=1.0)
+    edge = replace(s0_params, c_b=1.0)
     with pytest.raises(DomainError, match="c_b must exceed 1"):
         equilibrium(edge, s0_decision, s0_curves)
     with pytest.raises(DomainError, match="c_b must exceed 1"):

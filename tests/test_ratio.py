@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -59,8 +60,8 @@ def test_sensitivity_signs_and_finite_differences(s0_params, s0_curves, s0_decis
     assert sens.dmu_dps < 0.0
 
     h = 1e-5 * max(1.0, s0_decision.p_s)
-    up = solve_ratio_equilibrium(s0_params, s0_decision.replace(p_s=s0_decision.p_s + h), s0_curves)
-    dn = solve_ratio_equilibrium(s0_params, s0_decision.replace(p_s=s0_decision.p_s - h), s0_curves)
+    up = solve_ratio_equilibrium(s0_params, replace(s0_decision, p_s=s0_decision.p_s + h), s0_curves)
+    dn = solve_ratio_equilibrium(s0_params, replace(s0_decision, p_s=s0_decision.p_s - h), s0_curves)
     fd_alpha = (up.alpha_s - dn.alpha_s) / (2.0 * h)
     fd_mu = (up.mu_s - dn.mu_s) / (2.0 * h)
     assert sens.dalpha_dps == pytest.approx(fd_alpha, rel=1e-3)
@@ -79,7 +80,7 @@ def test_residuals_small_over_seeded_draws():
 def test_one_on_one_is_degenerate(s0_params, s0_curves, s0_decision):
     with pytest.raises(DomainError):
         solve_ratio_equilibrium(
-            s0_params.replace(n=1, m=1), s0_decision, s0_curves
+            replace(s0_params, n=1, m=1), s0_decision, s0_curves
         )
 
 
@@ -101,10 +102,10 @@ def test_single_expert_existence_condition(s0_curves):
 def test_zero_prizes_rejected(s0_params, s0_curves, s0_decision):
     with pytest.raises(DomainError):
         solve_ratio_equilibrium(
-            s0_params.replace(r_s=0.0), s0_decision.replace(p_s=0.0), s0_curves
+            replace(s0_params, r_s=0.0), replace(s0_decision, p_s=0.0), s0_curves
         )
     with pytest.raises(DomainError):
-        solve_ratio_equilibrium(s0_params.replace(W=0.0), s0_decision, s0_curves)
+        solve_ratio_equilibrium(replace(s0_params, W=0.0), s0_decision, s0_curves)
 
 
 def test_newhh_ratio_effort(s0_params, s0_curves, s0_decision):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -41,17 +42,17 @@ def test_curve_ops_reject_out_of_domain_times(s0_curves):
 
 
 def test_replace_returns_new_frozen_instance(s0_params, s0_decision):
-    bumped = s0_params.replace(n=4)
+    bumped = replace(s0_params, n=4)
     assert bumped.n == 4 and s0_params.n == 3
     with pytest.raises(Exception):
         s0_params.n = 9  # frozen
-    assert s0_decision.replace(p_s=0.0).p_s == 0.0
+    assert replace(s0_decision, p_s=0.0).p_s == 0.0
 
 
-def test_to_dict_round_trips(s0_params, s0_curves, s0_decision):
-    assert MarketParams(**s0_params.to_dict()) == s0_params
-    assert ReleaseCurves(**s0_curves.to_dict()) == s0_curves
-    assert VendorDecision(**s0_decision.to_dict()) == s0_decision
+def test_asdict_round_trips(s0_params, s0_curves, s0_decision):
+    assert MarketParams(**asdict(s0_params)) == s0_params
+    assert ReleaseCurves(**asdict(s0_curves)) == s0_curves
+    assert VendorDecision(**asdict(s0_decision)) == s0_decision
 
 
 @pytest.mark.parametrize(
@@ -68,7 +69,7 @@ def test_to_dict_round_trips(s0_params, s0_curves, s0_decision):
     ],
 )
 def test_validate_flags_market_violations(s0_params, s0_curves, patch, expected):
-    report = validate(s0_params.replace(**patch), s0_curves)
+    report = validate(replace(s0_params, **patch), s0_curves)
     assert not report.passed
     assert expected in report.failures
 
@@ -82,10 +83,13 @@ def test_validate_flags_market_violations(s0_params, s0_curves, patch, expected)
         ({"R0": 0.0}, "R0 > 0"),
         ({"a": 0.0}, "a > 0"),
         ({"b": -1.0}, "b >= 0"),
+        # exp(-lambda * t_max) = exp(1000) is beyond binary64.
+        ({"lambda_s": -100.0}, "K_s(t) in (0, 1]"),
+        ({"lambda_ns": -100.0}, "K_ns(t) in (0, 1]"),
     ],
 )
 def test_validate_flags_curve_violations(s0_params, s0_curves, patch, expected):
-    report = validate(s0_params, s0_curves.replace(**patch))
+    report = validate(s0_params, replace(s0_curves, **patch))
     assert not report.passed
     assert expected in report.failures
 
@@ -99,7 +103,7 @@ def test_validate_checks_curve_shape_numerically(s0_params, s0_curves):
         def k_severe(self, t: float) -> float:
             return min(1.0, self.K_s0 * math.exp(+self.lambda_s * t) / 20.0)
 
-    bad = GrowingSeverity(**s0_curves.to_dict())
+    bad = GrowingSeverity(**asdict(s0_curves))
     report = validate(s0_params, bad)
     assert not report.passed
     assert any("K_s" in f for f in report.failures)
@@ -141,7 +145,7 @@ def test_validate_built_in_family_agrees_with_grid(s0_params):
 def test_validate_accepts_a_tiny_decay_rate(s0_params, s0_curves):
     # exp(-1e-17 t) rounds to 1, so K_ns is flat in binary64 and a grid of
     # finite differences reads K_ns' = 0; the rate itself is valid.
-    report = validate(s0_params, s0_curves.replace(lambda_ns=1e-17))
+    report = validate(s0_params, replace(s0_curves, lambda_ns=1e-17))
     assert report.passed, report.failures
 
 
@@ -157,4 +161,4 @@ def test_nonfinite_parameters_rejected_at_construction():
 
 def test_t_max_must_be_positive(s0_curves):
     with pytest.raises(DomainError):
-        s0_curves.replace(t_max=0.0)
+        replace(s0_curves, t_max=0.0)

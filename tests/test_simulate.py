@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,14 +35,14 @@ def test_rejects_bad_trial_and_seed_arguments(s0_params, s0_curves, s0_decision)
 def test_refuses_infeasible_effort_profile(s0_params, s0_curves, s0_decision):
     with pytest.raises(InfeasibleScenarioError, match="leave"):
         simulate(
-            s0_params, s0_decision.replace(p_s=100.0), s0_curves, 10, 1, SimMode.WITH_BBP
+            s0_params, replace(s0_decision, p_s=100.0), s0_curves, 10, 1, SimMode.WITH_BBP
         )
 
 
 def test_refuses_split_effort_regime(s0_params, s0_curves, s0_decision):
     with pytest.raises(InfeasibleScenarioError, match="split-effort"):
         simulate(
-            s0_params, s0_decision.replace(p_ns=2.0), s0_curves, 10, 1, SimMode.WITH_BBP
+            s0_params, replace(s0_decision, p_ns=2.0), s0_curves, 10, 1, SimMode.WITH_BBP
         )
 
 
@@ -133,7 +134,7 @@ def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_pat
         dec = s0_decision
         cost_e, cost_ne = dec.p_s, dec.p_ns
     else:
-        dec = s0_decision.replace(p_s=0.0, p_ns=0.0)
+        dec = replace(s0_decision, p_s=0.0, p_ns=0.0)
         cost_e, cost_ne = s0_params.x * s0_params.TC_s, 0.0
     probs = success_probabilities(
         s0_params, dec, s0_curves, equilibrium(s0_params, dec, s0_curves)

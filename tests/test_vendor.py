@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -95,15 +96,15 @@ def test_baseline_program_margin_decomposes(s0_params, s0_curves):
 
 def test_profit_warns_outside_its_regime(s0_params, s0_curves, s0_decision):
     with pytest.warns(FeasibilityWarning):
-        profit_with_bbp(s0_params, s0_decision.replace(p_ns=2.0), s0_curves)
+        profit_with_bbp(s0_params, replace(s0_decision, p_ns=2.0), s0_curves)
     with pytest.warns(FeasibilityWarning):
-        profit_with_bbp(s0_params, s0_decision.replace(p_s=100.0), s0_curves)
+        profit_with_bbp(s0_params, replace(s0_decision, p_s=100.0), s0_curves)
 
 
 def test_profit_without_bbp_clamps_probabilities(s0_params, s0_curves):
     # One expert against one black hat with a huge exploit prize pushes the
     # zero-bounty probabilities past their clamps: p_b0 -> 1, p_e0 -> 0.
-    params = s0_params.replace(n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
+    params = replace(s0_params, n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
     got = profit_without_bbp(params, 0.0, s0_curves)
     ks = 0.9
     assert got.bhh_exploit_cost == pytest.approx(ks * 1 * 1.0 * 40, abs=1e-12)
@@ -163,8 +164,8 @@ def test_release_with_program_stops_at_viability_edge(s0_params, s0_curves):
 
 def test_release_boundary_at_zero_when_waiting_never_pays(s0_params, s0_curves):
     # Negligible bug costs leave only the falling revenue, so release now.
-    params = s0_params.replace(TC_s=2.0, TC_ns=0.5)
-    curves = s0_curves.replace(K_s0=0.2, K_ns0=0.2)
+    params = replace(s0_params, TC_s=2.0, TC_ns=0.5)
+    curves = replace(s0_curves, K_s0=0.2, K_ns0=0.2)
     nb = optimal_release_no_bbp(params, curves)
     assert nb.boundary
     assert nb.t == 0.0
@@ -173,7 +174,7 @@ def test_release_boundary_at_zero_when_waiting_never_pays(s0_params, s0_curves):
 def test_release_without_program_refuses_clamped_probabilities(s0_params, s0_curves):
     # The market of the clamping test above: at t = 0 the zero-bounty
     # probabilities leave [0, 1], where the unclamped slope misleads.
-    params = s0_params.replace(n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
+    params = replace(s0_params, n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
     with pytest.raises(AssumptionViolationError, match="leave \\[0, 1\\] at t = 0"):
         optimal_release_no_bbp(params, s0_curves)
 
@@ -197,7 +198,7 @@ def test_release_optimizers_cover_wide_release_horizons():
             continue
         ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
         best = max(profit_without_bbp(params, t, curves).total for t in ts)
-        assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), scen.to_dict()
+        assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
         checked += 1
     assert checked >= 100
 
@@ -210,15 +211,15 @@ def test_release_rejects_multi_peaked_profit(s0_params, s0_curves):
         def revenue_prime(self, t: float) -> float:
             return super().revenue_prime(t) + 5.0 * math.cos(3.0 * t)
 
-    wavy = WavyRevenue(**s0_curves.to_dict())
+    wavy = WavyRevenue(**asdict(s0_curves))
     with pytest.raises(NonConcaveObjectiveError) as err:
         optimal_release_no_bbp(s0_params, wavy)
     assert len(err.value.roots) >= 2
 
 
 def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):
-    params = s0_params.replace(W=0.0)
-    curves = s0_curves.replace(K_s0=0.2)
+    params = replace(s0_params, W=0.0)
+    curves = replace(s0_curves, K_s0=0.2)
     band = condition1(params, curves, 0.0)
     assert not band.feasible
     with pytest.raises(InfeasibleScenarioError, match="never exceeds the lower"):
@@ -228,8 +229,8 @@ def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):
 def test_no_viable_program_names_the_upper_bound(s0_params, s0_curves):
     # A black-hat prize this large keeps the gap above ub = A/K_s(t) + r
     # until K_s(2) = 0.5, the end of this horizon.
-    params = s0_params.replace(W=200.0)
-    curves = s0_curves.replace(t_max=2.0)
+    params = replace(s0_params, W=200.0)
+    curves = replace(s0_curves, t_max=2.0)
     for t in (0.0, 1.0, 2.0):
         band = condition1(params, curves, t)
         assert band.gap_value >= band.ub
@@ -248,10 +249,12 @@ def test_feasible_window_narrower_than_a_scan_step_is_found(s0_params, s0_curves
     b_slope = (2 * m + n) * big_n * (big_n - 1) / (m * n)
     r = 200.0 / c_w
     gap = r * (a_slope - b_slope) / (a_slope + b_slope) * (1.0 - 1e-6)
-    params = s0_params.replace(
+    params = replace(
+        s0_params,
         TC_s=200.0, W=1.0, r_s=c_w * (1.0 / s0_params.c_b - gap)
     )
-    curves = s0_curves.replace(
+    curves = replace(
+        s0_curves,
         K_s0=math.exp(s0_curves.lambda_s * 4.0123) / ((gap + r) / a_slope)
     )
     assert validate(params, curves).passed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -28,10 +29,10 @@ from bountygame import verification as verification_module
 
 
 def test_same_seed_reproduces_draws():
-    a = [s.to_dict() for s in FeasibleSampler(5).draws("basic", 5)]
-    b = [s.to_dict() for s in FeasibleSampler(5).draws("basic", 5)]
+    a = [asdict(s) for s in FeasibleSampler(5).draws("basic", 5)]
+    b = [asdict(s) for s in FeasibleSampler(5).draws("basic", 5)]
     assert a == b
-    c = [s.to_dict() for s in FeasibleSampler(6).draws("basic", 5)]
+    c = [asdict(s) for s in FeasibleSampler(6).draws("basic", 5)]
     assert a != c
 
 
@@ -112,7 +113,7 @@ def test_proposition_reports_pass_on_modest_populations():
     assert r3.passed and r3.draws_tested == 10 and r3.min_margin > 0.0
     ident = identity_suite(FeasibleSampler(24), 30)
     assert ident.passed and ident.min_margin > 0.0
-    shape = r1.to_dict()
+    shape = asdict(r1)
     assert set(shape) == {
         "id",
         "draws_tested",
