@@ -12,9 +12,9 @@ symmetric equilibrium families:
 The corner family is the empirically relevant one and the vendor stage is
 built on it. Closed forms for both families live here, next to the success
 probabilities they imply. The deviation payoff ``focal_payoff`` is written
-once and accepts numpy arrays of efforts, so the brute-force grid oracle
-used by the verification suite evaluates it on a whole effort grid at once
-to confirm every closed form is actually a best response.
+once and accepts numpy arrays of efforts; the brute-force grid oracle used
+by the verification suite evaluates the same payoff groups on a whole
+effort grid to confirm every closed form is actually a best response.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ __all__ = [
     "focal_payoff",
     "best_response_oracle",
 ]
+
+# Rows of the expert oracle grid evaluated at once: two buffers of 32 rows
+# of 1001 doubles (256 KB each) stay in a core's cache.
+_ORACLE_BLOCK_ROWS = 32
 
 
 class Regime(str, Enum):
@@ -277,20 +281,28 @@ def success_probabilities(
     )
 
 
-def _ewhh_contest_terms(
+def _ewhh_payoff_groups(
     params: MarketParams,
     decision: VendorDecision,
     curves: CurveSet,
     others: EffortProfile,
-) -> tuple[float, float, float, float]:
-    """(A_s, A_ns, avg_s, avg_ns) for an expert's deviation payoff."""
+    e_s: float | np.ndarray,
+    e_ns: float | np.ndarray,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(severe, non-severe) groups of an expert's deviation payoff.
+
+    The payoff is severe(e_s) + nonsevere(e_ns) - e_s * e_ns; each group
+    depends on one effort only, so on a grid it is one vector per axis.
+    """
     n, l, m = params.n, params.l, params.m
     big_n = n + m
     a_s = k_severe(curves, decision.t) * (params.r_s + decision.p_s) / big_n
     a_ns = k_nonsevere(curves, decision.t) * decision.p_ns / (n + l)
     avg_s = ((n - 1) * others.alpha_s + m * others.mu_s) / (big_n - 1)
     avg_ns = ((n - 1) * others.alpha_ns + l * others.beta_ns) / (n + l - 1)
-    return a_s, a_ns, avg_s, avg_ns
+    severe = a_s * (1.0 + e_s - avg_s) - 0.5 * params.c_w * e_s * e_s
+    nonsevere = a_ns * (1.0 + e_ns - avg_ns) - 0.5 * e_ns * e_ns
+    return severe, nonsevere
 
 
 def _newhh_contest_terms(
@@ -348,11 +360,7 @@ def focal_payoff(
         if not isinstance(focal_efforts, tuple):
             raise DomainError("expert white hat efforts must be a (severe, non_severe) pair")
         e_s, e_ns = focal_efforts
-        a_s, a_ns, avg_s, avg_ns = _ewhh_contest_terms(params, decision, curves, others)
-        # Grouped per effort, so on a broadcast grid only the cross term and
-        # the two sums span the whole grid.
-        severe = a_s * (1.0 + e_s - avg_s) - 0.5 * params.c_w * e_s * e_s
-        nonsevere = a_ns * (1.0 + e_ns - avg_ns) - 0.5 * e_ns * e_ns
+        severe, nonsevere = _ewhh_payoff_groups(params, decision, curves, others, e_s, e_ns)
         return severe + nonsevere - e_s * e_ns
     if isinstance(focal_efforts, tuple):
         raise DomainError("non-expert and black hat efforts are a single value")
@@ -374,22 +382,39 @@ def best_response_oracle(
 ) -> float | tuple[float, float]:
     """Brute-force best response of one hacker against a fixed profile.
 
-    Evaluates ``focal_payoff`` on a uniform grid over [0, 1] with the given
-    step (a 2-D grid for experts) and returns the payoff-maximizing effort,
-    first grid point in row-major order winning ties. This is deliberately
-    independent of the closed forms: it evaluates the deviation payoff
-    directly, so agreement with the formulas is evidence rather than
-    tautology.
+    Evaluates the deviation payoff on a uniform grid over [0, 1] with the
+    given step (a 2-D grid for experts) and returns the payoff-maximizing
+    effort, first grid point in row-major order winning ties. This is
+    deliberately independent of the closed forms: it evaluates the
+    deviation payoff directly, so agreement with the formulas is evidence
+    rather than tautology.
+
+    The expert grid is evaluated ``_ORACLE_BLOCK_ROWS`` rows at a time into
+    two cache-sized buffers, with the same arithmetic as ``focal_payoff``
+    on the whole grid, so the payoff values and the winner are the same.
     """
     _check_market(params)
     if not 0.0 < resolution <= 0.001:
         raise DomainError("oracle resolution must be in (0, 0.001]")
     grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
-    if focal_type is HackerType.EWHH:
-        payoff = focal_payoff(
-            params, decision, curves, others, focal_type, (grid[:, None], grid[None, :])
-        )
-        i, j = np.unravel_index(np.argmax(payoff), payoff.shape)
-        return float(grid[i]), float(grid[j])
-    payoff = focal_payoff(params, decision, curves, others, focal_type, grid)
-    return float(grid[np.argmax(payoff)])
+    if focal_type is not HackerType.EWHH:
+        payoff = focal_payoff(params, decision, curves, others, focal_type, grid)
+        return float(grid[np.argmax(payoff)])
+
+    severe, nonsevere = _ewhh_payoff_groups(params, decision, curves, others, grid, grid)
+    size = grid.size
+    rows = min(_ORACLE_BLOCK_ROWS, size)
+    payoff = np.empty((rows, size))
+    cross = np.empty((rows, size))
+    best, best_at = -np.inf, 0
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        block, block_cross = payoff[: stop - start], cross[: stop - start]
+        np.add(severe[start:stop, None], nonsevere, out=block)
+        np.multiply(grid[start:stop, None], grid, out=block_cross)
+        np.subtract(block, block_cross, out=block)
+        at = int(np.argmax(block))
+        if block.flat[at] > best:
+            best, best_at = block.flat[at], start * size + at
+    i, j = divmod(best_at, size)
+    return float(grid[i]), float(grid[j])

@@ -318,11 +318,15 @@ def _grid_shape_failures(curves: CurveSet) -> list[str]:
     """Shape failures of any curve set, from finite differences on a grid."""
     failures: list[str] = []
     grid = np.linspace(0.0, curves.t_max, SHAPE_GRID_POINTS)
-    ks = np.array([curves.k_severe(t) for t in grid])
-    kns = np.array([curves.k_nonsevere(t) for t in grid])
     rev = np.array([curves.revenue(t) for t in grid])
 
-    for name, vals in (("K_s", ks), ("K_ns", kns)):
+    for name, curve in (("K_s", curves.k_severe), ("K_ns", curves.k_nonsevere)):
+        try:
+            vals = np.array([curve(t) for t in grid])
+        except OverflowError:
+            # A value beyond binary64 is outside (0, 1].
+            failures.append(f"{name}(t) in (0, 1]")
+            continue
         scale = max(1.0, float(np.max(np.abs(vals))))
         tol = 1e-12 * scale
         if np.any(vals <= 0.0) or np.any(vals > 1.0 + tol):

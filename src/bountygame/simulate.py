@@ -14,13 +14,21 @@ outcomes and only the outcome counts are accumulated. Counts are exact
 integers, so results are bit-identical for a given (seed, trials) however
 the chunks are scheduled; the mean cost and its variance are then taken
 from the nine cells of the outcome cost table.
+
+A chunk draws its uniforms in cache-sized sub-blocks into one reused
+buffer, which continues the same Philox stream. When a run has more than
+one chunk and the process may use more than one CPU, the chunks run on a
+thread pool of that many workers (numpy releases the interpreter lock
+while it draws and compares); they are consumed in chunk order, at most
+one per worker in flight.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import os
+from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -40,6 +48,8 @@ from .scenario import (
 __all__ = ["SimMode", "SimOutcome", "simulate", "CHUNK_TRIALS"]
 
 CHUNK_TRIALS = 1 << 18
+# Trials per draw inside a chunk: 2^14 x 4 doubles (512 KB) stay in cache.
+_BLOCK_TRIALS = 1 << 14
 
 # Outcome codes: severe 0 no bug, 1 expert white hat first, 2 black hat
 # first; non-severe 0 no bug, 1 non-expert white hat first, 2 user first.
@@ -75,10 +85,66 @@ class SimOutcome:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _chunk_uniforms(seed: int, index: int, count: int) -> np.ndarray:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_codes(
+    seed: int, index: int, count: int, thresholds: tuple[float, float, float, float]
+) -> np.ndarray:
+    """Outcome codes 3 * severe + non_severe of chunk ``index``, as uint8.
+
+    Trial k uses the four uniforms (u0, u1, u2, u3) at row k of the chunk's
+    Philox stream: the severe bug exists when u0 < K_s and an expert finds
+    it first when also u1 < q_e; likewise u2 < K_ns and u3 < q_ne for the
+    non-severe bug and the non-expert.
+    """
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random((count, 4))
+    codes = np.empty(count, dtype=np.uint8)
+    block = min(_BLOCK_TRIALS, count)
+    uniforms = np.empty((block, 4))
+    hits = np.empty((4, block), dtype=bool)
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        u, h = uniforms[:rows], hits[:, :rows]
+        rng.random(out=u)
+        for column, threshold in enumerate(thresholds):
+            np.less(u[:, column], threshold, out=h[column])
+        exists_s, expert_first, exists_ns, non_expert_first = h.view(np.uint8)
+        # severe = exists * (2 - found first), non_severe likewise.
+        np.add(
+            3 * (exists_s * (2 - expert_first)),
+            exists_ns * (2 - non_expert_first),
+            out=codes[start : start + rows],
+        )
+    return codes
+
+
+def _run_chunks(seed: int, trials: int, thresholds, consume) -> None:
+    """Call ``consume(first_trial, codes)`` for every chunk, in chunk order."""
+    sizes = [min(CHUNK_TRIALS, trials - done) for done in range(0, trials, CHUNK_TRIALS)]
+    workers = min(len(sizes), _usable_cpus())
+    if workers <= 1:
+        for index, count in enumerate(sizes):
+            consume(index * CHUNK_TRIALS, _chunk_codes(seed, index, count, thresholds))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque()
+        for index, count in enumerate(sizes):
+            future = pool.submit(_chunk_codes, seed, index, count, thresholds)
+            in_flight.append((index * CHUNK_TRIALS, future))
+            if len(in_flight) == workers:
+                first, future = in_flight.popleft()
+                consume(first, future.result())
+        for first, future in in_flight:
+            consume(first, future.result())
 
 
 def simulate(
@@ -151,33 +217,27 @@ def simulate(
     cost_table = np.add.outer([0.0, cost_e, cost_b], [0.0, cost_ne, cost_user]).ravel()
     counts = np.zeros(9, dtype=np.int64)
 
-    writer = None
+    thresholds = (ks, q_e, kns, q_ne)
     trace_file = None
     if trace_path is not None:
         trace_file = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_file, lineterminator="\n")
-        writer.writerow(["trial", "severe_event", "nonsevere_event", "cost"])
-        row_tails = [
-            (_SEVERE_LABELS[code // 3], _NONSEVERE_LABELS[code % 3], repr(float(cost)))
+        trace_file.write("trial,severe_event,nonsevere_event,cost\n")
+        line_tails = [
+            f",{_SEVERE_LABELS[code // 3]},{_NONSEVERE_LABELS[code % 3]},{float(cost)!r}\n"
             for code, cost in enumerate(cost_table)
         ]
 
-    try:
-        done = 0
-        index = 0
-        while done < trials:
-            count = min(CHUNK_TRIALS, trials - done)
-            u = _chunk_uniforms(seed, index, count)
-            sev = (u[:, 0] < ks) * (1 + (u[:, 1] >= q_e))
-            ns = (u[:, 2] < kns) * (1 + (u[:, 3] >= q_ne))
-            codes = 3 * sev + ns
-            counts += np.bincount(codes, minlength=9)
-            if writer is not None:
-                writer.writerows(
-                    (done + i, *row_tails[code]) for i, code in enumerate(codes.tolist())
+    def consume(first: int, codes: np.ndarray) -> None:
+        np.add(counts, np.bincount(codes, minlength=9), out=counts)
+        if trace_file is not None:
+            trace_file.write(
+                "".join(
+                    f"{i}{line_tails[code]}" for i, code in enumerate(codes.tolist(), start=first)
                 )
-            done += count
-            index += 1
+            )
+
+    try:
+        _run_chunks(seed, trials, thresholds, consume)
     finally:
         if trace_file is not None:
             trace_file.close()

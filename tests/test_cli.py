@@ -5,10 +5,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bountygame
 from bountygame import vendor, verification
 from bountygame.cli import main
 
@@ -288,3 +292,25 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert rc == 0
     digests["verify"] = sha256(out.encode())
     assert digests == PINNED_SHA256
+
+
+def test_baseline_commands_do_not_import_thread_pools(tmp_path):
+    # Only a multi-chunk simulate run needs concurrent.futures; importing it
+    # would add to the start-up of every command.
+    script = (
+        "import contextlib, io, sys\n"
+        "from bountygame.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['evaluate', {str(BASELINE)!r}]) == 0\n"
+        f"    assert main(['optimize', {str(BASELINE)!r}]) == 0\n"
+        f"    assert main(['sweep', {str(BASELINE)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    package_root = str(Path(bountygame.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

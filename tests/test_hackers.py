@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bountygame import (
@@ -20,6 +21,7 @@ from bountygame import (
     solve_ratio_equilibrium,
     success_probabilities,
 )
+from bountygame import hackers
 from bountygame.verification import FeasibleSampler
 
 
@@ -186,6 +188,65 @@ def test_oracle_grid_edges(s0_params, s0_curves, s0_decision):
     assert best_response_oracle(
         rich, s0_decision, s0_curves, profile, HackerType.EWHH
     ) == (1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def basic_draws():
+    sampler = FeasibleSampler(505)
+    draws = []
+    for _ in range(50):
+        scen = sampler.draw_basic()
+        profile = equilibrium(scen.params, scen.decision, scen.curves)
+        draws.append((scen.params, scen.decision, scen.curves, profile))
+    return draws
+
+
+def _full_grid_expert_argmax(params, dec, curves, profile, resolution):
+    grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
+    payoff = focal_payoff(
+        params, dec, curves, profile, HackerType.EWHH, (grid[:, None], grid[None, :])
+    )
+    i, j = np.unravel_index(np.argmax(payoff), payoff.shape)
+    return float(grid[i]), float(grid[j])
+
+
+@pytest.mark.parametrize(
+    "resolution, block_rows, draws",
+    [(0.001, (1, 7, 32, 2000), 50), (0.0007, (32, 2000), 10)],
+)
+def test_blocked_expert_oracle_matches_full_grid(
+    monkeypatch, basic_draws, resolution, block_rows, draws
+):
+    # The expert oracle walks its grid a block of rows at a time; the
+    # winner must be the first argmax of focal_payoff over the whole grid,
+    # also when the last block is short (1430 rows at resolution 0.0007).
+    for params, dec, curves, profile in basic_draws[:draws]:
+        want = _full_grid_expert_argmax(params, dec, curves, profile, resolution)
+        for rows in block_rows:
+            monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", rows)
+            got = best_response_oracle(
+                params, dec, curves, profile, HackerType.EWHH, resolution=resolution
+            )
+            assert got == want, rows
+
+
+@pytest.mark.parametrize("block_rows", [1, 32])
+def test_blocked_expert_oracle_breaks_ties_row_major(
+    monkeypatch, s0_params, s0_curves, s0_decision, block_rows
+):
+    # Flat payoff groups leave only the cross term -e_s * e_ns, which is
+    # zero along the whole first row and first column: every block has a
+    # tied maximum, and the first grid point must still win.
+    monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(
+        hackers,
+        "_ewhh_payoff_groups",
+        lambda *args: (np.zeros_like(args[-2]), np.zeros_like(args[-1])),
+    )
+    profile = equilibrium(s0_params, s0_decision, s0_curves)
+    assert best_response_oracle(
+        s0_params, s0_decision, s0_curves, profile, HackerType.EWHH
+    ) == (0.0, 0.0)
 
 
 def test_oracle_resolution_bounds(s0_params, s0_curves, s0_decision):

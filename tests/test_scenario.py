@@ -89,9 +89,15 @@ def test_validate_flags_market_violations(s0_params, s0_curves, patch, expected)
     ],
 )
 def test_validate_flags_curve_violations(s0_params, s0_curves, patch, expected):
-    report = validate(s0_params, replace(s0_curves, **patch))
-    assert not report.passed
-    assert expected in report.failures
+    # An empty subclass takes the grid path instead of the closed forms;
+    # both must report the violation rather than raise.
+    class GridChecked(ReleaseCurves):
+        pass
+
+    for curves in (replace(s0_curves, **patch), GridChecked(**{**asdict(s0_curves), **patch})):
+        report = validate(s0_params, curves)
+        assert not report.passed
+        assert expected in report.failures
 
 
 def test_validate_checks_curve_shape_numerically(s0_params, s0_curves):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import importlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,9 @@ from bountygame import (
     success_probabilities,
 )
 from bountygame.simulate import CHUNK_TRIALS
+
+# The package exports the function ``simulate``, which shadows the module.
+simulate_module = importlib.import_module("bountygame.simulate")
 
 
 def test_rejects_bad_trial_and_seed_arguments(s0_params, s0_curves, s0_decision):
@@ -120,6 +125,31 @@ def test_trace_file_has_one_labeled_row_per_trial(
         float(cost)
 
 
+def _race_constants(params, curves, decision, mode):
+    """(K_s, q_e, K_ns, q_ne, cost table by label) from the closed forms."""
+    if mode is SimMode.WITH_BBP:
+        dec = decision
+        cost_e, cost_ne = dec.p_s, dec.p_ns
+    else:
+        dec = replace(decision, p_s=0.0, p_ns=0.0)
+        cost_e, cost_ne = params.x * params.TC_s, 0.0
+    probs = success_probabilities(params, dec, curves, equilibrium(params, dec, curves))
+    costs = {
+        "none": 0.0, "ewhh": cost_e, "bhh": params.TC_s,
+        "newhh": cost_ne, "user": params.TC_ns,
+    }
+    return (
+        k_severe(curves, dec.t), params.n * probs.p_e_s,
+        k_nonsevere(curves, dec.t), params.l * probs.p_ne_ns,
+        costs,
+    )
+
+
+def _chunk_uniforms(seed, index, count):
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random((count, 4))
+
+
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
 def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_path, mode):
     # Regenerate chunk 0's uniforms from the (seed, chunk) Philox key and
@@ -130,25 +160,93 @@ def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_pat
     with open(path, newline="") as fh:
         body = list(csv.reader(fh))[1:]
 
-    if mode is SimMode.WITH_BBP:
-        dec = s0_decision
-        cost_e, cost_ne = dec.p_s, dec.p_ns
-    else:
-        dec = replace(s0_decision, p_s=0.0, p_ns=0.0)
-        cost_e, cost_ne = s0_params.x * s0_params.TC_s, 0.0
-    probs = success_probabilities(
-        s0_params, dec, s0_curves, equilibrium(s0_params, dec, s0_curves)
-    )
-    ks, kns = k_severe(s0_curves, dec.t), k_nonsevere(s0_curves, dec.t)
-    q_e, q_ne = s0_params.n * probs.p_e_s, s0_params.l * probs.p_ne_ns
-    key = np.array([seed, 0], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random((trials, 4))
+    ks, q_e, kns, q_ne, costs = _race_constants(s0_params, s0_curves, s0_decision, mode)
+    u = _chunk_uniforms(seed, 0, trials)
 
     assert len(body) == trials
     for i, (trial, severe, nonsevere, cost) in enumerate(body):
         want_sev = "none" if u[i, 0] >= ks else ("ewhh" if u[i, 1] < q_e else "bhh")
         want_ns = "none" if u[i, 2] >= kns else ("newhh" if u[i, 3] < q_ne else "user")
-        want_cost = {"none": 0.0, "ewhh": cost_e, "bhh": s0_params.TC_s}[want_sev]
-        want_cost += {"none": 0.0, "newhh": cost_ne, "user": s0_params.TC_ns}[want_ns]
         assert (int(trial), severe, nonsevere) == (i, want_sev, want_ns)
-        assert float(cost) == want_cost
+        assert float(cost) == costs[want_sev] + costs[want_ns]
+
+
+def _serial_reference_rows(params, curves, decision, mode, trials, seed):
+    """(severe, non-severe) labels of every trial, chunk by chunk in one thread.
+
+    Each chunk's uniforms are drawn whole from its (seed, chunk) Philox key.
+    """
+    ks, q_e, kns, q_ne, _ = _race_constants(params, curves, decision, mode)
+    severe_labels = np.array(["none", "ewhh", "bhh"])
+    nonsevere_labels = np.array(["none", "newhh", "user"])
+    severe, nonsevere = [], []
+    for index, first in enumerate(range(0, trials, CHUNK_TRIALS)):
+        u = _chunk_uniforms(seed, index, min(CHUNK_TRIALS, trials - first))
+        severe.append(severe_labels[(u[:, 0] < ks) * (1 + (u[:, 1] >= q_e))])
+        nonsevere.append(nonsevere_labels[(u[:, 2] < kns) * (1 + (u[:, 3] >= q_ne))])
+    return np.concatenate(severe), np.concatenate(nonsevere)
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize(
+    "trials", [(1 << 14) + 1, (1 << 18) + (1 << 14) + 5, 3 * (1 << 18) + 17]
+)
+def test_counts_match_serial_whole_chunk_reference(
+    s0_params, s0_curves, s0_decision, mode, trials
+):
+    # Chunks are drawn in sub-blocks and may run on worker threads; the
+    # frequencies must still be those of whole-chunk draws in chunk order.
+    seed = 77
+    out = simulate(s0_params, s0_decision, s0_curves, trials, seed, mode)
+    severe, nonsevere = _serial_reference_rows(
+        s0_params, s0_curves, s0_decision, mode, trials, seed
+    )
+    for label in ("ewhh", "bhh", "none"):
+        assert getattr(out, f"freq_severe_{label}") == np.count_nonzero(severe == label) / trials
+    for label in ("newhh", "user", "none"):
+        assert (
+            getattr(out, f"freq_nonsevere_{label}")
+            == np.count_nonzero(nonsevere == label) / trials
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_same_bytes_whatever_the_worker_count(
+    s0_params, s0_curves, s0_decision, monkeypatch, workers
+):
+    # One worker runs the chunks serially; four exceed the chunk window of
+    # a two-core machine. Neither may change a byte of the result.
+    def runs():
+        trials = 3 * CHUNK_TRIALS + 17
+        return [
+            simulate(s0_params, s0_decision, s0_curves, trials, 5, mode).to_json()
+            for mode in SimMode
+        ]
+
+    default = runs()
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: workers)
+    assert runs() == default
+
+
+def test_trace_bytes_match_csv_writer(
+    s0_params, s0_curves, s0_decision, tmp_path, monkeypatch
+):
+    # The trace is written as preformatted lines; a three-chunk run on three
+    # workers (all chunks in flight at once) must give the bytes csv.writer
+    # gives for the same rows.
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
+    trials, seed, mode = 2 * CHUNK_TRIALS + 1000, 11, SimMode.WITH_BBP
+    path = tmp_path / "trace.csv"
+    simulate(s0_params, s0_decision, s0_curves, trials, seed, mode, trace_path=str(path))
+    severe, nonsevere = _serial_reference_rows(
+        s0_params, s0_curves, s0_decision, mode, trials, seed
+    )
+    costs = _race_constants(s0_params, s0_curves, s0_decision, mode)[4]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["trial", "severe_event", "nonsevere_event", "cost"])
+    writer.writerows(
+        (i, s, ns, repr(float(costs[s] + costs[ns])))
+        for i, (s, ns) in enumerate(zip(severe.tolist(), nonsevere.tolist()))
+    )
+    assert path.read_bytes() == expected.getvalue().encode()
