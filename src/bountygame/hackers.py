@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .scenario import CurveSet, MarketParams, VendorDecision, k_nonsevere, k_severe
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Regime",
@@ -396,6 +398,8 @@ def best_response_oracle(
     _check_market(params)
     if not 0.0 < resolution <= 0.001:
         raise DomainError("oracle resolution must be in (0, 0.001]")
+    import numpy as np
+
     grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
     if focal_type is not HackerType.EWHH:
         payoff = focal_payoff(params, decision, curves, others, focal_type, grid)

@@ -20,8 +20,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -316,6 +314,8 @@ def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
 
 def _grid_shape_failures(curves: CurveSet) -> list[str]:
     """Shape failures of any curve set, from finite differences on a grid."""
+    import numpy as np
+
     failures: list[str] = []
     grid = np.linspace(0.0, curves.t_max, SHAPE_GRID_POINTS)
     rev = np.array([curves.revenue(t) for t in grid])

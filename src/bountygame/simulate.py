@@ -31,8 +31,7 @@ import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InfeasibleScenarioError
 from .hackers import Regime, equilibrium, success_probabilities
@@ -44,6 +43,9 @@ from .scenario import (
     k_severe,
     revenue,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimMode", "SimOutcome", "simulate", "CHUNK_TRIALS"]
 
@@ -103,6 +105,8 @@ def _chunk_codes(
     it first when also u1 < q_e; likewise u2 < K_ns and u3 < q_ne for the
     non-severe bug and the non-expert.
     """
+    import numpy as np
+
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     codes = np.empty(count, dtype=np.uint8)
@@ -168,6 +172,8 @@ def simulate(
     draw would be meaningless. ``trace_path`` optionally streams one CSV
     row per trial (large files; off by default).
     """
+    import numpy as np
+
     if trials < 1:
         raise DomainError("trials must be at least 1")
     if seed < 0 or seed > 2**64 - 1:

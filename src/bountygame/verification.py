@@ -13,10 +13,7 @@ failure is reproducible from the report alone.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -120,6 +117,8 @@ class FeasibleSampler:
             if unknown:
                 raise DomainError(f"unknown sampler range keys: {sorted(unknown)}")
             self.ranges.update(ranges)
+        import numpy as np
+
         self._rng = np.random.Generator(np.random.Philox(seed))
         self.proposals = 0
 
@@ -355,6 +354,8 @@ class PropositionReport:
 def _make_report(
     report_id: str, margins: list[float], failures: list[dict], excluded: int = 0
 ) -> PropositionReport:
+    import statistics
+
     return PropositionReport(
         id=report_id,
         draws_tested=len(margins),

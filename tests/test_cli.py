@@ -294,17 +294,34 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert digests == PINNED_SHA256
 
 
-def test_baseline_commands_do_not_import_thread_pools(tmp_path):
-    # Only a multi-chunk simulate run needs concurrent.futures; importing it
-    # would add to the start-up of every command.
+def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc):
+    # Only a multi-chunk simulate run needs concurrent.futures, only the grid
+    # oracle, the sampler and simulate need numpy, and only verification
+    # reports need statistics; importing any of them would add to the
+    # start-up of every scalar command. A curves.t_max sweep re-validates
+    # every point; without a decision block, evaluate and sweep run the
+    # release optimizers first.
+    t_max_sweep = dict(
+        baseline_doc, sweep={"path": "curves.t_max", "from": 5.0, "to": 15.0, "steps": 5}
+    )
+    t_max_path = write_scenario(tmp_path, t_max_sweep, "t_max.json")
+    no_decision = {key: value for key, value in baseline_doc.items() if key != "decision"}
+    auto_path = write_scenario(tmp_path, no_decision, "auto.json")
+    calls = [
+        ["evaluate", str(BASELINE)],
+        ["optimize", str(BASELINE)],
+        ["sweep", str(BASELINE), "--out", str(tmp_path / "s.csv")],
+        ["sweep", t_max_path, "--out", str(tmp_path / "t.csv")],
+        ["evaluate", auto_path],
+        ["sweep", auto_path, "--out", str(tmp_path / "a.csv")],
+    ]
     script = (
         "import contextlib, io, sys\n"
         "from bountygame.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['evaluate', {str(BASELINE)!r}]) == 0\n"
-        f"    assert main(['optimize', {str(BASELINE)!r}]) == 0\n"
-        f"    assert main(['sweep', {str(BASELINE)!r}, '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        + "".join(f"    assert main({argv!r}) == 0\n" for argv in calls)
+        + "lazy = ('concurrent.futures', 'numpy', 'statistics')\n"
+        "print([name for name in lazy if name in sys.modules])\n"
     )
     package_root = str(Path(bountygame.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -313,4 +330,4 @@ def test_baseline_commands_do_not_import_thread_pools(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -291,3 +292,12 @@ def test_market_guard_requires_c_b_above_one(s0_params, s0_curves, s0_decision):
         optimal_bounties(edge, s0_curves, s0_decision.t)
     with pytest.raises(DomainError, match="c_b must exceed 1"):
         solve_ratio_equilibrium(edge, s0_decision, s0_curves)
+
+
+def test_payoff_group_annotations_resolve():
+    # numpy is imported for type checkers only, so get_type_hints needs it
+    # as a local name; every other annotation resolves from the module.
+    hints = typing.get_type_hints(hackers._ewhh_payoff_groups, localns={"np": np})
+    assert hints["e_s"] == hints["e_ns"] == float | np.ndarray
+    assert hints["return"] == tuple[float | np.ndarray, float | np.ndarray]
+    assert hints["others"] is hackers.EffortProfile

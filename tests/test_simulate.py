@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib
 import io
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -250,3 +251,11 @@ def test_trace_bytes_match_csv_writer(
         for i, (s, ns) in enumerate(zip(severe.tolist(), nonsevere.tolist()))
     )
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_chunk_codes_annotations_resolve():
+    # numpy is imported for type checkers only, so get_type_hints needs it
+    # as a local name; every other annotation resolves from the module.
+    hints = typing.get_type_hints(simulate_module._chunk_codes, localns={"np": np})
+    assert hints["thresholds"] == tuple[float, float, float, float]
+    assert hints["return"] is np.ndarray
