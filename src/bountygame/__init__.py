@@ -35,7 +35,6 @@ from .hackers import (
 from .ratio_game import (
     RatioEquilibrium,
     RatioSensitivities,
-    ratio_newhh_effort,
     ratio_sensitivities,
     solve_ratio_equilibrium,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "profit_decomposition_check",
     "profit_with_bbp",
     "profit_without_bbp",
-    "ratio_newhh_effort",
     "ratio_sensitivities",
     "release_gap_term",
     "revenue",

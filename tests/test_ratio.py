@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +11,7 @@ from bountygame import (
     DomainError,
     MarketParams,
     VendorDecision,
-    ratio_newhh_effort,
+    k_severe,
     ratio_sensitivities,
     solve_ratio_equilibrium,
 )
@@ -108,6 +108,40 @@ def test_zero_prizes_rejected(s0_params, s0_curves, s0_decision):
         solve_ratio_equilibrium(replace(s0_params, W=0.0), s0_decision, s0_curves)
 
 
-def test_newhh_ratio_effort(s0_params, s0_curves, s0_decision):
-    beta = ratio_newhh_effort(s0_params, s0_decision, s0_curves)
-    assert beta == pytest.approx(math.sqrt(0.8 * 0.5 / 5.0), abs=1e-15)
+@pytest.mark.parametrize(
+    "market, message",
+    [
+        (dict(n=1, m=3, c_w=1.7, c_b=2.0, W=0.431372549019608), "with n=1"),
+        (dict(n=2, m=1, c_w=1.7, c_b=1.3, W=1.6823529411764706), "with m=1"),
+    ],
+)
+def test_existence_boundary_within_rounding(s0_curves, market, message):
+    # Both markets pass the existence check, yet the rounded linear
+    # coefficient of the ratio quadratic leaves no positive root.
+    params = MarketParams(l=5, r_s=0.1, TC_s=40.0, TC_ns=1.0, x=0.5, **market)
+    dec = VendorDecision(t=2.0, p_s=1.0, p_ns=0.5)
+    with pytest.raises(DomainError, match=message):
+        solve_ratio_equilibrium(params, dec, s0_curves)
+
+
+def test_stiff_single_expert_market_solves_to_rounding(s0_curves):
+    # mu / alpha is about 1e-5 here, a stiff market for iterative schemes.
+    # Both first-order conditions must hold to rounding, measured exactly.
+    params = MarketParams(
+        n=1, l=5, m=60, c_w=3.2276936140751733, c_b=1.6680222058731522,
+        r_s=60.45441693909165, W=0.6105330373652458, TC_s=40.0, TC_ns=1.0, x=0.5,
+    )
+    dec = VendorDecision(t=3.1893556012880158, p_s=10.387514663820074, p_ns=0.5)
+    eq = solve_ratio_equilibrium(params, dec, s0_curves)
+    n, m = params.n, params.m
+    big_n, kappa = n + m, n + m - 1
+    ks = Fraction(k_severe(s0_curves, dec.t))
+    q_w = ks * (Fraction(params.r_s) + Fraction(dec.p_s)) / big_n
+    q_b = ks * Fraction(params.W) / big_n
+    alpha, mu = Fraction(eq.alpha_s), Fraction(eq.mu_s)
+    white = Fraction(params.c_w) * alpha
+    black = Fraction(params.c_b) * mu
+    r_white = (q_w * kappa / ((n - 1) * alpha + m * mu) - white) / white
+    r_black = (q_b * kappa / (n * alpha + (m - 1) * mu) - black) / black
+    assert abs(r_white) <= 1e-15
+    assert abs(r_black) <= 1e-15
