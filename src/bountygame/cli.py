@@ -65,31 +65,6 @@ _DECISION_FIELDS = tuple(f.name for f in fields(VendorDecision))
 _INT_FIELDS = frozenset({"n", "l", "m"})
 _SWEEP_FIELDS = ("path", "from", "to", "steps")
 
-_SWEEP_COLUMNS = (
-    "regime",
-    "alpha_s",
-    "alpha_ns",
-    "beta_ns",
-    "mu_s",
-    "p_e_s",
-    "p_e_ns",
-    "p_ne_ns",
-    "p_b_s",
-    "profit_with_bbp",
-    "profit_without_bbp",
-    "p_s_opt",
-    "p_ns_opt",
-    "bbp_viable",
-    "cond1_lb",
-    "cond1_ub",
-    "cond1_gap",
-    "cond1_feasible",
-    "n_closed_form",
-    "n_quadratic",
-    "n_brute_force",
-)
-
-
 class ScenarioFormatError(ValueError):
     """The scenario file does not follow the documented schema."""
 
@@ -315,7 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         notes.append(note)
 
     path = scen.sweep["path"]
-    rows: list[list] = []
+    rows: list[dict] = []
     for value in _sweep_values(scen.sweep):
         params, curves, dec = _apply_sweep_value(scen, decision, path, value)
         if (params, curves) != (scen.params, scen.curves):
@@ -334,7 +309,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             bounties = optimal_bounties(params, curves, dec.t)
             band = condition1(params, curves, dec.t)
             heads = optimal_whh_count(params, curves, dec.t)
-        cells = {
+        row = {
+            path: float(value),
             "regime": profile.regime.value,
             "alpha_s": profile.alpha_s,
             "alpha_ns": profile.alpha_ns,
@@ -357,12 +333,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "n_quadratic": heads.n_quadratic,
             "n_brute_force": heads.n_brute_force,
         }
-        rows.append([float(value), *(cells[column] for column in _SWEEP_COLUMNS)])
+        rows.append(row)
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([path, *_SWEEP_COLUMNS])
-        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        writer.writerow(list(rows[0]))
+        writer.writerows([_format_cell(cell) for cell in row.values()] for row in rows)
     _emit({"out": args.out, "rows": len(rows), "path": path, "notes": notes})
     return 0
 

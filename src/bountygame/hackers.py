@@ -43,6 +43,8 @@ __all__ = [
     "best_response_oracle",
 ]
 
+# Step of the oracle's effort grid on [0, 1]: 1001 points per axis.
+_ORACLE_STEP = 0.001
 # Rows of the expert oracle grid evaluated at once: two buffers of 32 rows
 # of 1001 doubles (256 KB each) stay in a core's cache.
 _ORACLE_BLOCK_ROWS = 32
@@ -135,6 +137,17 @@ def select_regime(
     if e_s / params.c_w > e_ns:
         return Regime.CORNER
     return Regime.INTERIOR
+
+
+def _regime_boundary_p_ns(params: MarketParams, ks: float, kns: float, p_s: float) -> float:
+    """The non-severe bounty at which the two sides of ``select_regime`` meet.
+
+    K_s (r_s + p_s)(n + l) / ((n + m) c_w K_ns): below it the corner holds.
+    """
+    return (
+        ks * (params.r_s + p_s) * (params.n + params.l)
+        / ((params.n + params.m) * params.c_w * kns)
+    )
 
 
 def _feasible(*efforts: float) -> bool:
@@ -380,12 +393,11 @@ def best_response_oracle(
     curves: CurveSet,
     others: EffortProfile,
     focal_type: HackerType,
-    resolution: float = 0.001,
 ) -> float | tuple[float, float]:
     """Brute-force best response of one hacker against a fixed profile.
 
-    Evaluates the deviation payoff on a uniform grid over [0, 1] with the
-    given step (a 2-D grid for experts) and returns the payoff-maximizing
+    Evaluates the deviation payoff on a uniform grid over [0, 1] with step
+    0.001 (a 2-D grid for experts) and returns the payoff-maximizing
     effort, first grid point in row-major order winning ties. This is
     deliberately independent of the closed forms: it evaluates the
     deviation payoff directly, so agreement with the formulas is evidence
@@ -396,11 +408,9 @@ def best_response_oracle(
     on the whole grid, so the payoff values and the winner are the same.
     """
     _check_market(params)
-    if not 0.0 < resolution <= 0.001:
-        raise DomainError("oracle resolution must be in (0, 0.001]")
     import numpy as np
 
-    grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
+    grid = np.arange(int(round(1.0 / _ORACLE_STEP)) + 1, dtype=np.float64) * _ORACLE_STEP
     if focal_type is not HackerType.EWHH:
         payoff = focal_payoff(params, decision, curves, others, focal_type, grid)
         return float(grid[np.argmax(payoff)])

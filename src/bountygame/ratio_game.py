@@ -124,8 +124,11 @@ def solve_ratio_equilibrium(
     whose one positive root is taken in cancellation-free form (at m = 1
     it is linear). The white hat condition then gives
     alpha = sqrt(q_w kappa / (c_w ((n-1) + m rho))) and mu = rho alpha.
-    The residuals of both conditions are recomputed at that point and
-    decide ``converged``. Raises ``DomainError`` when no positive
+    The residuals of both conditions are recomputed at that point;
+    ``converged`` holds when each, relative to the condition's right side
+    (c_w alpha and c_b mu), is within ``_RESIDUAL_TOL``, since the efforts
+    grow without bound near the n = 1 and m = 1 existence boundaries.
+    ``residuals`` stay absolute. Raises ``DomainError`` when no positive
     equilibrium exists. ``initial_guess`` is unused and kept for callers
     that pass it; it must still hold positive efforts.
     """
@@ -155,7 +158,8 @@ def solve_ratio_equilibrium(
         alpha_s=alpha,
         mu_s=mu,
         residuals=(r1, r2),
-        converged=max(abs(r1), abs(r2)) <= _RESIDUAL_TOL,
+        converged=abs(r1) <= _RESIDUAL_TOL * params.c_w * alpha
+        and abs(r2) <= _RESIDUAL_TOL * params.c_b * mu,
     )
 
 

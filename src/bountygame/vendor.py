@@ -300,22 +300,11 @@ def profit_with_bbp(
     return _with_bbp_breakdown(params, curves, t, p_s, p_ns)
 
 
-def profit_without_bbp(
-    params: MarketParams, t: float, curves: CurveSet
+def _no_bbp_breakdown(
+    params: MarketParams, curves: CurveSet, t: float, ks: float, p_e0: float, p_b0: float
 ) -> ProfitBreakdown:
-    """Expected vendor profit with no bounty program at release time t.
-
-    Severe-race probabilities are the zero-bounty specializations, clamped
-    into [0, 1]. A white hat who wins the severe race discloses in the
-    open, costing the vendor a fraction x of the exploit cost; every
-    existing non-severe bug costs the full user-discovery amount.
-    """
-    _check_market(params)
-    ks = _positive_k_severe(curves, t)
+    """No-program profit at t from the zero-bounty race probabilities given."""
     kns = k_nonsevere(curves, t)
-    p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
-    p_e0 = min(1.0, max(0.0, p_e0))
-    p_b0 = min(1.0, max(0.0, p_b0))
     rev = revenue(curves, t)
     bhh_cost = ks * params.m * p_b0 * params.TC_s
     disclosure = ks * params.n * p_e0 * params.x * params.TC_s
@@ -331,20 +320,21 @@ def profit_without_bbp(
     )
 
 
-def _profit_nb_unclamped(params: MarketParams, curves: CurveSet, t: float) -> float:
-    """No-program profit with the probability formulas left unclamped.
+def profit_without_bbp(
+    params: MarketParams, t: float, curves: CurveSet
+) -> ProfitBreakdown:
+    """Expected vendor profit with no bounty program at release time t.
 
-    Used only by identity checks, where the algebra is exact as formulas
-    but breaks once a clamp binds.
+    Severe-race probabilities are the zero-bounty specializations, clamped
+    into [0, 1]. A white hat who wins the severe race discloses in the
+    open, costing the vendor a fraction x of the exploit cost; every
+    existing non-severe bug costs the full user-discovery amount.
     """
-    ks = k_severe(curves, t)
-    kns = k_nonsevere(curves, t)
+    _check_market(params)
+    ks = _positive_k_severe(curves, t)
     p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
-    return (
-        revenue(curves, t)
-        - ks * params.m * p_b0 * params.TC_s
-        - ks * params.n * p_e0 * params.x * params.TC_s
-        - kns * params.TC_ns
+    return _no_bbp_breakdown(
+        params, curves, t, ks, min(1.0, max(0.0, p_e0)), min(1.0, max(0.0, p_b0))
     )
 
 
@@ -633,7 +623,9 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
 
     Maximizes the concentrated objective over the feasible sub-interval by
     golden-section search, then polishes with the analytic first-order
-    condition when the optimum is interior. Raises
+    condition when the optimum is interior. The search assumes the
+    objective is unimodal on that interval; unlike the no-program scan, it
+    does not detect several stationary times. Raises
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """
@@ -723,9 +715,9 @@ def profit_decomposition_check(params: MarketParams, curves: CurveSet, t: float)
     bounties = optimal_bounties(params, curves, t)
     p_s, p_ns = bounties.p_s, bounties.p_ns
     lhs = _profit_polynomial(params, curves, t, p_s, p_ns)
-    p_e0, _ = _corner_severe_probs(params, ks, 0.0)
+    p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     rhs = (
-        _profit_nb_unclamped(params, curves, t)
+        _no_bbp_breakdown(params, curves, t, ks, p_e0, p_b0).total
         + m * n * ks * ks * p_s * p_s / (kappa * big_n * big_n * params.c_w)
         + (kns * p_ns) ** 2
         + n * ks * params.x * params.TC_s * p_e0

@@ -25,6 +25,7 @@ from .hackers import (
     Regime,
     _corner_severe_probs,
     _corner_slope_factors,
+    _regime_boundary_p_ns,
     corner_equilibrium,
     equilibrium,
     interior_equilibrium,
@@ -33,6 +34,8 @@ from .hackers import (
 )
 from .scenario import MarketParams, ReleaseCurves, VendorDecision, k_nonsevere, k_severe, validate
 from .vendor import (
+    BbpRelease,
+    ReleaseOptimum,
     _profit_nb_prime,
     concentrated_bbp_profit,
     condition1,
@@ -87,6 +90,8 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 _MAX_PROPOSALS = 200_000
 _EFFORT_CAP = 0.99
 _PROB_MARGIN = 1e-6
+# Tolerance of the identity suite's severe-race normalization check.
+_NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,13 +165,8 @@ class FeasibleSampler:
         p_s = 10.0 * float(self._rng.random())
         # Bias the non-severe bounty around the regime boundary so both
         # equilibrium families are represented in the population.
-        ks = curves.k_severe(t)
-        kns = curves.k_nonsevere(t)
-        boundary = (
-            ks
-            * (params.r_s + p_s)
-            * (params.n + params.l)
-            / ((params.n + params.m) * params.c_w * kns)
+        boundary = _regime_boundary_p_ns(
+            params, curves.k_severe(t), curves.k_nonsevere(t), p_s
         )
         if self._rng.random() < 0.5:
             p_ns = boundary * float(self._rng.random())
@@ -259,8 +259,8 @@ class FeasibleSampler:
         lower, upper = _corner_slope_factors(params, curves.k_severe(0.0), g0)
         return lower > _PROB_MARGIN and upper > _PROB_MARGIN
 
-    def draw_release(self) -> SampledScenario:
-        """Feasible draw whose release optimizers both have interior optima."""
+    def _release_draw(self) -> tuple[SampledScenario, ReleaseOptimum, BbpRelease]:
+        """A ``draw_release`` scenario with the two interior optima it passed."""
 
         def accept(scen: SampledScenario):
             params, curves = scen.params, scen.curves
@@ -289,9 +289,13 @@ class FeasibleSampler:
             except (NonConcaveObjectiveError, InfeasibleScenarioError, ConvergenceError):
                 return None
             decision = VendorDecision(t=bbp.t, p_s=bbp.p_s, p_ns=bbp.p_ns)
-            return SampledScenario(params, curves, decision)
+            return SampledScenario(params, curves, decision), nb, bbp
 
         return self._accept_loop(accept)
+
+    def draw_release(self) -> SampledScenario:
+        """Feasible draw whose release optimizers both have interior optima."""
+        return self._release_draw()[0]
 
     def draw_ratio(self) -> SampledScenario:
         """Feasible draw satisfying the ratio-contest existence conditions."""
@@ -494,23 +498,16 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
     On draws where both release optimizers find interior optima, the
     with-program time must come strictly before the no-program time and
     the profit-slope gap at the no-program optimum must be strictly
-    negative. Boundary-optimum draws are segregated into ``excluded``
-    because the ordering claim assumes interior optima.
+    negative. The release tier only accepts draws whose two optima are
+    interior, and hands them over with the draw, so no draw is excluded.
     """
     _require_draws(draws)
     margins: list[float] = []
     failures: list[dict] = []
-    boundary = 0
     for _ in range(draws):
-        scen = sampler.draw_release()
-        params, curves = scen.params, scen.curves
-        nb = optimal_release_no_bbp(params, curves)
-        bbp = optimal_release_with_bbp(params, curves)
-        if nb.boundary or bbp.boundary:
-            boundary += 1
-            continue
+        scen, nb, bbp = sampler._release_draw()
         time_gap = nb.t - bbp.t
-        slope_gap = release_gap_term(params, curves, nb.t)
+        slope_gap = release_gap_term(scen.params, scen.curves, nb.t)
         if time_gap <= 0.0 or slope_gap >= 0.0:
             failures.append(
                 {
@@ -523,7 +520,7 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
             )
         else:
             margins.append(time_gap)
-    return _make_report("proposition-3", margins, failures, excluded=boundary)
+    return _make_report("proposition-3", margins, failures)
 
 
 def figure1_sweep(
@@ -549,11 +546,7 @@ def _slack(tolerance: float, error: float) -> float:
     return (tolerance - error) / tolerance
 
 
-def identity_suite(
-    sampler: FeasibleSampler,
-    draws: int,
-    normalization_tol: float = 1e-12,
-) -> PropositionReport:
+def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
     """Batch check of the algebraic identities the closed forms satisfy.
 
     Per draw: the severe race normalizes (n p_e_s + m p_b_s = 1); the
@@ -577,8 +570,8 @@ def identity_suite(
         profile = equilibrium(params, dec, curves)
         probs = success_probabilities(params, dec, curves, profile)
         norm_err = abs(n * probs.p_e_s + m * probs.p_b_s - 1.0)
-        slacks.append(_slack(normalization_tol, norm_err))
-        if norm_err > normalization_tol:
+        slacks.append(_slack(_NORMALIZATION_TOL, norm_err))
+        if norm_err > _NORMALIZATION_TOL:
             problems.append(f"severe race normalization off by {norm_err!r}")
 
         if profile.regime is Regime.CORNER:
@@ -605,10 +598,7 @@ def identity_suite(
 
         ks = k_severe(curves, dec.t)
         kns = k_nonsevere(curves, dec.t)
-        p_ns_boundary = (
-            ks * (params.r_s + dec.p_s) * (n + l) / ((n + m) * params.c_w * kns)
-        )
-        dec_b = replace(dec, p_ns=p_ns_boundary)
+        dec_b = replace(dec, p_ns=_regime_boundary_p_ns(params, ks, kns, dec.p_s))
         corner_b = corner_equilibrium(params, dec_b, curves)
         interior_b = interior_equilibrium(params, dec_b, curves)
         continuity_err = max(

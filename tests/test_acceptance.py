@@ -81,7 +81,7 @@ def test_criterion_01_efforts_match_grid_oracle(capsys, s0_params):
 
 
 def test_criterion_02_severe_race_normalizes(capsys):
-    report = identity_suite(FeasibleSampler(1002), 1000, normalization_tol=1e-12)
+    report = identity_suite(FeasibleSampler(1002), 1000)
     ok = report.passed and report.draws_tested == 1000
     _verdict(
         capsys, 2, "severe race normalizes to 1e-12 plus algebraic identities",

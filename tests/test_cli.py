@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -10,10 +9,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import asdict
+
 import pytest
 
 import bountygame
-from bountygame import vendor, verification
+from bountygame import (
+    MarketParams,
+    ReleaseCurves,
+    optimal_release_no_bbp,
+    release_gap_term,
+    vendor,
+    verification,
+)
 from bountygame.cli import main
 
 BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
@@ -139,6 +147,42 @@ def test_optimize_reports_unviable_program_as_data(capsys, tmp_path, baseline_do
     assert "no_bbp" in report
 
 
+def test_optimize_reports_release_gap_on_a_release_draw(capsys, tmp_path):
+    scen = verification.FeasibleSampler(5).draw_release()
+    doc = {"market": asdict(scen.params), "curves": asdict(scen.curves)}
+    rc, out, err = run_cli(capsys, "optimize", write_scenario(tmp_path, doc))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    t_nb = report["no_bbp"]["t"]
+    gap = report["release_gap_at_no_bbp_optimum"]
+    assert gap == release_gap_term(scen.params, scen.curves, t_nb)
+    assert gap < 0.0 and report["with_bbp"]["t"] < t_nb
+
+
+def test_auto_decision_falls_back_to_no_program_release(capsys, tmp_path, baseline_doc):
+    # No release time supports a program, so a scenario without a decision
+    # block is evaluated at the no-program optimum with zero bounties.
+    baseline_doc["market"]["W"] = 0.0
+    baseline_doc["curves"]["K_s0"] = 0.2
+    del baseline_doc["decision"]
+    path = write_scenario(tmp_path, baseline_doc)
+    params = MarketParams(**baseline_doc["market"])
+    t_nb = optimal_release_no_bbp(params, ReleaseCurves(**baseline_doc["curves"])).t
+
+    rc, out, err = run_cli(capsys, "evaluate", path)
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["decision"] == {"t": t_nb, "p_s": 0.0, "p_ns": 0.0}
+    assert "no viable bounty program anywhere" in report["notes"][0]
+
+    csv_path = tmp_path / "fallback.csv"
+    rc, out, err = run_cli(capsys, "sweep", path, "--out", str(csv_path))
+    assert rc == 0 and err == ""
+    assert "no viable bounty program anywhere" in json.loads(out)["notes"][0]
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 81
+
+
 def test_optimize_at_a_release_horizon_the_scan_used_to_overshoot(
     capsys, tmp_path, baseline_doc
 ):
@@ -250,11 +294,7 @@ def test_verify_command_round_trip(capsys, tmp_path):
 
 
 def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
-    monkeypatch.setattr(
-        verification,
-        "identity_suite",
-        functools.partial(verification.identity_suite, normalization_tol=1e-30),
-    )
+    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", 1e-30)
     rc, out, _ = run_cli(capsys, "verify", "--seed", "24", "--draws", "5")
     assert rc == 1
     report = json.loads(out)

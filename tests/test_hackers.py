@@ -202,8 +202,8 @@ def basic_draws():
     return draws
 
 
-def _full_grid_expert_argmax(params, dec, curves, profile, resolution):
-    grid = np.arange(int(round(1.0 / resolution)) + 1, dtype=np.float64) * resolution
+def _full_grid_expert_argmax(params, dec, curves, profile):
+    grid = np.arange(1001, dtype=np.float64) * 0.001
     payoff = focal_payoff(
         params, dec, curves, profile, HackerType.EWHH, (grid[:, None], grid[None, :])
     )
@@ -211,23 +211,15 @@ def _full_grid_expert_argmax(params, dec, curves, profile, resolution):
     return float(grid[i]), float(grid[j])
 
 
-@pytest.mark.parametrize(
-    "resolution, block_rows, draws",
-    [(0.001, (1, 7, 32, 2000), 50), (0.0007, (32, 2000), 10)],
-)
-def test_blocked_expert_oracle_matches_full_grid(
-    monkeypatch, basic_draws, resolution, block_rows, draws
-):
+def test_blocked_expert_oracle_matches_full_grid(monkeypatch, basic_draws):
     # The expert oracle walks its grid a block of rows at a time; the
     # winner must be the first argmax of focal_payoff over the whole grid,
-    # also when the last block is short (1430 rows at resolution 0.0007).
-    for params, dec, curves, profile in basic_draws[:draws]:
-        want = _full_grid_expert_argmax(params, dec, curves, profile, resolution)
-        for rows in block_rows:
+    # also when the last block is short (1001 = 31 * 32 + 9 rows).
+    for params, dec, curves, profile in basic_draws:
+        want = _full_grid_expert_argmax(params, dec, curves, profile)
+        for rows in (1, 7, 32, 2000):
             monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", rows)
-            got = best_response_oracle(
-                params, dec, curves, profile, HackerType.EWHH, resolution=resolution
-            )
+            got = best_response_oracle(params, dec, curves, profile, HackerType.EWHH)
             assert got == want, rows
 
 
@@ -248,20 +240,6 @@ def test_blocked_expert_oracle_breaks_ties_row_major(
     assert best_response_oracle(
         s0_params, s0_decision, s0_curves, profile, HackerType.EWHH
     ) == (0.0, 0.0)
-
-
-def test_oracle_resolution_bounds(s0_params, s0_curves, s0_decision):
-    profile = equilibrium(s0_params, s0_decision, s0_curves)
-    with pytest.raises(DomainError):
-        best_response_oracle(
-            s0_params, s0_decision, s0_curves, profile, HackerType.BHH,
-            resolution=0.01,
-        )
-    with pytest.raises(DomainError):
-        best_response_oracle(
-            s0_params, s0_decision, s0_curves, profile, HackerType.BHH,
-            resolution=0.0,
-        )
 
 
 def test_single_population_markets(s0_params, s0_curves, s0_decision):

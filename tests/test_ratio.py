@@ -145,3 +145,20 @@ def test_stiff_single_expert_market_solves_to_rounding(s0_curves):
     r_black = (q_b * kappa / (n * alpha + (m - 1) * mu) - black) / black
     assert abs(r_white) <= 1e-15
     assert abs(r_black) <= 1e-15
+
+
+def test_converged_is_relative_near_the_existence_boundary(s0_curves):
+    # Just inside the n = 1 boundary alpha is about 4.6e6, so rounding
+    # leaves an absolute white hat residual near 1.9e-9, while relative to
+    # c_w alpha it is about 1.3e-16: the point solves both conditions.
+    params = MarketParams(
+        n=1, l=5, m=2, c_w=3.2, c_b=2.0,
+        r_s=0.1, W=0.3437500000000009, TC_s=40.0, TC_ns=1.0, x=0.5,
+    )
+    dec = VendorDecision(t=2.0, p_s=1.0, p_ns=0.5)
+    eq = solve_ratio_equilibrium(params, dec, s0_curves)
+    assert eq.alpha_s > 1e6
+    assert eq.max_residual > 1e-10
+    assert abs(eq.residuals[0]) <= 1e-15 * params.c_w * eq.alpha_s
+    assert abs(eq.residuals[1]) <= 1e-15 * params.c_b * eq.mu_s
+    assert eq.converged

@@ -6,6 +6,7 @@ import dataclasses
 import json
 
 import bountygame as bg
+from bountygame import verification
 
 
 def _baseline_records(params, curves, decision) -> list:
@@ -29,11 +30,12 @@ def _baseline_records(params, curves, decision) -> list:
         bg.simulate(params, decision, curves, 100, 0, bg.SimMode.WITH_BBP),
         bg.SampledScenario(params, curves, decision),
         # A failing report, so its failures carry scenario records too.
-        bg.identity_suite(bg.FeasibleSampler(27), 1, normalization_tol=1e-30),
+        bg.identity_suite(bg.FeasibleSampler(27), 1),
     ]
 
 
-def test_every_exported_record_serializes(s0_params, s0_curves, s0_decision):
+def test_every_exported_record_serializes(monkeypatch, s0_params, s0_curves, s0_decision):
+    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", 1e-30)
     exported = {
         obj
         for obj in (getattr(bg, name) for name in bg.__all__)

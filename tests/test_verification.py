@@ -125,8 +125,9 @@ def test_proposition_reports_pass_on_modest_populations():
     }
 
 
-def test_identity_suite_reports_a_violated_tolerance():
-    report = identity_suite(FeasibleSampler(27), 5, normalization_tol=1e-30)
+def test_identity_suite_reports_a_violated_tolerance(monkeypatch):
+    monkeypatch.setattr(verification_module, "_NORMALIZATION_TOL", 1e-30)
+    report = identity_suite(FeasibleSampler(27), 5)
     assert not report.passed
     assert report.failures
     assert "normalization" in report.failures[0]["detail"]
