@@ -1,11 +1,8 @@
 """Scalar root finding and 1-D maximization helpers.
 
-The solvers here are deliberately small and deterministic. ``newton_bisect``
-is the classic safeguarded Newton: it keeps a sign-changing bracket at all
-times and falls back to bisection whenever the Newton step leaves the
-bracket or fails to shrink it fast enough. Termination is on the residual
-|f(x)| <= ftol, which is the contract the release-time first-order
-conditions are solved under.
+The solvers here are deliberately small and deterministic: a safeguarded
+Newton for the release-time first-order conditions, and a golden-section
+search for the with-program release.
 """
 
 from __future__ import annotations
@@ -27,10 +24,12 @@ def newton_bisect(
     *,
     ftol: float = 1e-9,
 ) -> float:
-    """Safeguarded Newton with a bisection fallback on [lo, hi].
+    """A zero of f on [lo, hi], where f(lo) and f(hi) must differ in sign.
 
-    The slope is taken by a central difference scaled to the bracket
-    width; the bracket safeguard keeps a poor slope from leaving [lo, hi].
+    Steps by Newton, with a central-difference slope, or bisects where that
+    step would leave the bracket, until |f| <= ftol. Once no float lies
+    strictly inside the bracket, f jumps across zero there, and the end with
+    the smaller |f| is returned. Raises ``ConvergenceError`` after 200 steps.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -48,6 +47,9 @@ def newton_bisect(
     for _ in range(_NEWTON_MAX_ITER):
         if abs(fx) <= ftol:
             return x
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(flo) <= abs(fhi) else hi
         h = 1e-7 * max(hi - lo, abs(x), 1e-30)
         slope = (f(x + h) - f(x - h)) / (2.0 * h)
         took_newton = False
@@ -56,11 +58,11 @@ def newton_bisect(
             if lo < x_new < hi:
                 took_newton = True
         if not took_newton:
-            x_new = 0.5 * (lo + hi)
+            x_new = mid
         f_new = f(x_new)
         # Maintain the sign-changing bracket.
         if flo * f_new < 0.0:
-            hi = x_new
+            hi, fhi = x_new, f_new
         else:
             lo, flo = x_new, f_new
         x, fx = x_new, f_new

@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleScenarioError,
     NonConcaveObjectiveError,
 )
-from .hackers import equilibrium, success_probabilities
+from .hackers import _corner_severe_probs, equilibrium, success_probabilities
 from .scenario import MarketParams, ReleaseCurves, VendorDecision, validate
 from .vendor import (
     condition1,
@@ -227,7 +227,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             report["detail"] = str(exc)
 
     if no_bbp is not None:
-        if condition1(params, curves, no_bbp.t).feasible:
+        # The gap's closed form assumes unclamped zero-bounty probabilities.
+        p_e0, p_b0 = _corner_severe_probs(params, curves.k_severe(no_bbp.t), 0.0)
+        unclamped = 0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0
+        if unclamped and condition1(params, curves, no_bbp.t).feasible:
             report["release_gap_at_no_bbp_optimum"] = release_gap_term(
                 params, curves, no_bbp.t
             )

@@ -123,7 +123,11 @@ class OptimalBounties:
 
 @dataclass(frozen=True)
 class ReleaseOptimum:
-    """Optimal release time without a bounty program."""
+    """Optimal release time without a bounty program.
+
+    ``foc_value`` is the profit slope at ``t``; it is a one-sided slope,
+    not 0, where ``t`` is a clamp edge of a zero-bounty race probability.
+    """
 
     t: float
     boundary: bool
@@ -320,6 +324,11 @@ def _no_bbp_breakdown(
     )
 
 
+def _unit_clamp(p: float) -> float:
+    """p clamped into [0, 1], as the no-program profit takes its race probabilities."""
+    return min(1.0, max(0.0, p))
+
+
 def profit_without_bbp(
     params: MarketParams, t: float, curves: CurveSet
 ) -> ProfitBreakdown:
@@ -333,9 +342,7 @@ def profit_without_bbp(
     _check_market(params)
     ks = _positive_k_severe(curves, t)
     p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
-    return _no_bbp_breakdown(
-        params, curves, t, ks, min(1.0, max(0.0, p_e0)), min(1.0, max(0.0, p_b0))
-    )
+    return _no_bbp_breakdown(params, curves, t, ks, _unit_clamp(p_e0), _unit_clamp(p_b0))
 
 
 def concentrated_bbp_profit(params: MarketParams, curves: CurveSet, t: float) -> float:
@@ -355,7 +362,12 @@ def concentrated_bbp_profit(params: MarketParams, curves: CurveSet, t: float) ->
 
 
 def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
-    """Analytic time derivative of the no-program profit."""
+    """Analytic time derivative of the clamped no-program profit.
+
+    Each factor N d(K_s p)/dK_s is 2Np - 1 while its race probability p is
+    in [0, 1], and N clamp(p) once p is clamped. As n p_e + m p_b = 1, a
+    clamp applies only where some p < 0, that is where a factor is below -1.
+    """
     ks = k_severe(curves, t)
     ks_prime = curves.k_severe_prime(t)
     kns_prime = curves.k_nonsevere_prime(t)
@@ -363,6 +375,11 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     big_n = n + m
     g0 = params.r_s / params.c_w - params.W / params.c_b
     bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g0)
+    if bhh_factor < -1.0 or ewhh_factor < -1.0:
+        bhh_factor, ewhh_factor = (
+            f if -1.0 <= f <= 2 * big_n - 1 else big_n * _unit_clamp((1.0 + f) / (2 * big_n))
+            for f in (bhh_factor, ewhh_factor)
+        )
     return (
         curves.revenue_prime(t)
         - ks_prime * (m / big_n) * bhh_factor * params.TC_s
@@ -398,78 +415,52 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     )
 
 
-def _scan_grid(t_max: float, points: int) -> list[float]:
-    """``points`` evenly spaced times on [0, t_max], the last exactly t_max.
+def _scan_foc_brackets(foc, t_max: float, points: int) -> list[tuple[float, float]]:
+    """Sign-change brackets of a first-order condition on [0, t_max].
 
+    Scans ``points`` evenly spaced times, the last exactly t_max:
     t_max * i / (points - 1) can round above t_max at i = points - 1,
     which would put the scan outside the curves' domain.
     """
-    return [t_max * i / (points - 1) for i in range(points - 1)] + [t_max]
-
-
-def _scan_foc_brackets(
-    foc, t_max: float, points: int
-) -> tuple[list[tuple[float, float]], list[float]]:
-    """Sign-change brackets of a first-order condition on [0, t_max]."""
-    ts = _scan_grid(t_max, points)
+    ts = [t_max * i / (points - 1) for i in range(points - 1)] + [t_max]
     vals = [foc(t) for t in ts]
     brackets: list[tuple[float, float]] = []
     for i in range(points - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            brackets.append((ts[i], ts[i]))
-        elif a * b < 0.0:
+        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
             brackets.append((ts[i], ts[i + 1]))
     if vals[-1] == 0.0:
         brackets.append((t_max, t_max))
-    return brackets, vals
-
-
-def _refine_root(foc, lo: float, hi: float) -> float:
-    if lo == hi:
-        return lo
-    return newton_bisect(foc, lo, hi, ftol=_FOC_TOL)
+    return brackets
 
 
 def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOptimum:
     """Profit-maximizing release time with no bounty program.
 
     Scans the analytic first-order condition for sign changes on
-    [0, t_max]. Exactly one falling sign change is the expected concave
-    shape and is refined to the root; no sign change means a boundary
-    optimum (the better endpoint is returned, flagged); multiple sign
-    changes mean the objective is not concave, which is reported as an
-    error carrying every root found rather than silently picking one.
-
-    The slope is that of the unclamped profit, so the zero-bounty race
-    probabilities must stay in [0, 1] on the whole domain. They are affine
-    in K_s(t), which peaks at t = 0, so checking t = 0 covers every t;
-    where they leave [0, 1] the clamped profit has kinks the slope does not
-    see, and ``AssumptionViolationError`` is raised instead of returning a
-    wrong optimum.
+    [0, t_max]. It is the slope of the clamped profit that
+    ``profit_without_bbp`` reports, so it jumps where a zero-bounty race
+    probability reaches a clamp. Exactly one falling sign change is the
+    expected concave shape and is refined to the root, or to the clamp
+    edge where the slope jumps across zero; no sign change means a
+    boundary optimum (the better endpoint is returned, flagged); multiple
+    sign changes mean the objective is not concave, which is reported as
+    an error carrying every root found rather than silently picking one.
     """
     _check_market(params)
-    p_e0, p_b0 = _corner_severe_probs(params, k_severe(curves, 0.0), 0.0)
-    if not (0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0):
-        raise AssumptionViolationError(
-            "zero-bounty race probabilities leave [0, 1] at t = 0 "
-            f"(p_e = {p_e0!r}, p_b = {p_b0!r}); the no-program profit slope "
-            "assumes they do not"
-        )
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)
 
-    brackets, _ = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
+    brackets = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
     if len(brackets) > 1:
-        roots = tuple(_refine_root(foc, lo, hi) for lo, hi in brackets)
+        roots = tuple(newton_bisect(foc, lo, hi, ftol=_FOC_TOL) for lo, hi in brackets)
         raise NonConcaveObjectiveError(
             "no-program profit has multiple stationary times", roots=roots
         )
     if len(brackets) == 1:
         lo, hi = brackets[0]
-        if foc(lo) > 0.0 or lo == hi:
-            t_star = _refine_root(foc, lo, hi)
+        if foc(lo) >= 0.0:
+            t_star = newton_bisect(foc, lo, hi, ftol=_FOC_TOL)
             return ReleaseOptimum(
                 t=t_star,
                 boundary=False,
@@ -673,7 +664,8 @@ def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
     re-optimized at each t) minus that of the no-program profit. Both
     program-specific pieces scale with the severity decay, so D carries
     the sign of how much earlier a program-running vendor wants to
-    release; it is meaningful where the feasibility band holds.
+    release. It is meaningful where the feasibility band holds and the
+    zero-bounty race probabilities are in [0, 1], as it takes them unclamped.
     """
     _check_market(params)
     ks = _positive_k_severe(curves, t)

@@ -17,7 +17,9 @@ import bountygame
 from bountygame import (
     MarketParams,
     ReleaseCurves,
+    condition1,
     optimal_release_no_bbp,
+    profit_without_bbp,
     release_gap_term,
     vendor,
     verification,
@@ -159,11 +161,37 @@ def test_optimize_reports_release_gap_on_a_release_draw(capsys, tmp_path):
     assert gap < 0.0 and report["with_bbp"]["t"] < t_nb
 
 
-def test_auto_decision_falls_back_to_no_program_release(capsys, tmp_path, baseline_doc):
+# Draw 47 of FeasibleSampler(5) over perfbench's WIDE_RANGES: no program is
+# viable, and at t = 0 the zero-bounty probabilities are p_e0 = 2.39 and
+# p_b0 = -1.39, so the fallback maximizes the clamped no-program profit.
+_CLAMPED_UNVIABLE_MARKET = {
+    "n": 1, "l": 7, "m": 1, "c_w": 1.1593198890968566, "c_b": 6.394062789155481,
+    "r_s": 9.519750831497198, "W": 1.073208634101177, "TC_s": 112.09090262931633,
+    "TC_ns": 3.6191882197452947, "x": 0.7181411257945148,
+}
+_CLAMPED_UNVIABLE_CURVES = {
+    "K_s0": 0.9380700063669855, "lambda_s": 0.3577374467583847,
+    "K_ns0": 0.6464350326303836, "lambda_ns": 0.9443080273595152,
+    "R0": 611.0496634782775, "a": 1.3397178420252374, "b": 1.081060286901519,
+    "t_max": 4.491597284345048,
+}
+
+
+@pytest.mark.parametrize(
+    "market, curves",
+    [
+        ({"W": 0.0}, {"K_s0": 0.2}),
+        (_CLAMPED_UNVIABLE_MARKET, _CLAMPED_UNVIABLE_CURVES),
+    ],
+    ids=["no-prize", "clamped"],
+)
+def test_auto_decision_falls_back_to_no_program_release(
+    capsys, tmp_path, baseline_doc, market, curves
+):
     # No release time supports a program, so a scenario without a decision
     # block is evaluated at the no-program optimum with zero bounties.
-    baseline_doc["market"]["W"] = 0.0
-    baseline_doc["curves"]["K_s0"] = 0.2
+    baseline_doc["market"].update(market)
+    baseline_doc["curves"].update(curves)
     del baseline_doc["decision"]
     path = write_scenario(tmp_path, baseline_doc)
     params = MarketParams(**baseline_doc["market"])
@@ -195,13 +223,48 @@ def test_optimize_at_a_release_horizon_the_scan_used_to_overshoot(
     assert 0.0 <= report["with_bbp"]["t"] <= 6.510518
 
 
-def test_optimize_refuses_clamped_no_program_slope(capsys, tmp_path, baseline_doc):
+def test_optimize_maximizes_clamped_no_program_profit(capsys, tmp_path, baseline_doc):
+    # At t = 0 the zero-bounty probabilities are p_e0 = -3.59 and p_b0 = 4.59;
+    # the optimum is a stationary time of the clamped profit.
     baseline_doc["market"].update(n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
     rc, out, err = run_cli(
         capsys, "optimize", write_scenario(tmp_path, baseline_doc), "--mode", "no-bbp"
     )
-    assert rc == 1 and out == ""
-    assert json.loads(err)["error"] == "AssumptionViolationError"
+    assert rc == 0 and err == ""
+    no_bbp = json.loads(out)["no_bbp"]
+    assert not no_bbp["boundary"]
+    assert no_bbp["t"] == pytest.approx(3.5577, abs=1e-4)
+    params = MarketParams(**baseline_doc["market"])
+    curves = ReleaseCurves(**baseline_doc["curves"])
+    ts = [curves.t_max * i / 4000 for i in range(4000)] + [curves.t_max]
+    best = max(profit_without_bbp(params, t, curves).total for t in ts)
+    assert no_bbp["profit"] >= best - 1e-12 * max(1.0, abs(best))
+
+
+def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_path):
+    # Draw 27 of FeasibleSampler(5) over perfbench's WIDE_RANGES. Condition 1
+    # holds at the no-program optimum, but p_e0 is clamped at 0 there, so
+    # the gap's closed form (-3.96) misstates the slope difference (-7.65).
+    market = {
+        "n": 2, "l": 18, "m": 7, "c_w": 7.256036883958867, "c_b": 1.492787668882428,
+        "r_s": 8.1089559502771, "W": 28.792139341570824, "TC_s": 373.8086447598759,
+        "TC_ns": 9.613501978317878, "x": 0.9119315003858692,
+    }
+    curves = {
+        "K_s0": 0.9708255705378549, "lambda_s": 0.0791668361148714,
+        "K_ns0": 0.6681207869959535, "lambda_ns": 0.4715006356010783,
+        "R0": 836.6766865498847, "a": 4.380712177542465, "b": 2.6408592168986944,
+        "t_max": 11.957443985783927,
+    }
+    doc = {"market": market, "curves": curves}
+    rc, out, err = run_cli(capsys, "optimize", write_scenario(tmp_path, doc))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    t_nb = report["no_bbp"]["t"]
+    params, release = MarketParams(**market), ReleaseCurves(**curves)
+    assert condition1(params, release, t_nb).feasible
+    assert report["with_bbp"] is not None
+    assert report["release_gap_at_no_bbp_optimum"] is None
 
 
 def test_profit_form_mismatch_exits_1(capsys, monkeypatch):

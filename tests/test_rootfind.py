@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from bountygame._rootfind import golden_section_max, newton_bisect
@@ -19,3 +21,12 @@ def test_newton_polish_beats_plain_bisection_tolerance():
 def test_golden_section_locates_parabola_peak():
     peak = golden_section_max(lambda x: -((x - 1.3) ** 2), 0.0, 2.0, xtol=1e-12)
     assert peak == pytest.approx(1.3, abs=1e-9)
+
+
+def test_newton_stops_where_the_function_jumps_across_zero():
+    # f has no root, only a jump at 0.3: once the bracket closes to two
+    # adjacent floats, the end with the smaller |f| is returned.
+    assert newton_bisect(lambda x: 2.0 if x < 0.3 else -1.0, 0.0, 1.0) == 0.3
+    assert newton_bisect(lambda x: 1.0 if x < 0.3 else -2.0, 0.0, 1.0) == math.nextafter(
+        0.3, 0.0
+    )

@@ -11,6 +11,7 @@ from bountygame import (
     AssumptionViolationError,
     FeasibilityWarning,
     InfeasibleScenarioError,
+    MarketParams,
     NonConcaveObjectiveError,
     ReleaseCurves,
     VendorDecision,
@@ -29,6 +30,7 @@ from bountygame import (
     validate,
 )
 from bountygame import vendor
+from bountygame.hackers import _corner_severe_probs
 from bountygame.vendor import _concentrated_prime, _profit_nb_prime
 from bountygame.verification import FeasibleSampler
 
@@ -171,19 +173,62 @@ def test_release_boundary_at_zero_when_waiting_never_pays(s0_params, s0_curves):
     assert nb.t == 0.0
 
 
-def test_release_without_program_refuses_clamped_probabilities(s0_params, s0_curves):
-    # The market of the clamping test above: at t = 0 the zero-bounty
-    # probabilities leave [0, 1], where the unclamped slope misleads.
+def _no_program_grid_max(params, curves, points=4001):
+    ts = [curves.t_max * i / (points - 1) for i in range(points - 1)] + [curves.t_max]
+    return max(profit_without_bbp(params, t, curves).total for t in ts)
+
+
+def test_release_without_program_maximizes_clamped_profit(s0_params, s0_curves):
+    # The market of the clamping test above: p_e0 stays clamped at 0 and
+    # p_b0 at 1 until t is about 7, so the optimum is a stationary time of
+    # the clamped piece, where the unclamped slope would mislead.
     params = replace(s0_params, n=1, m=1, W=20.0, c_b=1.1, r_s=0.0)
-    with pytest.raises(AssumptionViolationError, match="leave \\[0, 1\\] at t = 0"):
-        optimal_release_no_bbp(params, s0_curves)
+    nb = optimal_release_no_bbp(params, s0_curves)
+    assert not nb.boundary
+    assert nb.t == pytest.approx(3.5577, abs=1e-4)
+    assert abs(nb.foc_value) <= 1e-6
+    best = _no_program_grid_max(params, s0_curves)
+    assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
+    h = 1e-5
+    for t in (1.0, nb.t):
+        fd = (
+            profit_without_bbp(params, t + h, s0_curves).total
+            - profit_without_bbp(params, t - h, s0_curves).total
+        ) / (2 * h)
+        assert _profit_nb_prime(params, s0_curves, t) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def test_release_without_program_stops_on_a_clamp_kink():
+    # Draw 205 of FeasibleSampler(5) over perfbench's WIDE_RANGES. p_e0
+    # falls to 0 at t = 12.7152, where the profit slope jumps from +0.38 to
+    # -0.24: the maximum sits on the kink, with no stationary time.
+    params = MarketParams(
+        n=1, l=14, m=2, c_w=1.8825800582010659, c_b=4.43602513828222,
+        r_s=0.3623841363948732, W=27.78597296351604, TC_s=201.1910709711571,
+        TC_ns=6.681624262390019, x=0.3475547571331985,
+    )
+    curves = ReleaseCurves(
+        K_s0=0.9798644550097673, lambda_s=0.053841611976056136,
+        K_ns0=0.6615173058829529, lambda_ns=0.9552250015527615,
+        R0=921.185731354737, a=6.260516567868017, b=0.03914299492914486,
+        t_max=22.198874504035487,
+    )
+    nb = optimal_release_no_bbp(params, curves)
+    assert not nb.boundary
+    assert nb.foc_value != 0.0
+    assert nb.t == pytest.approx(12.7152, abs=1e-4)
+    p_e0, _ = _corner_severe_probs(params, curves.k_severe(nb.t), 0.0)
+    assert p_e0 == pytest.approx(0.0, abs=1e-12)
+    best = _no_program_grid_max(params, curves)
+    assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
 def test_release_optimizers_cover_wide_release_horizons():
     # Unpinned t_max: scans used to overshoot it by one rounding step (a
     # DomainError on these validated draws fails the test), and clamped
     # zero-bounty probabilities used to yield a no-program optimum below
-    # the grid maximum (draw 105 of this sampler, by 0.04%). The
+    # the grid maximum (draw 105 of this sampler, by 0.04%); every draw must
+    # have a no-program optimum unless its profit is not concave. The
     # with-program golden-section search assumes a unimodal objective; on 5
     # of the 58 feasible draws here the slope turns from negative to
     # positive somewhere, and its optimum must still reach the grid maximum.
@@ -203,7 +248,7 @@ def test_release_optimizers_cover_wide_release_horizons():
             with_program += 1
         try:
             nb = optimal_release_no_bbp(params, curves)
-        except (AssumptionViolationError, NonConcaveObjectiveError):
+        except NonConcaveObjectiveError:
             continue
         ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
         best = max(profit_without_bbp(params, t, curves).total for t in ts)
