@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -165,3 +166,45 @@ def test_full_suite_is_deterministic_and_green():
     for report in first["reports"].values():
         assert report["passed"]
         assert not report["failures"]
+
+
+# sha256 of json.dumps(run_full_suite(seed, 4), sort_keys=True), recorded
+# with CPython 3.11 and numpy 2.4 on x86-64 Linux. Each suite runs all five
+# sampler tiers; a change meant to keep every result bit-for-bit must leave
+# these alone.
+PINNED_SUITE_SHA256 = {
+    5: "5a3056372e20657f2b269645cea6f1ae7a8a42869283679cd8e448a36d48f92a",
+    10: "4d0426f4722367b12350f489ea9a4998705f3f2e13f7402621e76c0ac1518dc1",
+    15: "2349000ef481f7c2a524a7430312b98cb8f88db73c4496e8ffc7eaeb75c3d068",
+    20: "ea0729b487d000e3a3c770998b95cd4c82a8eb77629dd8a233c85ccb5ccb041d",
+    25: "5ad132581d31847ceea821f09b3b877939347d92c4b6231b825443a2fac6eefd",
+    30: "af3695b78f6a3a89b42fc7b5a4daa4d47e0046fc7b27c47733536759dcfeb0aa",
+    35: "c3dd76e36adc9a218809411cfccd2f883a9f18f496b7eea7f70dfcaa2b7beb8a",
+    40: "8e87bd58796323d1601fdab6b25774106d42e9e6587206ead21178164ab1b3a7",
+    45: "ffcc53d3ce2be4f2b4c949cdfd3f59aa2b1dc69e24ae8b3f2420a7e5341cded0",
+    50: "7e1a8d9616fa1066bd86377816064e394b9ffc1b1c6b85d9bc33d286bab6e7ca",
+    55: "cf890a98c8879e7a80c21f1f65aa2757b27ceffb82f472a12d2f2ef5954cafe8",
+    60: "a6bb81b04ec9d5effe445902784a2b8079eaf66d274fac20cf2a0c1e5b8a4cc2",
+    65: "1e40f8f5df07aa334642269d69d9aba7d06432d0673da78d4256453dde2a80c0",
+    70: "b9718fab5c7d3e471d6aaa58e8f49d5513cfff72d41ac38964e711d594358233",
+    75: "2d33aa524b040f8c5405526773bed73e278a56f5b595dd37de2e23984ef5bd82",
+    80: "95af8f53d8ec5c0124b1759894334a18d69e6b85b985bd2b92b6d06e64f74116",
+    85: "c7f68c6d9e1e8f1cda68dab200f70844bb41852b4e265ecd17ed2df6502a2ce7",
+    90: "341eaef34a36b2e3dd0cdadf1238495af86f5ca5fe564f111052c3afe4fcb2be",
+    95: "f140613678cbc69369e64bbbd13d5c6348c96279090046fdc1da83131918a83f",
+    100: "0662fce6abec286a317d0ec1ee7bc899e5c950240a741a33506ace1a880cdce6",
+    105: "6290ce5a716913f31b513fd32d5a971f28d53b2c8b52fbda23bded3127787d40",
+    110: "6a4b9ca4339624c65cb14053aa0c5238495f76f1712fe9b1069466278acc1cec",
+    115: "b8ef79b5d9c3e4501a2ae59b5207dabd2e33fa9d32da7bc41e7a2660a88583d1",
+    120: "535b155896472f7e3a36dff927deb286849016522718254dc960de78999f3528",
+}
+
+
+def test_full_suite_bytes_are_pinned():
+    digests = {
+        seed: hashlib.sha256(
+            json.dumps(run_full_suite(seed, 4), sort_keys=True).encode()
+        ).hexdigest()
+        for seed in PINNED_SUITE_SHA256
+    }
+    assert digests == PINNED_SUITE_SHA256
