@@ -38,6 +38,7 @@ from .hackers import (
 from .scenario import (
     CurveSet,
     MarketParams,
+    ReleaseCurves,
     VendorDecision,
     k_nonsevere,
     k_severe,
@@ -388,6 +389,50 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     )
 
 
+def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet) -> bool:
+    """Whether the no-program slope provably falls on [0, t_max].
+
+    Decided from the parameters of the built-in family only; any other
+    curve set, subclasses of ``ReleaseCurves`` included since they may
+    override a curve, gets False. Where no race probability is clamped, the
+    slope's t-derivative is
+
+        -b - (lambda_s^2 TC_s / N) [(m + n x) + 4 m n g0 (x - 1) K_s / (kappa N)] K_s
+           - lambda_ns^2 TC_ns K_ns.
+
+    The two slope factors and the bracket are linear in K_s, which is
+    monotone in t, so their values at t = 0 and t_max bound them. With
+    neither factor below -1 (no clamp) and the bracket >= 0 at both ends,
+    the derivative is negative when b, TC_s, K_s0 >= 0 and TC_ns, K_ns0 > 0,
+    lambda_ns != 0. These signs are checked here because
+    ``optimal_release_no_bbp`` does not validate its input.
+    """
+    if type(curves) is not ReleaseCurves:
+        return False
+    if not (
+        curves.b >= 0.0
+        and params.TC_s >= 0.0
+        and curves.K_s0 >= 0.0
+        and params.TC_ns > 0.0
+        and curves.K_ns0 > 0.0
+        and curves.lambda_ns != 0.0
+    ):
+        return False
+    n, m = params.n, params.m
+    big_n = n + m
+    kappa = big_n - 1
+    g0 = params.r_s / params.c_w - params.W / params.c_b
+    for ks in (curves.k_severe(0.0), curves.k_severe(curves.t_max)):
+        if min(_corner_slope_factors(params, ks, g0)) < -1.0:
+            return False
+        bracket = (m + n * params.x) + 4.0 * m * n * g0 * (params.x - 1.0) * ks / (
+            kappa * big_n
+        )
+        if bracket < 0.0:
+            return False
+    return True
+
+
 def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     """Analytic time derivative of the concentrated with-program profit.
 
@@ -415,14 +460,22 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     )
 
 
+def _grid_time(t_max: float, i: int, points: int) -> float:
+    """The i-th of ``points`` evenly spaced times on [0, t_max].
+
+    The last is exactly t_max: t_max * i / (points - 1) can round above
+    t_max at i = points - 1, which would put the scan outside the curves'
+    domain.
+    """
+    return t_max if i == points - 1 else t_max * i / (points - 1)
+
+
 def _scan_foc_brackets(foc, t_max: float, points: int) -> list[tuple[float, float]]:
     """Sign-change brackets of a first-order condition on [0, t_max].
 
-    Scans ``points`` evenly spaced times, the last exactly t_max:
-    t_max * i / (points - 1) can round above t_max at i = points - 1,
-    which would put the scan outside the curves' domain.
+    Scans ``points`` evenly spaced times, the last exactly t_max.
     """
-    ts = [t_max * i / (points - 1) for i in range(points - 1)] + [t_max]
+    ts = [_grid_time(t_max, i, points) for i in range(points)]
     vals = [foc(t) for t in ts]
     brackets: list[tuple[float, float]] = []
     for i in range(points - 1):
@@ -433,11 +486,34 @@ def _scan_foc_brackets(foc, t_max: float, points: int) -> list[tuple[float, floa
     return brackets
 
 
+def _falling_foc_bracket(foc, t_max: float, points: int) -> list[tuple[float, float]]:
+    """The brackets ``_scan_foc_brackets`` finds for a falling condition.
+
+    On a falling condition the scan's one bracket is the cell that ends at
+    the first grid time where it is negative, or (t_max, t_max) where it
+    ends at 0; it has none where the condition keeps one strict sign. So
+    this bisects the same grid's indices for that cell.
+    """
+    if foc(0.0) < 0.0:
+        return []
+    f_last = foc(t_max)
+    if f_last >= 0.0:
+        return [(t_max, t_max)] if f_last == 0.0 else []
+    lo, hi = 0, points - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if foc(_grid_time(t_max, mid, points)) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return [(_grid_time(t_max, lo, points), _grid_time(t_max, hi, points))]
+
+
 def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOptimum:
     """Profit-maximizing release time with no bounty program.
 
-    Scans the analytic first-order condition for sign changes on
-    [0, t_max]. It is the slope of the clamped profit that
+    Looks for sign changes of the analytic first-order condition on a
+    grid of [0, t_max]. It is the slope of the clamped profit that
     ``profit_without_bbp`` reports, so it jumps where a zero-bounty race
     probability reaches a clamp. Exactly one falling sign change is the
     expected concave shape and is refined to the root, or to the clamp
@@ -445,13 +521,23 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     boundary optimum (the better endpoint is returned, flagged); multiple
     sign changes mean the objective is not concave, which is reported as
     an error carrying every root found rather than silently picking one.
+
+    Where the parameters of the built-in family prove that the slope falls
+    (``_no_bbp_slope_falls``), there is at most one sign change, and the
+    grid's indices are bisected for it: the same bracket, the same result,
+    from about a tenth of the slope evaluations. Every other market is
+    scanned point by point, and only the scan can find several stationary
+    times.
     """
     _check_market(params)
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)
 
-    brackets = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
+    if _no_bbp_slope_falls(params, curves):
+        brackets = _falling_foc_bracket(foc, curves.t_max, _FOC_SCAN_POINTS)
+    else:
+        brackets = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
     if len(brackets) > 1:
         roots = tuple(newton_bisect(foc, lo, hi, ftol=_FOC_TOL) for lo, hi in brackets)
         raise NonConcaveObjectiveError(

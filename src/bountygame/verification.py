@@ -88,6 +88,9 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 }
 
 _MAX_PROPOSALS = 200_000
+# Doubles per proposal: 7 market fields, 8 curve fields, t, p_s, the
+# branch coin and the p_ns factor.
+_PROPOSAL_DOUBLES = 19
 _EFFORT_CAP = 0.99
 _PROB_MARGIN = 1e-6
 # Tolerance of the identity suite's severe-race normalization check.
@@ -112,6 +115,15 @@ class FeasibleSampler:
     feasibility with working margins; ``draw_raw`` skips everything except
     validation and exists for claims that must hold on arbitrary inputs.
     Identical seeds give identical draw sequences.
+
+    Each proposal takes, from a Philox generator seeded with ``seed``, three
+    integers (n, l, m) and then 19 doubles u in [0, 1), in this order: the
+    market fields c_w, c_b, r_s, W, TC_s, TC_ns, x and the curve fields
+    K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max, each lo + (hi - lo) u
+    over its range; t = t_max u; p_s = 10 u; a coin; and a factor u, with
+    p_ns = boundary u below a coin of 0.5 and boundary (1 + u) otherwise,
+    where boundary is the non-severe bounty at the regime boundary.
+    ``proposals`` counts every proposal made.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):
@@ -129,49 +141,54 @@ class FeasibleSampler:
 
     # -- proposal pieces ---------------------------------------------------
 
-    def _uniform(self, name: str) -> float:
-        lo, hi = self.ranges[name]
-        return float(lo + (hi - lo) * self._rng.random())
-
     def _integer(self, name: str) -> int:
         lo, hi = self.ranges[name]
         return int(self._rng.integers(int(lo), int(hi) + 1))
 
     def _propose(self) -> SampledScenario:
         self.proposals += 1
+        n, l, m = self._integer("n"), self._integer("l"), self._integer("m")
+        # Philox gives the same doubles from one random(k) call as from k
+        # scalar calls, so one call per proposal keeps every draw.
+        draws = iter(self._rng.random(_PROPOSAL_DOUBLES).tolist())
+
+        def uniform(name: str) -> float:
+            lo, hi = self.ranges[name]
+            return lo + (hi - lo) * next(draws)
+
         params = MarketParams(
-            n=self._integer("n"),
-            l=self._integer("l"),
-            m=self._integer("m"),
-            c_w=self._uniform("c_w"),
-            c_b=self._uniform("c_b"),
-            r_s=self._uniform("r_s"),
-            W=self._uniform("W"),
-            TC_s=self._uniform("TC_s"),
-            TC_ns=self._uniform("TC_ns"),
-            x=self._uniform("x"),
+            n=n,
+            l=l,
+            m=m,
+            c_w=uniform("c_w"),
+            c_b=uniform("c_b"),
+            r_s=uniform("r_s"),
+            W=uniform("W"),
+            TC_s=uniform("TC_s"),
+            TC_ns=uniform("TC_ns"),
+            x=uniform("x"),
         )
         curves = ReleaseCurves(
-            K_s0=self._uniform("K_s0"),
-            lambda_s=self._uniform("lambda_s"),
-            K_ns0=self._uniform("K_ns0"),
-            lambda_ns=self._uniform("lambda_ns"),
-            R0=self._uniform("R0"),
-            a=self._uniform("a"),
-            b=self._uniform("b"),
-            t_max=self._uniform("t_max"),
+            K_s0=uniform("K_s0"),
+            lambda_s=uniform("lambda_s"),
+            K_ns0=uniform("K_ns0"),
+            lambda_ns=uniform("lambda_ns"),
+            R0=uniform("R0"),
+            a=uniform("a"),
+            b=uniform("b"),
+            t_max=uniform("t_max"),
         )
-        t = curves.t_max * float(self._rng.random())
-        p_s = 10.0 * float(self._rng.random())
+        t = curves.t_max * next(draws)
+        p_s = 10.0 * next(draws)
         # Bias the non-severe bounty around the regime boundary so both
         # equilibrium families are represented in the population.
         boundary = _regime_boundary_p_ns(
             params, curves.k_severe(t), curves.k_nonsevere(t), p_s
         )
-        if self._rng.random() < 0.5:
-            p_ns = boundary * float(self._rng.random())
+        if next(draws) < 0.5:
+            p_ns = boundary * next(draws)
         else:
-            p_ns = boundary * (1.0 + float(self._rng.random()))
+            p_ns = boundary * (1.0 + next(draws))
         return SampledScenario(params, curves, VendorDecision(t=t, p_s=p_s, p_ns=p_ns))
 
     def _accept_loop(self, predicate) -> SampledScenario:

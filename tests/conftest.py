@@ -41,3 +41,32 @@ def s0_curves() -> ReleaseCurves:
 @pytest.fixture
 def s0_decision() -> VendorDecision:
     return VendorDecision(t=2.0, p_s=2.5, p_ns=0.5)
+
+
+@pytest.fixture
+def wide_ranges() -> dict[str, tuple[float, float]]:
+    """Sampler ranges well beyond the defaults, with the release horizon unpinned.
+
+    The same box as perfbench's WIDE_RANGES: "wide draw k" in a test means
+    0-based raw draw k of ``FeasibleSampler(5, ranges=wide_ranges)``.
+    """
+    return {
+        "n": (1, 12),
+        "l": (1, 24),
+        "m": (1, 12),
+        "c_w": (1.01, 8.0),
+        "c_b": (1.01, 8.0),
+        "r_s": (0.0, 10.0),
+        "W": (0.0, 40.0),
+        "TC_s": (2.0, 400.0),
+        "TC_ns": (0.05, 10.0),
+        "x": (0.01, 0.99),
+        "K_s0": (0.05, 1.0),
+        "K_ns0": (0.05, 1.0),
+        "lambda_s": (0.01, 1.0),
+        "lambda_ns": (0.01, 1.0),
+        "R0": (10.0, 1000.0),
+        "a": (0.1, 10.0),
+        "b": (0.0, 4.0),
+        "t_max": (0.5, 25.0),
+    }

@@ -198,21 +198,26 @@ def test_release_without_program_maximizes_clamped_profit(s0_params, s0_curves):
         assert _profit_nb_prime(params, s0_curves, t) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
-def test_release_without_program_stops_on_a_clamp_kink():
-    # Draw 205 of FeasibleSampler(5) over perfbench's WIDE_RANGES. p_e0
-    # falls to 0 at t = 12.7152, where the profit slope jumps from +0.38 to
-    # -0.24: the maximum sits on the kink, with no stationary time.
-    params = MarketParams(
+# Wide draw 205: p_e0 falls to 0 at t = 12.7152, where the profit slope
+# jumps from +0.38 to -0.24.
+_CLAMP_KINK = (
+    MarketParams(
         n=1, l=14, m=2, c_w=1.8825800582010659, c_b=4.43602513828222,
         r_s=0.3623841363948732, W=27.78597296351604, TC_s=201.1910709711571,
         TC_ns=6.681624262390019, x=0.3475547571331985,
-    )
-    curves = ReleaseCurves(
+    ),
+    ReleaseCurves(
         K_s0=0.9798644550097673, lambda_s=0.053841611976056136,
         K_ns0=0.6615173058829529, lambda_ns=0.9552250015527615,
         R0=921.185731354737, a=6.260516567868017, b=0.03914299492914486,
         t_max=22.198874504035487,
-    )
+    ),
+)
+
+
+def test_release_without_program_stops_on_a_clamp_kink():
+    # The maximum sits on the kink, with no stationary time.
+    params, curves = _CLAMP_KINK
     nb = optimal_release_no_bbp(params, curves)
     assert not nb.boundary
     assert nb.foc_value != 0.0
@@ -257,18 +262,102 @@ def test_release_optimizers_cover_wide_release_horizons():
     assert checked >= 100 and with_program >= 50
 
 
+class WavyRevenue(ReleaseCurves):
+    def revenue(self, t: float) -> float:
+        return super().revenue(t) + (5.0 / 3.0) * math.sin(3.0 * t)
+
+    def revenue_prime(self, t: float) -> float:
+        return super().revenue_prime(t) + 5.0 * math.cos(3.0 * t)
+
+
 def test_release_rejects_multi_peaked_profit(s0_params, s0_curves):
-    class WavyRevenue(ReleaseCurves):
-        def revenue(self, t: float) -> float:
-            return super().revenue(t) + (5.0 / 3.0) * math.sin(3.0 * t)
-
-        def revenue_prime(self, t: float) -> float:
-            return super().revenue_prime(t) + 5.0 * math.cos(3.0 * t)
-
     wavy = WavyRevenue(**asdict(s0_curves))
     with pytest.raises(NonConcaveObjectiveError) as err:
         optimal_release_no_bbp(s0_params, wavy)
     assert len(err.value.roots) >= 2
+
+
+def _no_program_release_or_error(params, curves):
+    try:
+        return optimal_release_no_bbp(params, curves)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_falling_slope_bisection_matches_the_scan(monkeypatch, wide_ranges):
+    # Where the slope provably falls, the optimizer bisects the scan's grid
+    # for its one bracket instead of evaluating all 201 points. Forcing the
+    # scan must give the same optimum, or the same error, on every draw.
+    slope = vendor._profit_nb_prime
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return slope(*args)
+
+    monkeypatch.setattr(vendor, "_profit_nb_prime", counted)
+    slope_falls = vendor._no_bbp_slope_falls
+    for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
+        scens = list(FeasibleSampler(5, ranges=ranges).draws("raw", 1000))
+        fast = sum(slope_falls(scen.params, scen.curves) for scen in scens)
+        calls = 0
+        bisected = [_no_program_release_or_error(s.params, s.curves) for s in scens]
+        assert calls <= 40 * len(scens)
+        assert fast >= 0.95 * len(scens)
+        with monkeypatch.context() as scan_only:
+            scan_only.setattr(vendor, "_no_bbp_slope_falls", lambda *args: False)
+            scanned = [_no_program_release_or_error(s.params, s.curves) for s in scens]
+        for k, (got, want) in enumerate(zip(bisected, scanned)):
+            assert got == want, (k, asdict(scens[k]))
+
+
+# Wide draw 47: p_b0 = -1.39 at t = 0, so the slope is clamped there, and
+# the bracket is negative at t = 0.
+_CLAMPED_AT_ZERO = (
+    MarketParams(
+        n=1, l=7, m=1, c_w=1.1593198890968566, c_b=6.394062789155481,
+        r_s=9.519750831497198, W=1.073208634101177, TC_s=112.09090262931633,
+        TC_ns=3.6191882197452947, x=0.7181411257945148,
+    ),
+    ReleaseCurves(
+        K_s0=0.9380700063669855, lambda_s=0.3577374467583847,
+        K_ns0=0.6464350326303836, lambda_ns=0.9443080273595152,
+        R0=611.0496634782775, a=1.3397178420252374, b=1.081060286901519,
+        t_max=4.491597284345048,
+    ),
+)
+# Wide draw 244: the slope is negative at t = 0 and rises through 0 at
+# t = 0.0191 before it falls through 0 at t = 1.3623.
+_RISING_THEN_FALLING = (
+    MarketParams(
+        n=3, l=13, m=2, c_w=1.301319208073475, c_b=7.319974627218934,
+        r_s=9.131759088698853, W=1.7537196010907685, TC_s=106.58818435904323,
+        TC_ns=7.647386017906985, x=0.18715744920269847,
+    ),
+    ReleaseCurves(
+        K_s0=0.7094221125190964, lambda_s=0.6473455479282128,
+        K_ns0=0.14021737455040623, lambda_ns=0.24862433444396037,
+        R0=650.3639094933058, a=2.580134419778754, b=2.977918950031956,
+        t_max=17.54753027922866,
+    ),
+)
+
+
+def test_slope_shape_test_declines_what_it_cannot_prove(s0_params, s0_curves):
+    assert vendor._no_bbp_slope_falls(s0_params, s0_curves)
+    # A subclass may override a curve, as this one does.
+    assert not vendor._no_bbp_slope_falls(s0_params, WavyRevenue(**asdict(s0_curves)))
+    # Unvalidated: a convex revenue curve.
+    rising_revenue_slope = replace(s0_curves, b=-1e-3)
+    assert not validate(s0_params, rising_revenue_slope).passed
+    assert not vendor._no_bbp_slope_falls(s0_params, rising_revenue_slope)
+    assert not vendor._no_bbp_slope_falls(*_CLAMPED_AT_ZERO)
+    # Clamped after t = 12.7152 only; the bracket is >= 0 at both ends.
+    assert not vendor._no_bbp_slope_falls(*_CLAMP_KINK)
+    assert not vendor._no_bbp_slope_falls(*_RISING_THEN_FALLING)
+    with pytest.raises(NonConcaveObjectiveError):
+        optimal_release_no_bbp(*_RISING_THEN_FALLING)
 
 
 def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):

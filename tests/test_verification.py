@@ -6,6 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from bountygame import (
@@ -27,6 +28,9 @@ from bountygame import (
     verify_proposition_3,
 )
 from bountygame import verification as verification_module
+from bountygame.hackers import _regime_boundary_p_ns
+from bountygame.scenario import MarketParams, ReleaseCurves, VendorDecision
+from bountygame.verification import DEFAULT_RANGES, SampledScenario
 
 
 def test_same_seed_reproduces_draws():
@@ -35,6 +39,45 @@ def test_same_seed_reproduces_draws():
     assert a == b
     c = [asdict(s) for s in FeasibleSampler(6).draws("basic", 5)]
     assert a != c
+
+
+def _reference_proposals(seed, ranges, count):
+    """Proposals rebuilt from scalar draws in the sampler's documented order."""
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def integer(name):
+        lo, hi = ranges[name]
+        return int(rng.integers(int(lo), int(hi) + 1))
+
+    def uniform(name):
+        lo, hi = ranges[name]
+        return lo + (hi - lo) * rng.random()
+
+    for _ in range(count):
+        counts = {name: integer(name) for name in ("n", "l", "m")}
+        market = {name: uniform(name) for name in ("c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x")}
+        params = MarketParams(**counts, **market)
+        curves = ReleaseCurves(
+            **{
+                name: uniform(name)
+                for name in ("K_s0", "lambda_s", "K_ns0", "lambda_ns", "R0", "a", "b", "t_max")
+            }
+        )
+        t = curves.t_max * rng.random()
+        p_s = 10.0 * rng.random()
+        boundary = _regime_boundary_p_ns(params, curves.k_severe(t), curves.k_nonsevere(t), p_s)
+        coin, factor = rng.random(), rng.random()
+        p_ns = boundary * (factor if coin < 0.5 else 1.0 + factor)
+        yield SampledScenario(params, curves, VendorDecision(t=t, p_s=p_s, p_ns=p_ns))
+
+
+def test_proposals_follow_the_documented_draw_order(wide_ranges):
+    for ranges in (None, wide_ranges):
+        sampler = FeasibleSampler(7, ranges=ranges)
+        reference = _reference_proposals(7, dict(DEFAULT_RANGES, **(ranges or {})), 300)
+        for k, want in enumerate(reference):
+            assert asdict(sampler._propose()) == asdict(want), k
+        assert sampler.proposals == 300
 
 
 def test_unknown_tier_and_range_key_are_rejected():
