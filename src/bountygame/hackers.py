@@ -19,6 +19,7 @@ effort grid to confirm every closed form is actually a best response.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -45,8 +46,10 @@ __all__ = [
 
 # Step of the oracle's effort grid on [0, 1]: 1001 points per axis.
 _ORACLE_STEP = 0.001
-# Rows of the expert oracle grid evaluated at once: two buffers of 32 rows
-# of 1001 doubles (256 KB each) stay in a core's cache.
+# Rows of the expert oracle grid evaluated at once: two buffers of 32 rows of
+# at most 1001 doubles (256 KB each) stay in a core's cache. Only the columns,
+# and the rows, whose payoff bound reaches a payoff the grid attains are
+# evaluated (see ``best_response_oracle``), so the winner is unchanged.
 _ORACLE_BLOCK_ROWS = 32
 
 
@@ -403,12 +406,23 @@ def best_response_oracle(
     deviation payoff directly, so agreement with the formulas is evidence
     rather than tautology.
 
-    The expert grid is evaluated ``_ORACLE_BLOCK_ROWS`` rows at a time into
-    two cache-sized buffers, with the same arithmetic as ``focal_payoff``
-    on the whole grid, so the payoff values and the winner are the same.
+    The expert cross term e_s * e_ns is >= 0 and rounding is monotone, so no
+    payoff in row i exceeds fl(severe[i] + max nonsevere), and none in column
+    j exceeds fl(max severe + nonsevere[j]). The row of the largest severe
+    group is evaluated first; every row or column whose bound falls below
+    that row's maximum, a payoff the grid attains, cannot hold the maximum.
+    The rectangle spanning the rest is searched in row-major order with the
+    arithmetic of ``focal_payoff``, ``_ORACLE_BLOCK_ROWS`` rows at a time into
+    two cache-sized buffers, so the winner is that of the whole grid. Raises
+    ``DomainError`` when ``others`` holds a non-finite effort or the expert
+    payoff overflows.
     """
     _check_market(params)
     import numpy as np
+
+    efforts = (others.alpha_s, others.alpha_ns, others.beta_ns, others.mu_s)
+    if not all(map(math.isfinite, efforts)):
+        raise DomainError("the other hackers' efforts must be finite")
 
     grid = np.arange(int(round(1.0 / _ORACLE_STEP)) + 1, dtype=np.float64) * _ORACLE_STEP
     if focal_type is not HackerType.EWHH:
@@ -416,19 +430,26 @@ def best_response_oracle(
         return float(grid[np.argmax(payoff)])
 
     severe, nonsevere = _ewhh_payoff_groups(params, decision, curves, others, grid, grid)
-    size = grid.size
-    rows = min(_ORACLE_BLOCK_ROWS, size)
-    payoff = np.empty((rows, size))
-    cross = np.empty((rows, size))
+    top = int(np.argmax(severe))
+    floor = np.max((severe[top] + nonsevere) - grid[top] * grid)
+    if not math.isfinite(floor):
+        raise DomainError("expert payoff is not finite on the effort grid")
+    kept_rows = np.flatnonzero(severe + nonsevere.max() >= floor)
+    kept_cols = np.flatnonzero(severe.max() + nonsevere >= floor)
+    r0, r1, c0, c1 = kept_rows[0], kept_rows[-1] + 1, kept_cols[0], kept_cols[-1] + 1
+    width = c1 - c0
+    rows = min(_ORACLE_BLOCK_ROWS, r1 - r0)
+    payoff = np.empty((rows, width))
+    cross = np.empty((rows, width))
     best, best_at = -np.inf, 0
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
+    for start in range(r0, r1, rows):
+        stop = min(start + rows, r1)
         block, block_cross = payoff[: stop - start], cross[: stop - start]
-        np.add(severe[start:stop, None], nonsevere, out=block)
-        np.multiply(grid[start:stop, None], grid, out=block_cross)
+        np.add(severe[start:stop, None], nonsevere[c0:c1], out=block)
+        np.multiply(grid[start:stop, None], grid[c0:c1], out=block_cross)
         np.subtract(block, block_cross, out=block)
         at = int(np.argmax(block))
         if block.flat[at] > best:
-            best, best_at = block.flat[at], start * size + at
-    i, j = divmod(best_at, size)
-    return float(grid[i]), float(grid[j])
+            best, best_at = block.flat[at], (start - r0) * width + at
+    i, j = divmod(best_at, width)
+    return float(grid[r0 + i]), float(grid[c0 + j])

@@ -211,11 +211,27 @@ def _full_grid_expert_argmax(params, dec, curves, profile):
     return float(grid[i]), float(grid[j])
 
 
-def test_blocked_expert_oracle_matches_full_grid(monkeypatch, basic_draws):
-    # The expert oracle walks its grid a block of rows at a time; the
-    # winner must be the first argmax of focal_payoff over the whole grid,
-    # also when the last block is short (1001 = 31 * 32 + 9 rows).
-    for params, dec, curves, profile in basic_draws:
+def _off_equilibrium_draws(ranges, count=25):
+    # Raw wide-range markets against random efforts, most of them far from
+    # any equilibrium, so the winner often sits on an edge of the grid.
+    sampler = FeasibleSampler(5, ranges=ranges)
+    rng = np.random.default_rng(77)
+    draws = []
+    for scen in sampler.draws("raw", count):
+        alpha_s, alpha_ns, beta_ns, mu_s = rng.uniform(0.0, 1.5, 4).tolist()
+        others = hackers.EffortProfile(
+            alpha_s, alpha_ns, beta_ns, mu_s, Regime.INTERIOR, feasible=False
+        )
+        draws.append((scen.params, scen.decision, scen.curves, others))
+    return draws
+
+
+def test_blocked_expert_oracle_matches_full_grid(monkeypatch, basic_draws, wide_ranges):
+    # The expert oracle searches only the rows and columns that can hold the
+    # maximum, a block of rows at a time; the winner must be the first argmax
+    # of focal_payoff over the whole grid, also when the last block is short
+    # (1001 = 31 * 32 + 9 rows), and at profiles off the equilibrium.
+    for params, dec, curves, profile in basic_draws + _off_equilibrium_draws(wide_ranges):
         want = _full_grid_expert_argmax(params, dec, curves, profile)
         for rows in (1, 7, 32, 2000):
             monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", rows)
@@ -223,7 +239,20 @@ def test_blocked_expert_oracle_matches_full_grid(monkeypatch, basic_draws):
             assert got == want, rows
 
 
-@pytest.mark.parametrize("block_rows", [1, 32])
+def _patch_groups(monkeypatch, severe_at, nonsevere_at):
+    """Payoff groups that are -1 off the given {grid index: value} entries."""
+
+    def groups(*args):
+        severe, nonsevere = np.full(np.shape(args[-2]), -1.0), np.full(np.shape(args[-1]), -1.0)
+        for group, entries in ((severe, severe_at), (nonsevere, nonsevere_at)):
+            for k, value in entries.items():
+                group.flat[k] = value
+        return severe, nonsevere
+
+    monkeypatch.setattr(hackers, "_ewhh_payoff_groups", groups)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 32])
 def test_blocked_expert_oracle_breaks_ties_row_major(
     monkeypatch, s0_params, s0_curves, s0_decision, block_rows
 ):
@@ -231,15 +260,68 @@ def test_blocked_expert_oracle_breaks_ties_row_major(
     # zero along the whole first row and first column: every block has a
     # tied maximum, and the first grid point must still win.
     monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", block_rows)
+    profile = equilibrium(s0_params, s0_decision, s0_curves)
+    args = (s0_params, s0_decision, s0_curves, profile, HackerType.EWHH)
     monkeypatch.setattr(
         hackers,
         "_ewhh_payoff_groups",
         lambda *args: (np.zeros_like(args[-2]), np.zeros_like(args[-1])),
     )
+    assert best_response_oracle(*args) == (0.0, 0.0)
+    # Severe maximum on rows 5 and 40 (different blocks), non-severe maximum
+    # on columns 0 and 600: cells (5, 0) and (40, 0) tie, and every bound of
+    # the kept rows and columns equals the maximum.
+    _patch_groups(monkeypatch, {5: 2.0, 40: 2.0}, {0: 1.0, 600: 1.0})
+    assert best_response_oracle(*args) == (5 * 0.001, 0.0)
+    assert _full_grid_expert_argmax(*args[:4]) == (5 * 0.001, 0.0)
+    # Severe maximum on rows 0 and 40, non-severe maximum on columns 9 and
+    # 600: cells (0, 9) and (0, 600) tie.
+    _patch_groups(monkeypatch, {0: 2.0, 40: 2.0}, {9: 1.0, 600: 1.0})
+    assert best_response_oracle(*args) == (0.0, 9 * 0.001)
+    assert _full_grid_expert_argmax(*args[:4]) == (0.0, 9 * 0.001)
+
+
+def test_expert_oracle_seed_row_rounds_like_the_grid(
+    monkeypatch, s0_params, s0_curves, s0_decision
+):
+    # Row 500 (e_s = 0.5) holds the largest severe group. Its payoff at
+    # column 1000 is fl(fl(1.5 + 0.5 + 2**-52) - 0.5) = 1.5, a tie with
+    # column 0 that column 0 wins; grouped as 1.5 + (0.5 + 2**-52 - 0.5) it
+    # would read 1.5 + 2**-52, above every payoff the grid attains, and
+    # would exclude the winning column.
+    _patch_groups(monkeypatch, {500: 1.5}, {0: 0.0, 1000: 0.5 + 2.0**-52})
     profile = equilibrium(s0_params, s0_decision, s0_curves)
-    assert best_response_oracle(
-        s0_params, s0_decision, s0_curves, profile, HackerType.EWHH
-    ) == (0.0, 0.0)
+    args = (s0_params, s0_decision, s0_curves, profile)
+    assert best_response_oracle(*args, HackerType.EWHH) == (0.5, 0.0)
+    assert _full_grid_expert_argmax(*args) == (0.5, 0.0)
+
+
+@pytest.mark.parametrize("focal_type", list(HackerType))
+@pytest.mark.parametrize("field", ["alpha_s", "alpha_ns", "beta_ns", "mu_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_oracle_rejects_non_finite_profiles(
+    s0_params, s0_curves, s0_decision, focal_type, field, value
+):
+    profile = replace(equilibrium(s0_params, s0_decision, s0_curves), **{field: value})
+    with pytest.raises(DomainError, match="must be finite"):
+        best_response_oracle(s0_params, s0_decision, s0_curves, profile, focal_type)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mu_s, beta_ns", [(1e300, 0.08), (-1e300, 0.08), (-1e300, 1e300)])
+def test_expert_oracle_rejects_an_overflowing_payoff(
+    s0_params, s0_curves, s0_decision, mu_s, beta_ns
+):
+    # Finite inputs whose payoff groups overflow: severe to -inf or +inf,
+    # and in the last case non-severe to -inf as well, so that the grid's
+    # payoffs are inf - inf = nan. No payoff is finite, so there is no
+    # maximum to report.
+    huge = replace(s0_decision, p_s=1e300, p_ns=1e300)
+    profile = replace(
+        equilibrium(s0_params, s0_decision, s0_curves), mu_s=mu_s, beta_ns=beta_ns
+    )
+    with pytest.raises(DomainError, match="not finite"):
+        best_response_oracle(s0_params, huge, s0_curves, profile, HackerType.EWHH)
 
 
 def test_single_population_markets(s0_params, s0_curves, s0_decision):
