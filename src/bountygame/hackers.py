@@ -47,9 +47,9 @@ __all__ = [
 # Step of the oracle's effort grid on [0, 1]: 1001 points per axis.
 _ORACLE_STEP = 0.001
 # Rows of the expert oracle grid evaluated at once: two buffers of 32 rows of
-# at most 1001 doubles (256 KB each) stay in a core's cache. Only the columns,
-# and the rows, whose payoff bound reaches a payoff the grid attains are
-# evaluated (see ``best_response_oracle``), so the winner is unchanged.
+# at most 1001 doubles (256 KB each) stay in a core's cache. Only the rows and
+# columns whose payoff bound reaches a payoff the grid attains are evaluated
+# (see ``best_response_oracle``), so the winner is that of the whole grid.
 _ORACLE_BLOCK_ROWS = 32
 
 

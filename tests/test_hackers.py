@@ -262,11 +262,7 @@ def test_blocked_expert_oracle_breaks_ties_row_major(
     monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", block_rows)
     profile = equilibrium(s0_params, s0_decision, s0_curves)
     args = (s0_params, s0_decision, s0_curves, profile, HackerType.EWHH)
-    monkeypatch.setattr(
-        hackers,
-        "_ewhh_payoff_groups",
-        lambda *args: (np.zeros_like(args[-2]), np.zeros_like(args[-1])),
-    )
+    _patch_groups(monkeypatch, {}, {})
     assert best_response_oracle(*args) == (0.0, 0.0)
     # Severe maximum on rows 5 and 40 (different blocks), non-severe maximum
     # on columns 0 and 600: cells (5, 0) and (40, 0) tie, and every bound of
