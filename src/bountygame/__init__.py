@@ -17,7 +17,6 @@ from .errors import (
     DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
-    NonConcaveObjectiveError,
 )
 from .hackers import (
     EffortProfile,
@@ -95,7 +94,6 @@ __all__ = [
     "HackerType",
     "InfeasibleScenarioError",
     "MarketParams",
-    "NonConcaveObjectiveError",
     "OptimalBounties",
     "ProfitBreakdown",
     "PropositionReport",

@@ -41,7 +41,6 @@ from .errors import (
     DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
-    NonConcaveObjectiveError,
 )
 from .hackers import _corner_severe_probs, equilibrium, success_probabilities
 from .scenario import MarketParams, ReleaseCurves, VendorDecision, validate
@@ -403,12 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioFormatError, DomainError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(_error_payload(type(exc).__name__, exc))
         return 2
-    except (
-        NonConcaveObjectiveError,
-        ConvergenceError,
-        AssumptionViolationError,
-        InfeasibleScenarioError,
-    ) as exc:
+    except (ConvergenceError, AssumptionViolationError, InfeasibleScenarioError) as exc:
         sys.stderr.write(_error_payload(type(exc).__name__, exc))
         return 1
 

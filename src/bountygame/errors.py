@@ -19,17 +19,6 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class NonConcaveObjectiveError(RuntimeError):
-    """A first-order condition has several sign changes where one was assumed.
-
-    ``roots`` lists every root found so the caller can see the full picture.
-    """
-
-    def __init__(self, message, roots=()):
-        super().__init__(message)
-        self.roots = tuple(roots)
-
-
 class InfeasibleScenarioError(RuntimeError):
     """The scenario violates a feasibility requirement of the operation."""
 

@@ -112,6 +112,12 @@ def _check_market(params: MarketParams) -> None:
         raise DomainError("black hat cost parameter c_b must exceed 1")
 
 
+def _check_profile(others: EffortProfile) -> None:
+    efforts = (others.alpha_s, others.alpha_ns, others.beta_ns, others.mu_s)
+    if not all(map(math.isfinite, efforts)):
+        raise DomainError("the other hackers' efforts must be finite")
+
+
 def _marginal_values(
     params: MarketParams, decision: VendorDecision, curves: CurveSet
 ) -> tuple[float, float]:
@@ -372,8 +378,10 @@ def focal_payoff(
     the other two types it is a single effort. Efforts may be numpy arrays
     that broadcast against each other, giving one payoff per grid point.
     The contest form the focal hacker faces follows ``others.regime``.
+    Raises ``DomainError`` when ``others`` holds a non-finite effort.
     """
     _check_market(params)
+    _check_profile(others)
     if focal_type is HackerType.EWHH:
         if not isinstance(focal_efforts, tuple):
             raise DomainError("expert white hat efforts must be a (severe, non_severe) pair")
@@ -420,15 +428,12 @@ def best_response_oracle(
     _check_market(params)
     import numpy as np
 
-    efforts = (others.alpha_s, others.alpha_ns, others.beta_ns, others.mu_s)
-    if not all(map(math.isfinite, efforts)):
-        raise DomainError("the other hackers' efforts must be finite")
-
     grid = np.arange(int(round(1.0 / _ORACLE_STEP)) + 1, dtype=np.float64) * _ORACLE_STEP
     if focal_type is not HackerType.EWHH:
         payoff = focal_payoff(params, decision, curves, others, focal_type, grid)
         return float(grid[np.argmax(payoff)])
 
+    _check_profile(others)
     severe, nonsevere = _ewhh_payoff_groups(params, decision, curves, others, grid, grid)
     top = int(np.argmax(severe))
     floor = np.max((severe[top] + nonsevere) - grid[top] * grid)

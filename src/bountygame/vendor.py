@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
-    NonConcaveObjectiveError,
 )
 from .hackers import (
     Regime,
@@ -126,8 +125,11 @@ class OptimalBounties:
 class ReleaseOptimum:
     """Optimal release time without a bounty program.
 
-    ``foc_value`` is the profit slope at ``t``; it is a one-sided slope,
-    not 0, where ``t`` is a clamp edge of a zero-bounty race probability.
+    ``boundary`` is True when ``t`` is the endpoint 0 or t_max, chosen
+    because its profit beats every falling root of the slope found, and
+    False when ``t`` is such a root. ``foc_value`` is the profit slope at
+    ``t``; it is a one-sided slope, not 0, where ``t`` is a clamp edge of a
+    zero-bounty race probability.
     """
 
     t: float
@@ -513,21 +515,22 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     """Profit-maximizing release time with no bounty program.
 
     Looks for sign changes of the analytic first-order condition on a
-    grid of [0, t_max]. It is the slope of the clamped profit that
-    ``profit_without_bbp`` reports, so it jumps where a zero-bounty race
-    probability reaches a clamp. Exactly one falling sign change is the
-    expected concave shape and is refined to the root, or to the clamp
-    edge where the slope jumps across zero; no sign change means a
-    boundary optimum (the better endpoint is returned, flagged); multiple
-    sign changes mean the objective is not concave, which is reported as
-    an error carrying every root found rather than silently picking one.
+    201-point grid of [0, t_max]. It is the slope of the clamped profit
+    that ``profit_without_bbp`` reports, so it jumps where a zero-bounty
+    race probability reaches a clamp. Every falling sign change (a cell
+    whose slope is >= 0 at its start) is refined to its root, or to the
+    clamp edge where the slope jumps across zero. The candidates are those
+    roots, then 0, then t_max, and the first with the largest profit is
+    returned. A root thus keeps a tie with an endpoint, and 0 one with
+    t_max; ``boundary`` is True when an endpoint wins. Two roots inside one
+    grid cell are not seen, so a peak narrower than t_max / 200 can be
+    missed.
 
     Where the parameters of the built-in family prove that the slope falls
     (``_no_bbp_slope_falls``), there is at most one sign change, and the
     grid's indices are bisected for it: the same bracket, the same result,
     from about a tenth of the slope evaluations. Every other market is
-    scanned point by point, and only the scan can find several stationary
-    times.
+    scanned point by point.
     """
     _check_market(params)
 
@@ -538,31 +541,17 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
         brackets = _falling_foc_bracket(foc, curves.t_max, _FOC_SCAN_POINTS)
     else:
         brackets = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
-    if len(brackets) > 1:
-        roots = tuple(newton_bisect(foc, lo, hi, ftol=_FOC_TOL) for lo, hi in brackets)
-        raise NonConcaveObjectiveError(
-            "no-program profit has multiple stationary times", roots=roots
-        )
-    if len(brackets) == 1:
-        lo, hi = brackets[0]
-        if foc(lo) >= 0.0:
-            t_star = newton_bisect(foc, lo, hi, ftol=_FOC_TOL)
-            return ReleaseOptimum(
-                t=t_star,
-                boundary=False,
-                foc_value=foc(t_star),
-                profit=profit_without_bbp(params, t_star, curves).total,
-            )
-        # Rising sign change: an interior minimum, so the maximum sits on
-        # a boundary after all.
-    p0 = profit_without_bbp(params, 0.0, curves).total
-    p1 = profit_without_bbp(params, curves.t_max, curves).total
-    t_star = 0.0 if p0 >= p1 else curves.t_max
+    candidates = [
+        (newton_bisect(foc, lo, hi, ftol=_FOC_TOL), False)
+        for lo, hi in brackets
+        if foc(lo) >= 0.0
+    ]
+    candidates += [(0.0, True), (curves.t_max, True)]
+    profits = [profit_without_bbp(params, t, curves).total for t, _ in candidates]
+    best = max(range(len(candidates)), key=profits.__getitem__)
+    t_star, boundary = candidates[best]
     return ReleaseOptimum(
-        t=t_star,
-        boundary=True,
-        foc_value=foc(t_star),
-        profit=max(p0, p1),
+        t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profits[best]
     )
 
 
@@ -702,7 +691,7 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     golden-section search, then polishes with the analytic first-order
     condition when the optimum is interior. The search assumes the
     objective is unimodal on that interval; unlike the no-program scan, it
-    does not detect several stationary times. Raises
+    does not compare several stationary times. Raises
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """

@@ -15,12 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InfeasibleScenarioError,
-    NonConcaveObjectiveError,
-)
+from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
 from .hackers import (
     Regime,
     _corner_severe_probs,
@@ -303,7 +298,7 @@ class FeasibleSampler:
                 bbp = optimal_release_with_bbp(params, curves)
                 if bbp.boundary:
                     return None
-            except (NonConcaveObjectiveError, InfeasibleScenarioError, ConvergenceError):
+            except (InfeasibleScenarioError, ConvergenceError):
                 return None
             decision = VendorDecision(t=bbp.t, p_s=bbp.p_s, p_ns=bbp.p_ns)
             return SampledScenario(params, curves, decision), nb, bbp

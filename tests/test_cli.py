@@ -267,6 +267,29 @@ def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_p
     assert report["release_gap_at_no_bbp_optimum"] is None
 
 
+def test_optimize_answers_a_slope_with_two_sign_changes(capsys, tmp_path):
+    # Draw 244 of FeasibleSampler(5) over perfbench's WIDE_RANGES. The
+    # no-program slope rises through 0 at t = 0.0191 and falls through 0 at
+    # t = 1.3623, whose profit (630.32) beats both endpoints (628.29 at 0).
+    market = {
+        "n": 3, "l": 13, "m": 2, "c_w": 1.301319208073475, "c_b": 7.319974627218934,
+        "r_s": 9.131759088698853, "W": 1.7537196010907685, "TC_s": 106.58818435904323,
+        "TC_ns": 7.647386017906985, "x": 0.18715744920269847,
+    }
+    curves = {
+        "K_s0": 0.7094221125190964, "lambda_s": 0.6473455479282128,
+        "K_ns0": 0.14021737455040623, "lambda_ns": 0.24862433444396037,
+        "R0": 650.3639094933058, "a": 2.580134419778754, "b": 2.977918950031956,
+        "t_max": 17.54753027922866,
+    }
+    doc = {"market": market, "curves": curves}
+    rc, out, err = run_cli(capsys, "optimize", write_scenario(tmp_path, doc))
+    assert rc == 0 and err == ""
+    no_bbp = json.loads(out)["no_bbp"]
+    assert no_bbp["boundary"] is False
+    assert no_bbp["t"] == pytest.approx(1.3623, abs=1e-4)
+
+
 def test_profit_form_mismatch_exits_1(capsys, monkeypatch):
     polynomial = vendor._profit_polynomial
     monkeypatch.setattr(

@@ -299,8 +299,14 @@ def test_oracle_rejects_non_finite_profiles(
     s0_params, s0_curves, s0_decision, focal_type, field, value
 ):
     profile = replace(equilibrium(s0_params, s0_decision, s0_curves), **{field: value})
+    args = (s0_params, s0_decision, s0_curves, profile, focal_type)
     with pytest.raises(DomainError, match="must be finite"):
-        best_response_oracle(s0_params, s0_decision, s0_curves, profile, focal_type)
+        best_response_oracle(*args)
+    # Unchecked, the payoff reads nan, or a number where its contest ignores
+    # the field (the non-expert payoff and mu_s).
+    efforts = (0.1, 0.0) if focal_type is HackerType.EWHH else 0.1
+    with pytest.raises(DomainError, match="must be finite"):
+        focal_payoff(*args, efforts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

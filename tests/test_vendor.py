@@ -12,7 +12,6 @@ from bountygame import (
     FeasibilityWarning,
     InfeasibleScenarioError,
     MarketParams,
-    NonConcaveObjectiveError,
     ReleaseCurves,
     VendorDecision,
     concentrated_bbp_profit,
@@ -233,7 +232,7 @@ def test_release_optimizers_cover_wide_release_horizons():
     # DomainError on these validated draws fails the test), and clamped
     # zero-bounty probabilities used to yield a no-program optimum below
     # the grid maximum (draw 105 of this sampler, by 0.04%); every draw must
-    # have a no-program optimum unless its profit is not concave. The
+    # have a no-program optimum that reaches the grid maximum. The
     # with-program golden-section search assumes a unimodal objective; on 5
     # of the 58 feasible draws here the slope turns from negative to
     # positive somewhere, and its optimum must still reach the grid maximum.
@@ -251,15 +250,12 @@ def test_release_optimizers_cover_wide_release_horizons():
             best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
             assert bbp.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
             with_program += 1
-        try:
-            nb = optimal_release_no_bbp(params, curves)
-        except NonConcaveObjectiveError:
-            continue
+        nb = optimal_release_no_bbp(params, curves)
         ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
         best = max(profit_without_bbp(params, t, curves).total for t in ts)
         assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
         checked += 1
-    assert checked >= 100 and with_program >= 50
+    assert checked == 120 and with_program >= 50
 
 
 class WavyRevenue(ReleaseCurves):
@@ -270,11 +266,30 @@ class WavyRevenue(ReleaseCurves):
         return super().revenue_prime(t) + 5.0 * math.cos(3.0 * t)
 
 
-def test_release_rejects_multi_peaked_profit(s0_params, s0_curves):
+def test_release_picks_the_best_of_several_peaks(s0_params, s0_curves):
+    # The slope falls through 0 at several times; the best peak is interior
+    # on [0, 10], and on [0, 2] the endpoint t_max beats the one falling root.
     wavy = WavyRevenue(**asdict(s0_curves))
-    with pytest.raises(NonConcaveObjectiveError) as err:
-        optimal_release_no_bbp(s0_params, wavy)
-    assert len(err.value.roots) >= 2
+    for curves, t, boundary in ((wavy, 2.6717, False), (replace(wavy, t_max=2.0), 2.0, True)):
+        nb = optimal_release_no_bbp(s0_params, curves)
+        assert nb.boundary is boundary
+        assert nb.t == pytest.approx(t, abs=1e-4)
+        best = _no_program_grid_max(s0_params, curves)
+        assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
+
+
+def test_release_ties_go_to_the_first_candidate(monkeypatch, s0_params, s0_curves):
+    # Roots come before 0, and 0 before t_max, so on equal profits a root
+    # beats an endpoint and 0 beats t_max.
+    root = optimal_release_no_bbp(s0_params, s0_curves).t
+    flat = vendor.profit_without_bbp(s0_params, 0.0, s0_curves)
+    monkeypatch.setattr(vendor, "profit_without_bbp", lambda *args: flat)
+    nb = optimal_release_no_bbp(s0_params, s0_curves)
+    assert (nb.t, nb.boundary) == (root, False)
+    # The slope is positive on all of [0, 2], so the endpoints are the only
+    # candidates.
+    nb = optimal_release_no_bbp(s0_params, replace(s0_curves, t_max=2.0))
+    assert (nb.t, nb.boundary) == (0.0, True)
 
 
 def _no_program_release_or_error(params, curves):
@@ -356,8 +371,13 @@ def test_slope_shape_test_declines_what_it_cannot_prove(s0_params, s0_curves):
     # Clamped after t = 12.7152 only; the bracket is >= 0 at both ends.
     assert not vendor._no_bbp_slope_falls(*_CLAMP_KINK)
     assert not vendor._no_bbp_slope_falls(*_RISING_THEN_FALLING)
-    with pytest.raises(NonConcaveObjectiveError):
-        optimal_release_no_bbp(*_RISING_THEN_FALLING)
+    # The scan finds both sign changes; only the falling one is a peak, and
+    # it beats both endpoints.
+    params, curves = _RISING_THEN_FALLING
+    nb = optimal_release_no_bbp(params, curves)
+    assert not nb.boundary
+    assert nb.t == pytest.approx(1.3623, abs=1e-4)
+    assert nb.profit > profit_without_bbp(params, 0.0, curves).total
 
 
 def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):
