@@ -7,6 +7,12 @@ found by a non-expert white hat or by a user. Costs accrue per the
 program mode and the empirical mean profit converges to the analytic
 expected profit, which is what the verification suite checks.
 
+Each race is a three-way categorical decided by one uniform, so a trial
+draws two, by inverse CDF: u0 below K_s * q_e is an expert find, u0 in
+[K_s * q_e, K_s) a black hat find and u0 >= K_s no severe bug; u1 splits
+the non-severe race the same way at K_ns * q_ne and K_ns. The races stay
+independent because they read separate uniforms.
+
 Determinism contract: trials are processed in fixed-size chunks and chunk
 i draws its uniforms from a counter-based Philox generator keyed with
 (seed, i). Each trial is classified into one of nine (severe, non-severe)
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -50,7 +57,7 @@ if TYPE_CHECKING:
 __all__ = ["SimMode", "SimOutcome", "simulate", "CHUNK_TRIALS"]
 
 CHUNK_TRIALS = 1 << 18
-# Trials per draw inside a chunk: 2^14 x 4 doubles (512 KB) stay in cache.
+# Trials per draw inside a chunk: 2^14 x 2 doubles (256 KB) stay in cache.
 _BLOCK_TRIALS = 1 << 14
 
 # Outcome codes: severe 0 no bug, 1 expert white hat first, 2 black hat
@@ -95,14 +102,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; bools and non-integral types are refused."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _chunk_codes(
     seed: int, index: int, count: int, thresholds: tuple[float, float, float, float]
 ) -> np.ndarray:
     """Outcome codes 3 * severe + non_severe of chunk ``index``, as uint8.
 
-    Trial k uses the four uniforms (u0, u1, u2, u3) at row k of the chunk's
-    Philox stream: the severe bug exists when u0 < K_s and an expert finds
-    it first when also u1 < q_e; likewise u2 < K_ns and u3 < q_ne for the
+    ``thresholds`` is (K_s, K_s * q_e, K_ns, K_ns * q_ne). Trial k uses the
+    two uniforms (u0, u1) at row k of the chunk's Philox stream: the severe
+    bug exists when u0 < K_s and an expert finds it first when also
+    u0 < K_s * q_e; likewise u1 against K_ns and K_ns * q_ne for the
     non-severe bug and the non-expert.
     """
     import numpy as np
@@ -111,16 +129,17 @@ def _chunk_codes(
     rng = np.random.Generator(np.random.Philox(key=key))
     codes = np.empty(count, dtype=np.uint8)
     block = min(_BLOCK_TRIALS, count)
-    uniforms = np.empty((block, 4))
+    uniforms = np.empty((block, 2))
     hits = np.empty((4, block), dtype=bool)
     for start in range(0, count, block):
         rows = min(block, count - start)
         u, h = uniforms[:rows], hits[:, :rows]
         rng.random(out=u)
-        for column, threshold in enumerate(thresholds):
-            np.less(u[:, column], threshold, out=h[column])
+        for row, threshold in enumerate(thresholds):
+            np.less(u[:, row // 2], threshold, out=h[row])
         exists_s, expert_first, exists_ns, non_expert_first = h.view(np.uint8)
-        # severe = exists * (2 - found first), non_severe likewise.
+        # severe = exists * (2 - found first), non_severe likewise; the
+        # product keeps u >= K at "none" when K * q rounds above K.
         np.add(
             3 * (exists_s * (2 - expert_first)),
             exists_ns * (2 - non_expert_first),
@@ -169,11 +188,14 @@ def simulate(
     exploit cost, and every existing non-severe bug costs the
     user-discovery amount. Refuses scenarios whose equilibrium
     probabilities are clipped or fail to normalize, since the categorical
-    draw would be meaningless. ``trace_path`` optionally streams one CSV
-    row per trial (large files; off by default).
+    draw would be meaningless. ``trials`` and ``seed`` must be integers,
+    not bools, and ``seed`` must fit in 64 bits. ``trace_path`` optionally
+    streams one CSV row per trial (large files; off by default).
     """
     import numpy as np
 
+    trials = _require_int("trials", trials)
+    seed = _require_int("seed", seed)
     if trials < 1:
         raise DomainError("trials must be at least 1")
     if seed < 0 or seed > 2**64 - 1:
@@ -223,7 +245,7 @@ def simulate(
     cost_table = np.add.outer([0.0, cost_e, cost_b], [0.0, cost_ne, cost_user]).ravel()
     counts = np.zeros(9, dtype=np.int64)
 
-    thresholds = (ks, q_e, kns, q_ne)
+    thresholds = (ks, ks * q_e, kns, kns * q_ne)
     trace_file = None
     if trace_path is not None:
         trace_file = open(trace_path, "w", newline="")

@@ -28,14 +28,26 @@ simulate_module = importlib.import_module("bountygame.simulate")
 
 
 def test_rejects_bad_trial_and_seed_arguments(s0_params, s0_curves, s0_decision):
+    def run(trials, seed, mode=SimMode.WITH_BBP):
+        return simulate(s0_params, s0_decision, s0_curves, trials, seed, mode)
+
     with pytest.raises(DomainError):
-        simulate(s0_params, s0_decision, s0_curves, 0, 1, SimMode.WITH_BBP)
+        run(0, 1)
     with pytest.raises(DomainError):
-        simulate(s0_params, s0_decision, s0_curves, 10, -1, SimMode.WITH_BBP)
+        run(10, -1)
     with pytest.raises(DomainError):
-        simulate(s0_params, s0_decision, s0_curves, 10, 2**64, SimMode.WITH_BBP)
+        run(10, 2**64)
     with pytest.raises(ValueError):
-        simulate(s0_params, s0_decision, s0_curves, 10, 1, "with-bbp")
+        run(10, 1, "with-bbp")
+    # Only integers that are not bools: truncating a float seed would give
+    # another seed's bytes, and a float trial count would fail in range().
+    for trials, seed in [(10, 1.5), (10, 1.9), (10, True), (True, 1), (1000.0, 1), (10.5, 1)]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            run(trials, seed)
+    # Integer types still pass, up to the largest 64-bit seed (above 2^53,
+    # so no float round trip may stand in for the check).
+    assert run(np.int64(10), np.uint64(3)).to_json() == run(10, 3).to_json()
+    assert run(10, 2**64 - 1).trials == 10
 
 
 def test_refuses_infeasible_effort_profile(s0_params, s0_curves, s0_decision):
@@ -148,7 +160,7 @@ def _race_constants(params, curves, decision, mode):
 
 def _chunk_uniforms(seed, index, count):
     key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random((count, 4))
+    return np.random.Generator(np.random.Philox(key=key)).random((count, 2))
 
 
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
@@ -164,10 +176,15 @@ def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_pat
     ks, q_e, kns, q_ne, costs = _race_constants(s0_params, s0_curves, s0_decision, mode)
     u = _chunk_uniforms(seed, 0, trials)
 
+    # One uniform per race: below K * q the white hat wins, below K the
+    # other finder, otherwise there is no bug.
+    def race(x, k, q, white, other):
+        return white if x < k * q else other if x < k else "none"
+
     assert len(body) == trials
     for i, (trial, severe, nonsevere, cost) in enumerate(body):
-        want_sev = "none" if u[i, 0] >= ks else ("ewhh" if u[i, 1] < q_e else "bhh")
-        want_ns = "none" if u[i, 2] >= kns else ("newhh" if u[i, 3] < q_ne else "user")
+        want_sev = race(u[i, 0], ks, q_e, "ewhh", "bhh")
+        want_ns = race(u[i, 1], kns, q_ne, "newhh", "user")
         assert (int(trial), severe, nonsevere) == (i, want_sev, want_ns)
         assert float(cost) == costs[want_sev] + costs[want_ns]
 
@@ -183,8 +200,8 @@ def _serial_reference_rows(params, curves, decision, mode, trials, seed):
     severe, nonsevere = [], []
     for index, first in enumerate(range(0, trials, CHUNK_TRIALS)):
         u = _chunk_uniforms(seed, index, min(CHUNK_TRIALS, trials - first))
-        severe.append(severe_labels[(u[:, 0] < ks) * (1 + (u[:, 1] >= q_e))])
-        nonsevere.append(nonsevere_labels[(u[:, 2] < kns) * (1 + (u[:, 3] >= q_ne))])
+        severe.append(severe_labels[(u[:, 0] < ks) * (1 + (u[:, 0] >= ks * q_e))])
+        nonsevere.append(nonsevere_labels[(u[:, 1] < kns) * (1 + (u[:, 1] >= kns * q_ne))])
     return np.concatenate(severe), np.concatenate(nonsevere)
 
 
@@ -251,6 +268,22 @@ def test_trace_bytes_match_csv_writer(
         for i, (s, ns) in enumerate(zip(severe.tolist(), nonsevere.tolist()))
     )
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_chunk_codes_at_probability_edges():
+    # The thresholds are (K_s, K_s * q_e, K_ns, K_ns * q_ne); 2^14 + 5 trials
+    # end in a short sub-block.
+    seed, index, count = 31, 2, (1 << 14) + 5
+    codes = simulate_module._chunk_codes(seed, index, count, (1.0, 1.0, 0.0, 0.0))
+    assert np.all(codes == 3)  # an expert finds the severe bug, no non-severe bug
+    codes = simulate_module._chunk_codes(seed, index, count, (1.0, 0.0, 1.0, 1.0))
+    assert np.all(codes == 7)  # the black hat, then the non-expert
+    # K_s * q_e rounded above K_s: a uniform at or above K_s is still "none",
+    # so every trial is an expert find or no severe bug, never a black hat's.
+    codes = simulate_module._chunk_codes(seed, index, count, (0.5, 0.5 + 1e-12, 0.5, 0.25))
+    u = _chunk_uniforms(seed, index, count)
+    assert np.array_equal(codes // 3, (u[:, 0] < 0.5).astype(np.uint8))
+    assert np.array_equal(codes % 3, (u[:, 1] < 0.5) * (1 + (u[:, 1] >= 0.25)))
 
 
 def test_chunk_codes_annotations_resolve():
