@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleScenarioError,
 )
 from .hackers import _corner_severe_probs, equilibrium, success_probabilities
-from .scenario import MarketParams, ReleaseCurves, VendorDecision, validate
+from .scenario import MarketParams, ReleaseCurves, VendorDecision, _require_finite, validate
 from .vendor import (
     condition1,
     optimal_bounties,
@@ -81,7 +81,7 @@ class ScenarioFile:
 def _require_number(block: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{block}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _require_finite(key, value)
 
 
 def _require_int(block: str, key: str, value) -> int:

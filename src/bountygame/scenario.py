@@ -8,15 +8,20 @@ through the interfaces defined here.
 
 The value types are frozen dataclasses: copy them with
 ``dataclasses.replace`` and serialize them with ``dataclasses.asdict``.
-Construction only checks structure (finite numbers, integral counts); the
-economic assumptions are enforced by ``validate``, which returns a report
-instead of raising so that callers can inspect every violated condition at
-once.
+Construction only checks structure (finite numbers, integral counts of at
+most 2**53 in magnitude), coercing each field to ``float`` or ``int``. It
+skips the per-field coercion only when the instance is of the exact class
+and every field already has its exact type (``int`` counts, ``float``
+elsewhere) with finite floats; any other input takes the per-field path
+and its messages. The economic assumptions are enforced by ``validate``,
+which returns a report instead of raising so that callers can inspect
+every violated condition at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
@@ -38,17 +43,36 @@ __all__ = [
 SHAPE_GRID_POINTS = 160
 
 
+# Counts enter float arithmetic, which holds every integer up to 2**53
+# exactly.
+_MAX_COUNT = 2**53
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a float (beyond 1.8e308)") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def _require_count(name: str, value) -> int:
-    if isinstance(value, bool) or float(value) != int(value):
+    if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        number = _require_finite(name, value)
+        if not number.is_integer():
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        count = int(number)
+    if abs(count) > _MAX_COUNT:
+        raise DomainError(
+            f"{name} must be at most 2**53 in magnitude, beyond which floats skip integers"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -84,6 +108,21 @@ class MarketParams:
     x: float
 
     def __post_init__(self):
+        n, l, m = self.n, self.l, self.m
+        c_w, c_b, r_s, W, TC_s, TC_ns, x = (
+            self.c_w, self.c_b, self.r_s, self.W, self.TC_s, self.TC_ns, self.x
+        )
+        # A nan or an infinity makes the sum non-finite; a finite sum that
+        # overflows only sends valid fields down the per-field path.
+        if (
+            type(self) is MarketParams
+            and type(n) is type(l) is type(m) is int
+            and type(c_w) is type(c_b) is type(r_s) is type(W) is float
+            and type(TC_s) is type(TC_ns) is type(x) is float
+            and max(abs(n), abs(l), abs(m)) <= _MAX_COUNT
+            and math.isfinite(c_w + c_b + r_s + W + TC_s + TC_ns + x)
+        ):
+            return
         for name in ("n", "l", "m"):
             object.__setattr__(self, name, _require_count(name, getattr(self, name)))
         for name in ("c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x"):
@@ -144,8 +183,19 @@ class ReleaseCurves(CurveSet):
     t_max: float = 10.0
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _require_finite(f.name, getattr(self, f.name)))
+        K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max = (
+            self.K_s0, self.lambda_s, self.K_ns0, self.lambda_ns,
+            self.R0, self.a, self.b, self.t_max,
+        )
+        # A subclass may add fields, so only the exact class skips the loop.
+        if not (
+            type(self) is ReleaseCurves
+            and type(K_s0) is type(lambda_s) is type(K_ns0) is type(lambda_ns) is float
+            and type(R0) is type(a) is type(b) is type(t_max) is float
+            and math.isfinite(K_s0 + lambda_s + K_ns0 + lambda_ns + R0 + a + b + t_max)
+        ):
+            for f in fields(self):
+                object.__setattr__(self, f.name, _require_finite(f.name, getattr(self, f.name)))
         if self.t_max <= 0.0:
             raise DomainError(f"t_max must be positive, got {self.t_max}")
 
@@ -177,6 +227,13 @@ class VendorDecision:
     p_ns: float
 
     def __post_init__(self):
+        t, p_s, p_ns = self.t, self.p_s, self.p_ns
+        if (
+            type(self) is VendorDecision
+            and type(t) is type(p_s) is type(p_ns) is float
+            and math.isfinite(t + p_s + p_ns)
+        ):
+            return
         for name in ("t", "p_s", "p_ns"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 

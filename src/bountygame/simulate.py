@@ -14,17 +14,17 @@ the non-severe race the same way at K_ns * q_ne and K_ns. The races stay
 independent because they read separate uniforms.
 
 Determinism contract: trials are processed in fixed-size chunks and chunk
-i draws its uniforms from a counter-based Philox generator keyed with
-(seed, i). Each trial is classified into one of nine (severe, non-severe)
-outcomes and only the outcome counts are accumulated. Counts are exact
-integers, so results are bit-identical for a given (seed, trials) however
-the chunks are scheduled; the mean cost and its variance are then taken
-from the nine cells of the outcome cost table.
+i draws its uniforms from an SFC64 generator seeded with the
+``SeedSequence`` entropy (seed, i). Each trial is classified into one of
+nine (severe, non-severe) outcomes and only the outcome counts are
+accumulated. Counts are exact integers, so results are bit-identical for a
+given (seed, trials) however the chunks are scheduled; the mean cost and
+its variance are then taken from the nine cells of the outcome cost table.
 
 A chunk draws its uniforms in cache-sized sub-blocks into one reused
-buffer, which continues the same Philox stream. When a run has more than
-one chunk and the process may use more than one CPU, the chunks run on a
-thread pool of that many workers (numpy releases the interpreter lock
+buffer, which continues the chunk's one SFC64 stream. When a run has more
+than one chunk and the process may use more than one CPU, the chunks run
+on a thread pool of that many workers (numpy releases the interpreter lock
 while it draws and compares); they are consumed in chunk order, at most
 one per worker in flight.
 """
@@ -118,15 +118,15 @@ def _chunk_codes(
     """Outcome codes 3 * severe + non_severe of chunk ``index``, as uint8.
 
     ``thresholds`` is (K_s, K_s * q_e, K_ns, K_ns * q_ne). Trial k uses the
-    two uniforms (u0, u1) at row k of the chunk's Philox stream: the severe
-    bug exists when u0 < K_s and an expert finds it first when also
-    u0 < K_s * q_e; likewise u1 against K_ns and K_ns * q_ne for the
-    non-severe bug and the non-expert.
+    two uniforms (u0, u1) at row k of the chunk's SFC64 stream, seeded with
+    the ``SeedSequence`` entropy (seed, index): the severe bug exists when
+    u0 < K_s and an expert finds it first when also u0 < K_s * q_e;
+    likewise u1 against K_ns and K_ns * q_ne for the non-severe bug and the
+    non-expert.
     """
     import numpy as np
 
-    key = np.array([seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.SFC64([seed, index]))
     codes = np.empty(count, dtype=np.uint8)
     block = min(_BLOCK_TRIALS, count)
     uniforms = np.empty((block, 2))

@@ -13,7 +13,7 @@ failure is reproducible from the report alone.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
 from .hackers import (
@@ -418,8 +418,9 @@ def verify_proposition_1(
         p_bs: list[float] = []
         clip_e: list[bool] = []
         clip_b: list[bool] = []
+        t, p_ns = scen.decision.t, scen.decision.p_ns
         for p_s in grid:
-            dec = replace(scen.decision, p_s=p_s)
+            dec = VendorDecision(t=t, p_s=p_s, p_ns=p_ns)
             profile = corner_equilibrium(scen.params, dec, scen.curves)
             probs = success_probabilities(scen.params, dec, scen.curves, profile)
             alphas.append(profile.alpha_s)
@@ -610,7 +611,9 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
 
         ks = k_severe(curves, dec.t)
         kns = k_nonsevere(curves, dec.t)
-        dec_b = replace(dec, p_ns=_regime_boundary_p_ns(params, ks, kns, dec.p_s))
+        dec_b = VendorDecision(
+            t=dec.t, p_s=dec.p_s, p_ns=_regime_boundary_p_ns(params, ks, kns, dec.p_s)
+        )
         corner_b = corner_equilibrium(params, dec_b, curves)
         interior_b = interior_equilibrium(params, dec_b, curves)
         continuity_err = max(
@@ -622,7 +625,7 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
         if continuity_err > 1e-9:
             problems.append(f"regime-boundary effort gap {continuity_err!r}")
 
-        dec0 = replace(dec, p_s=0.0)
+        dec0 = VendorDecision(t=dec.t, p_s=0.0, p_ns=dec.p_ns)
         probs0 = success_probabilities(
             params, dec0, curves, corner_equilibrium(params, dec0, curves)
         )

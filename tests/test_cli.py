@@ -107,6 +107,23 @@ def test_schema_violations_exit_2(capsys, tmp_path, baseline_doc, mutate, fragme
     assert fragment in payload["detail"]
 
 
+@pytest.mark.parametrize(
+    "block, key, value, fragment",
+    [
+        ("decision", "t", 10**400, "t is too large for a float"),
+        ("market", "n", 10**400, "n must be at most 2**53 in magnitude"),
+        ("market", "n", 2**53 + 1, "n must be at most 2**53 in magnitude"),
+    ],
+)
+def test_oversized_numbers_exit_2(capsys, tmp_path, baseline_doc, block, key, value, fragment):
+    baseline_doc[block][key] = value
+    rc, out, err = run_cli(capsys, "evaluate", write_scenario(tmp_path, baseline_doc))
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert fragment in payload["detail"]
+
+
 def test_optimize_baseline(capsys):
     rc, out, _ = run_cli(capsys, "optimize", str(BASELINE))
     assert rc == 0

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 
+import numpy as np
 import pytest
 
+from bountygame import scenario
 from bountygame import (
     DomainError,
     MarketParams,
@@ -163,6 +165,93 @@ def test_nonfinite_parameters_rejected_at_construction():
             n=3, l=5, m=4, c_w=math.nan, c_b=2.0,
             r_s=1.0, W=8.0, TC_s=40.0, TC_ns=1.0, x=0.5,
         )
+
+
+def test_oversized_numbers_raise_domain_error(s0_params):
+    with pytest.raises(DomainError, match="t is too large for a float"):
+        VendorDecision(t=10**400, p_s=0.0, p_ns=0.0)
+    # 2^53 + 1 is an integer, but no float holds it.
+    for n in (10**400, 2**53 + 1, -(2**53) - 1, 1e300):
+        with pytest.raises(DomainError, match=r"n must be at most 2\*\*53 in magnitude"):
+            replace(s0_params, n=n)
+    assert replace(s0_params, n=2**53).n == 2**53
+
+
+_BASE_FIELDS = {
+    MarketParams: dict(
+        n=3, l=5, m=4, c_w=2.0, c_b=2.0, r_s=1.0, W=8.0, TC_s=40.0, TC_ns=1.0, x=0.5
+    ),
+    ReleaseCurves: dict(
+        K_s0=0.9, lambda_s=0.3, K_ns0=0.95, lambda_ns=0.09, R0=100.0, a=2.0, b=0.5,
+        t_max=10.0,
+    ),
+    VendorDecision: dict(t=2.0, p_s=2.5, p_ns=0.5),
+}
+_COUNT_FIELDS = ("n", "l", "m")
+
+# Each variant maps (is_count, base value) to the value put in one field.
+_FIELD_VARIANTS = {
+    "exact": lambda count, v: v,
+    "numpy": lambda count, v: np.int64(v) if count else np.float64(v),
+    "float-counts": lambda count, v: float(v) if count else v,
+    "int-floats": lambda count, v: v if count else int(v),
+    "bool": lambda count, v: True,
+    "nan": lambda count, v: math.nan,
+    "inf": lambda count, v: math.inf,
+    "-inf": lambda count, v: -math.inf,
+    "oversized-int": lambda count, v: 10**400,
+    "2**53+1": lambda count, v: 2**53 + 1,
+}
+
+
+def _per_field(kwargs):
+    """The fields the per-field path gives: each coerced on its own, in order."""
+    return {
+        name: (
+            scenario._require_count if name in _COUNT_FIELDS else scenario._require_finite
+        )(name, value)
+        for name, value in kwargs.items()
+    }
+
+
+def _assert_matches_per_field(cls, kwargs):
+    try:
+        want = _per_field(kwargs)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            cls(**kwargs)
+        assert str(raised.value) == str(exc)
+        return
+    built = cls(**kwargs)
+    got = [getattr(built, name) for name in kwargs]
+    assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want.values()]
+
+
+@pytest.mark.parametrize("variant", list(_FIELD_VARIANTS))
+def test_construction_matches_per_field_path(variant):
+    # Exact types take the fast path; every other input must give the same
+    # values and types, or the same DomainError, as coercing field by field.
+    make = _FIELD_VARIANTS[variant]
+    for cls, base in _BASE_FIELDS.items():
+        for name, value in base.items():
+            _assert_matches_per_field(cls, {**base, name: make(name in _COUNT_FIELDS, value)})
+
+
+def test_finite_fields_whose_sum_overflows_construct():
+    kwargs = {**_BASE_FIELDS[MarketParams], "c_w": 1e308, "TC_s": 1e308}
+    assert math.isinf(sum(kwargs.values()))
+    _assert_matches_per_field(MarketParams, kwargs)
+    assert MarketParams(**kwargs).TC_s == 1e308
+
+
+def test_subclass_fields_are_checked():
+    @dataclass(frozen=True)
+    class TaggedCurves(ReleaseCurves):
+        tag: float = 0.0
+
+    assert TaggedCurves(**_BASE_FIELDS[ReleaseCurves], tag=1).tag == 1.0
+    with pytest.raises(DomainError, match="tag must be finite"):
+        TaggedCurves(**_BASE_FIELDS[ReleaseCurves], tag=math.nan)
 
 
 def test_t_max_must_be_positive(s0_curves):

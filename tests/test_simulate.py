@@ -159,13 +159,12 @@ def _race_constants(params, curves, decision, mode):
 
 
 def _chunk_uniforms(seed, index, count):
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random((count, 2))
+    return np.random.Generator(np.random.SFC64([seed, index])).random((count, 2))
 
 
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
 def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_path, mode):
-    # Regenerate chunk 0's uniforms from the (seed, chunk) Philox key and
+    # Regenerate chunk 0's uniforms from the (seed, chunk) stream and
     # classify every trial one at a time, independently of the simulator.
     trials, seed = 1000, 9
     path = tmp_path / "trace.csv"
@@ -192,7 +191,7 @@ def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_pat
 def _serial_reference_rows(params, curves, decision, mode, trials, seed):
     """(severe, non-severe) labels of every trial, chunk by chunk in one thread.
 
-    Each chunk's uniforms are drawn whole from its (seed, chunk) Philox key.
+    Each chunk's uniforms are drawn whole from its (seed, chunk) stream.
     """
     ks, q_e, kns, q_ne, _ = _race_constants(params, curves, decision, mode)
     severe_labels = np.array(["none", "ewhh", "bhh"])
@@ -284,6 +283,17 @@ def test_chunk_codes_at_probability_edges():
     u = _chunk_uniforms(seed, index, count)
     assert np.array_equal(codes // 3, (u[:, 0] < 0.5).astype(np.uint8))
     assert np.array_equal(codes % 3, (u[:, 1] < 0.5) * (1 + (u[:, 1] >= 0.25)))
+
+
+def test_chunk_streams_differ_by_seed_and_chunk():
+    # A key that ignored the chunk index would repeat chunk 0's draws in
+    # every later chunk.
+    seed, count, thresholds = 5, 64, (0.5, 0.25, 0.5, 0.25)
+    keys = [(seed, 0), (seed, 1), (seed + 1, 0)]
+    first_rows = [tuple(_chunk_uniforms(s, index, 1)[0]) for s, index in keys]
+    codes = [simulate_module._chunk_codes(s, index, count, thresholds) for s, index in keys]
+    assert len(set(first_rows)) == 3
+    assert len({c.tobytes() for c in codes}) == 3
 
 
 def test_chunk_codes_annotations_resolve():
