@@ -38,9 +38,7 @@ def newton_bisect(
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise ConvergenceError(
-            f"no sign change on [{lo}, {hi}]", last_iterate=(lo, hi), residuals=(flo, fhi)
-        )
+        raise ConvergenceError(f"no sign change on [{lo}, {hi}]")
 
     x = 0.5 * (lo + hi)
     fx = f(x)
@@ -69,10 +67,7 @@ def newton_bisect(
         if hi - lo <= 4.0 * abs(x) * 2.2e-16 and abs(fx) <= max(ftol, 1e-6 * abs(flo)):
             return x
     raise ConvergenceError(
-        f"newton_bisect did not reach |f| <= {ftol} in {_NEWTON_MAX_ITER} iterations",
-        last_iterate=x,
-        residuals=(fx,),
-        iterations=_NEWTON_MAX_ITER,
+        f"newton_bisect did not reach |f| <= {ftol} in {_NEWTON_MAX_ITER} iterations"
     )
 
 

@@ -6,17 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge.
-
-    Carries the last iterate and residuals so the failing case can be
-    reproduced and inspected.
-    """
-
-    def __init__(self, message, last_iterate=None, residuals=None, iterations=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residuals = residuals
-        self.iterations = iterations
+    """An iterative solver failed to converge."""
 
 
 class InfeasibleScenarioError(RuntimeError):

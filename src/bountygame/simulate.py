@@ -7,26 +7,23 @@ found by a non-expert white hat or by a user. Costs accrue per the
 program mode and the empirical mean profit converges to the analytic
 expected profit, which is what the verification suite checks.
 
-Each race is a three-way categorical decided by one uniform, so a trial
-draws two, by inverse CDF: u0 below K_s * q_e is an expert find, u0 in
-[K_s * q_e, K_s) a black hat find and u0 >= K_s no severe bug; u1 splits
-the non-severe race the same way at K_ns * q_ne and K_ns. The races stay
-independent because they read separate uniforms.
+Each race is a three-way categorical: the severe race has no bug with
+probability 1 - K_s, an expert find with min(K_s, K_s * q_e) and a black
+hat find with the rest of K_s; the non-severe race splits K_ns at
+K_ns * q_ne the same way. The races are independent, so a trial falls into
+one of nine (severe, non-severe) outcomes with the outer product of the
+two races' masses, and the outcome counts of independent trials are
+exactly Multinomial(trials, that product). Only the counts are kept: the
+mean cost and its variance are taken from the nine cells of the outcome
+cost table.
 
-Determinism contract: trials are processed in fixed-size chunks and chunk
-i draws its uniforms from an SFC64 generator seeded with the
-``SeedSequence`` entropy (seed, i). Each trial is classified into one of
-nine (severe, non-severe) outcomes and only the outcome counts are
-accumulated. Counts are exact integers, so results are bit-identical for a
-given (seed, trials) however the chunks are scheduled; the mean cost and
-its variance are then taken from the nine cells of the outcome cost table.
-
-A chunk draws its uniforms in cache-sized sub-blocks into one reused
-buffer, which continues the chunk's one SFC64 stream. When a run has more
-than one chunk and the process may use more than one CPU, the chunks run
-on a thread pool of that many workers (numpy releases the interpreter lock
-while it draws and compares); they are consumed in chunk order, at most
-one per worker in flight.
+Determinism contract: a run draws from one SFC64 generator seeded with
+``seed`` (through numpy's ``SeedSequence``). It first draws the nine counts
+in one multinomial call, so the result is bit-identical for a given
+(seed, trials). A trace then continues the same stream: its rows are a
+seeded shuffle of the outcome codes repeated by their counts, which given
+the counts is the law of independent trials, and the trace's label counts
+are the aggregate's counts.
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-import os
-from collections import deque
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, InfeasibleScenarioError
 from .hackers import Regime, equilibrium, success_probabilities
@@ -51,14 +45,10 @@ from .scenario import (
     revenue,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
+__all__ = ["SimMode", "SimOutcome", "simulate"]
 
-__all__ = ["SimMode", "SimOutcome", "simulate", "CHUNK_TRIALS"]
-
-CHUNK_TRIALS = 1 << 18
-# Trials per draw inside a chunk: 2^14 x 2 doubles (256 KB) stay in cache.
-_BLOCK_TRIALS = 1 << 14
+# Trace rows formatted per write: about 2 MB of CSV text at a time.
+_TRACE_ROWS = 1 << 16
 
 # Outcome codes: severe 0 no bug, 1 expert white hat first, 2 black hat
 # first; non-severe 0 no bug, 1 non-expert white hat first, 2 user first.
@@ -94,14 +84,6 @@ class SimOutcome:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _require_int(name: str, value) -> int:
     """``value`` as an int; bools and non-integral types are refused."""
     if isinstance(value, bool):
@@ -112,62 +94,14 @@ def _require_int(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _chunk_codes(
-    seed: int, index: int, count: int, thresholds: tuple[float, float, float, float]
-) -> np.ndarray:
-    """Outcome codes 3 * severe + non_severe of chunk ``index``, as uint8.
+def _race_cells(k: float, q: float) -> tuple[float, float, float]:
+    """Masses of (no bug, white hat first, other finder first) in one race.
 
-    ``thresholds`` is (K_s, K_s * q_e, K_ns, K_ns * q_ne). Trial k uses the
-    two uniforms (u0, u1) at row k of the chunk's SFC64 stream, seeded with
-    the ``SeedSequence`` entropy (seed, index): the severe bug exists when
-    u0 < K_s and an expert finds it first when also u0 < K_s * q_e;
-    likewise u1 against K_ns and K_ns * q_ne for the non-severe bug and the
-    non-expert.
+    ``min`` keeps the other finder's mass at exactly 0, never below it,
+    when K * q rounds above K.
     """
-    import numpy as np
-
-    rng = np.random.Generator(np.random.SFC64([seed, index]))
-    codes = np.empty(count, dtype=np.uint8)
-    block = min(_BLOCK_TRIALS, count)
-    uniforms = np.empty((block, 2))
-    hits = np.empty((4, block), dtype=bool)
-    for start in range(0, count, block):
-        rows = min(block, count - start)
-        u, h = uniforms[:rows], hits[:, :rows]
-        rng.random(out=u)
-        for row, threshold in enumerate(thresholds):
-            np.less(u[:, row // 2], threshold, out=h[row])
-        exists_s, expert_first, exists_ns, non_expert_first = h.view(np.uint8)
-        # severe = exists * (2 - found first), non_severe likewise; the
-        # product keeps u >= K at "none" when K * q rounds above K.
-        np.add(
-            3 * (exists_s * (2 - expert_first)),
-            exists_ns * (2 - non_expert_first),
-            out=codes[start : start + rows],
-        )
-    return codes
-
-
-def _run_chunks(seed: int, trials: int, thresholds, consume) -> None:
-    """Call ``consume(first_trial, codes)`` for every chunk, in chunk order."""
-    sizes = [min(CHUNK_TRIALS, trials - done) for done in range(0, trials, CHUNK_TRIALS)]
-    workers = min(len(sizes), _usable_cpus())
-    if workers <= 1:
-        for index, count in enumerate(sizes):
-            consume(index * CHUNK_TRIALS, _chunk_codes(seed, index, count, thresholds))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque()
-        for index, count in enumerate(sizes):
-            future = pool.submit(_chunk_codes, seed, index, count, thresholds)
-            in_flight.append((index * CHUNK_TRIALS, future))
-            if len(in_flight) == workers:
-                first, future = in_flight.popleft()
-                consume(first, future.result())
-        for first, future in in_flight:
-            consume(first, future.result())
+    white = min(k, k * q)
+    return (1.0 - k, white, k - white)
 
 
 def simulate(
@@ -189,8 +123,9 @@ def simulate(
     user-discovery amount. Refuses scenarios whose equilibrium
     probabilities are clipped or fail to normalize, since the categorical
     draw would be meaningless. ``trials`` and ``seed`` must be integers,
-    not bools, and ``seed`` must fit in 64 bits. ``trace_path`` optionally
-    streams one CSV row per trial (large files; off by default).
+    not bools; ``trials`` must fit in a signed and ``seed`` in an unsigned
+    64-bit integer. ``trace_path`` optionally writes one CSV row per trial
+    (large files; off by default).
     """
     import numpy as np
 
@@ -198,6 +133,8 @@ def simulate(
     seed = _require_int("seed", seed)
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    if trials > 2**63 - 1:
+        raise DomainError("trials must fit in a signed 64-bit integer")
     if seed < 0 or seed > 2**64 - 1:
         raise DomainError("seed must fit in an unsigned 64-bit integer")
     mode = SimMode(mode)
@@ -233,6 +170,10 @@ def simulate(
 
     ks = float(k_severe(curves, decision.t))
     kns = float(k_nonsevere(curves, decision.t))
+    if not (0.0 <= ks <= 1.0 and 0.0 <= kns <= 1.0):
+        raise InfeasibleScenarioError(
+            f"bug likelihoods K_s = {ks!r} and K_ns = {kns!r} must lie in [0, 1]"
+        )
     if mode is SimMode.WITH_BBP:
         cost_e = effective.p_s
         cost_ne = effective.p_ns
@@ -243,32 +184,29 @@ def simulate(
     cost_user = params.TC_ns
 
     cost_table = np.add.outer([0.0, cost_e, cost_b], [0.0, cost_ne, cost_user]).ravel()
+    cells = np.outer(_race_cells(ks, q_e), _race_cells(kns, q_ne)).ravel()
+    # numpy hands the last cell whatever trials its binomial steps leave, so
+    # a zero cell there would catch strays of rounding at large trial counts;
+    # drawing only the support keeps every zero cell at exactly 0.
+    support = cells > 0.0
     counts = np.zeros(9, dtype=np.int64)
+    rng = np.random.Generator(np.random.SFC64(seed))
+    counts[support] = rng.multinomial(trials, cells[support])
 
-    thresholds = (ks, ks * q_e, kns, kns * q_ne)
-    trace_file = None
     if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        trace_file.write("trial,severe_event,nonsevere_event,cost\n")
+        codes = np.repeat(np.arange(9, dtype=np.uint8), counts)
+        rng.shuffle(codes)
         line_tails = [
             f",{_SEVERE_LABELS[code // 3]},{_NONSEVERE_LABELS[code % 3]},{float(cost)!r}\n"
             for code, cost in enumerate(cost_table)
         ]
-
-    def consume(first: int, codes: np.ndarray) -> None:
-        np.add(counts, np.bincount(codes, minlength=9), out=counts)
-        if trace_file is not None:
-            trace_file.write(
-                "".join(
-                    f"{i}{line_tails[code]}" for i, code in enumerate(codes.tolist(), start=first)
+        with open(trace_path, "w", newline="") as trace_file:
+            trace_file.write("trial,severe_event,nonsevere_event,cost\n")
+            for first in range(0, trials, _TRACE_ROWS):
+                rows = codes[first : first + _TRACE_ROWS].tolist()
+                trace_file.write(
+                    "".join(f"{i}{line_tails[code]}" for i, code in enumerate(rows, start=first))
                 )
-            )
-
-    try:
-        _run_chunks(seed, trials, thresholds, consume)
-    finally:
-        if trace_file is not None:
-            trace_file.close()
 
     mean_cost = math.fsum(counts * cost_table) / trials
     if trials > 1:

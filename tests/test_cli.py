@@ -438,10 +438,9 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
 
 
 def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc):
-    # Only a multi-chunk simulate run needs concurrent.futures, only the grid
-    # oracle, the sampler and simulate need numpy, and only verification
-    # reports need statistics; importing any of them would add to the
-    # start-up of every scalar command. A curves.t_max sweep re-validates
+    # The package uses no thread pool, only the grid oracle, the sampler and
+    # simulate need numpy, and only verification reports need statistics;
+    # importing any of them would add to the start-up of every scalar command. A curves.t_max sweep re-validates
     # every point; without a decision block, evaluate and sweep run the
     # release optimizers first.
     t_max_sweep = dict(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import importlib
 import io
-import typing
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +21,6 @@ from bountygame import (
     simulate,
     success_probabilities,
 )
-from bountygame.simulate import CHUNK_TRIALS
-
 # The package exports the function ``simulate``, which shadows the module.
 simulate_module = importlib.import_module("bountygame.simulate")
 
@@ -37,6 +35,8 @@ def test_rejects_bad_trial_and_seed_arguments(s0_params, s0_curves, s0_decision)
         run(10, -1)
     with pytest.raises(DomainError):
         run(10, 2**64)
+    with pytest.raises(DomainError, match="signed 64-bit"):
+        run(2**63, 1)
     with pytest.raises(ValueError):
         run(10, 1, "with-bbp")
     # Only integers that are not bools: truncating a float seed would give
@@ -48,6 +48,7 @@ def test_rejects_bad_trial_and_seed_arguments(s0_params, s0_curves, s0_decision)
     # so no float round trip may stand in for the check).
     assert run(np.int64(10), np.uint64(3)).to_json() == run(10, 3).to_json()
     assert run(10, 2**64 - 1).trials == 10
+    assert run(2**63 - 1, 1).trials == 2**63 - 1
 
 
 def test_refuses_infeasible_effort_profile(s0_params, s0_curves, s0_decision):
@@ -110,13 +111,20 @@ def test_without_program_frequencies_match_closed_forms(s0_params, s0_curves, s0
     assert abs(out.mean_profit - 77.77142857142857) <= 3 * out.std_error
 
 
-def test_identical_bytes_per_seed_across_chunk_boundary(s0_params, s0_curves, s0_decision):
-    trials = CHUNK_TRIALS + 3
-    first = simulate(s0_params, s0_decision, s0_curves, trials, 42, SimMode.WITH_BBP)
-    second = simulate(s0_params, s0_decision, s0_curves, trials, 42, SimMode.WITH_BBP)
-    assert first.to_json() == second.to_json()
-    other = simulate(s0_params, s0_decision, s0_curves, trials, 43, SimMode.WITH_BBP)
-    assert other.to_json() != first.to_json()
+def test_identical_bytes_per_seed(s0_params, s0_curves, s0_decision, tmp_path):
+    def run(seed, trace_name=None):
+        trace_path = str(tmp_path / trace_name) if trace_name else None
+        return simulate(
+            s0_params, s0_decision, s0_curves, 1000, seed, SimMode.WITH_BBP, trace_path
+        ).to_json()
+
+    first = run(42, "first.csv")
+    assert run(42, "second.csv") == first
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    # Writing a trace continues the stream after the counts are drawn.
+    assert run(42) == first
+    assert run(43, "other.csv") != first
+    assert (tmp_path / "other.csv").read_bytes() != (tmp_path / "first.csv").read_bytes()
 
 
 def test_trace_file_has_one_labeled_row_per_trial(
@@ -158,147 +166,116 @@ def _race_constants(params, curves, decision, mode):
     )
 
 
-def _chunk_uniforms(seed, index, count):
-    return np.random.Generator(np.random.SFC64([seed, index])).random((count, 2))
+def _trace_rows(path):
+    """(trial, severe label, non-severe label, cost) of every trace row."""
+    with open(path, newline="") as fh:
+        return [(int(i), sev, ns, float(cost)) for i, sev, ns, cost in list(csv.reader(fh))[1:]]
 
 
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
 def test_trace_rows_match_scalar_rule(s0_params, s0_curves, s0_decision, tmp_path, mode):
-    # Regenerate chunk 0's uniforms from the (seed, chunk) stream and
-    # classify every trial one at a time, independently of the simulator.
+    # Every row costs its two labels' costs from the closed forms, and the
+    # rows come in the order of independent trials, not grouped by outcome.
     trials, seed = 1000, 9
     path = tmp_path / "trace.csv"
     simulate(s0_params, s0_decision, s0_curves, trials, seed, mode, trace_path=str(path))
-    with open(path, newline="") as fh:
-        body = list(csv.reader(fh))[1:]
+    rows = _trace_rows(path)
 
     ks, q_e, kns, q_ne, costs = _race_constants(s0_params, s0_curves, s0_decision, mode)
-    u = _chunk_uniforms(seed, 0, trials)
+    assert [row[0] for row in rows] == list(range(trials))
+    for _, severe, nonsevere, cost in rows:
+        assert cost == costs[severe] + costs[nonsevere]
 
-    # One uniform per race: below K * q the white hat wins, below K the
-    # other finder, otherwise there is no bug.
-    def race(x, k, q, white, other):
-        return white if x < k * q else other if x < k else "none"
-
-    assert len(body) == trials
-    for i, (trial, severe, nonsevere, cost) in enumerate(body):
-        want_sev = race(u[i, 0], ks, q_e, "ewhh", "bhh")
-        want_ns = race(u[i, 1], kns, q_ne, "newhh", "user")
-        assert (int(trial), severe, nonsevere) == (i, want_sev, want_ns)
-        assert float(cost) == costs[want_sev] + costs[want_ns]
+    # Adjacent i.i.d. trials differ in outcome with probability 1 - sum(P^2);
+    # rows grouped by outcome would change at most 8 times.
+    severe_p = np.array([1 - ks, ks * q_e, ks * (1 - q_e)])
+    nonsevere_p = np.array([1 - kns, kns * q_ne, kns * (1 - q_ne)])
+    expected = (trials - 1) * (1 - np.sum(np.outer(severe_p, nonsevere_p) ** 2))
+    changes = sum(a[1:3] != b[1:3] for a, b in zip(rows, rows[1:]))
+    assert abs(changes - expected) <= 100
 
 
-def _serial_reference_rows(params, curves, decision, mode, trials, seed):
-    """(severe, non-severe) labels of every trial, chunk by chunk in one thread.
-
-    Each chunk's uniforms are drawn whole from its (seed, chunk) stream.
-    """
-    ks, q_e, kns, q_ne, _ = _race_constants(params, curves, decision, mode)
-    severe_labels = np.array(["none", "ewhh", "bhh"])
-    nonsevere_labels = np.array(["none", "newhh", "user"])
-    severe, nonsevere = [], []
-    for index, first in enumerate(range(0, trials, CHUNK_TRIALS)):
-        u = _chunk_uniforms(seed, index, min(CHUNK_TRIALS, trials - first))
-        severe.append(severe_labels[(u[:, 0] < ks) * (1 + (u[:, 0] >= ks * q_e))])
-        nonsevere.append(nonsevere_labels[(u[:, 1] < kns) * (1 + (u[:, 1] >= kns * q_ne))])
-    return np.concatenate(severe), np.concatenate(nonsevere)
-
-
-@pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
-@pytest.mark.parametrize(
-    "trials", [(1 << 14) + 1, (1 << 18) + (1 << 14) + 5, 3 * (1 << 18) + 17]
-)
-def test_counts_match_serial_whole_chunk_reference(
-    s0_params, s0_curves, s0_decision, mode, trials
-):
-    # Chunks are drawn in sub-blocks and may run on worker threads; the
-    # frequencies must still be those of whole-chunk draws in chunk order.
-    seed = 77
-    out = simulate(s0_params, s0_decision, s0_curves, trials, seed, mode)
-    severe, nonsevere = _serial_reference_rows(
-        s0_params, s0_curves, s0_decision, mode, trials, seed
-    )
-    for label in ("ewhh", "bhh", "none"):
-        assert getattr(out, f"freq_severe_{label}") == np.count_nonzero(severe == label) / trials
-    for label in ("newhh", "user", "none"):
-        assert (
-            getattr(out, f"freq_nonsevere_{label}")
-            == np.count_nonzero(nonsevere == label) / trials
-        )
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_same_bytes_whatever_the_worker_count(
-    s0_params, s0_curves, s0_decision, monkeypatch, workers
-):
-    # One worker runs the chunks serially; four exceed the chunk window of
-    # a two-core machine. Neither may change a byte of the result.
-    def runs():
-        trials = 3 * CHUNK_TRIALS + 17
-        return [
-            simulate(s0_params, s0_decision, s0_curves, trials, 5, mode).to_json()
-            for mode in SimMode
-        ]
-
-    default = runs()
-    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: workers)
-    assert runs() == default
-
-
-def test_trace_bytes_match_csv_writer(
-    s0_params, s0_curves, s0_decision, tmp_path, monkeypatch
-):
-    # The trace is written as preformatted lines; a three-chunk run on three
-    # workers (all chunks in flight at once) must give the bytes csv.writer
-    # gives for the same rows.
-    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 3)
-    trials, seed, mode = 2 * CHUNK_TRIALS + 1000, 11, SimMode.WITH_BBP
+def test_trace_bytes_match_csv_writer(s0_params, s0_curves, s0_decision, tmp_path):
+    # The trace is written as preformatted lines, a slice of rows at a time;
+    # across slices it must give the bytes csv.writer gives for the same rows,
+    # and its label counts must be the aggregate's counts.
+    trials, seed, mode = 2 * simulate_module._TRACE_ROWS + 1000, 11, SimMode.WITH_BBP
     path = tmp_path / "trace.csv"
-    simulate(s0_params, s0_decision, s0_curves, trials, seed, mode, trace_path=str(path))
-    severe, nonsevere = _serial_reference_rows(
-        s0_params, s0_curves, s0_decision, mode, trials, seed
-    )
+    out = simulate(s0_params, s0_decision, s0_curves, trials, seed, mode, trace_path=str(path))
+    rows = _trace_rows(path)
+    assert len(rows) == trials
+
+    severe = Counter(row[1] for row in rows)
+    nonsevere = Counter(row[2] for row in rows)
+    for label in ("ewhh", "bhh", "none"):
+        assert getattr(out, f"freq_severe_{label}") == severe[label] / trials
+    for label in ("newhh", "user", "none"):
+        assert getattr(out, f"freq_nonsevere_{label}") == nonsevere[label] / trials
+
     costs = _race_constants(s0_params, s0_curves, s0_decision, mode)[4]
     expected = io.StringIO(newline="")
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["trial", "severe_event", "nonsevere_event", "cost"])
     writer.writerows(
-        (i, s, ns, repr(float(costs[s] + costs[ns])))
-        for i, (s, ns) in enumerate(zip(severe.tolist(), nonsevere.tolist()))
+        (i, s, ns, repr(float(costs[s] + costs[ns]))) for i, s, ns, _ in rows
     )
     assert path.read_bytes() == expected.getvalue().encode()
 
 
-def test_chunk_codes_at_probability_edges():
-    # The thresholds are (K_s, K_s * q_e, K_ns, K_ns * q_ne); 2^14 + 5 trials
-    # end in a short sub-block.
-    seed, index, count = 31, 2, (1 << 14) + 5
-    codes = simulate_module._chunk_codes(seed, index, count, (1.0, 1.0, 0.0, 0.0))
-    assert np.all(codes == 3)  # an expert finds the severe bug, no non-severe bug
-    codes = simulate_module._chunk_codes(seed, index, count, (1.0, 0.0, 1.0, 1.0))
-    assert np.all(codes == 7)  # the black hat, then the non-expert
-    # K_s * q_e rounded above K_s: a uniform at or above K_s is still "none",
-    # so every trial is an expert find or no severe bug, never a black hat's.
-    codes = simulate_module._chunk_codes(seed, index, count, (0.5, 0.5 + 1e-12, 0.5, 0.25))
-    u = _chunk_uniforms(seed, index, count)
-    assert np.array_equal(codes // 3, (u[:, 0] < 0.5).astype(np.uint8))
-    assert np.array_equal(codes % 3, (u[:, 1] < 0.5) * (1 + (u[:, 1] >= 0.25)))
+def _patch_races(monkeypatch, ks, kns, p_e_s, p_b_s, p_ne_ns):
+    """Make ``simulate`` see these likelihoods and per-hacker win probabilities."""
+    monkeypatch.setattr(simulate_module, "k_severe", lambda curves, t: ks)
+    monkeypatch.setattr(simulate_module, "k_nonsevere", lambda curves, t: kns)
+
+    def probabilities(*args):
+        return replace(success_probabilities(*args), p_e_s=p_e_s, p_b_s=p_b_s, p_ne_ns=p_ne_ns)
+
+    monkeypatch.setattr(simulate_module, "success_probabilities", probabilities)
 
 
-def test_chunk_streams_differ_by_seed_and_chunk():
-    # A key that ignored the chunk index would repeat chunk 0's draws in
-    # every later chunk.
-    seed, count, thresholds = 5, 64, (0.5, 0.25, 0.5, 0.25)
-    keys = [(seed, 0), (seed, 1), (seed + 1, 0)]
-    first_rows = [tuple(_chunk_uniforms(s, index, 1)[0]) for s, index in keys]
-    codes = [simulate_module._chunk_codes(s, index, count, thresholds) for s, index in keys]
-    assert len(set(first_rows)) == 3
-    assert len({c.tobytes() for c in codes}) == 3
+_SEVERE_FIELDS = ("freq_severe_none", "freq_severe_ewhh", "freq_severe_bhh")
+_NONSEVERE_FIELDS = ("freq_nonsevere_none", "freq_nonsevere_newhh", "freq_nonsevere_user")
 
 
-def test_chunk_codes_annotations_resolve():
-    # numpy is imported for type checkers only, so get_type_hints needs it
-    # as a local name; every other annotation resolves from the module.
-    hints = typing.get_type_hints(simulate_module._chunk_codes, localns={"np": np})
-    assert hints["thresholds"] == tuple[float, float, float, float]
-    assert hints["return"] is np.ndarray
+def test_exact_cells_at_probability_edges(s0_params, s0_curves, s0_decision, monkeypatch):
+    # The baseline has 3 experts, 5 non-experts and 4 black hats, so a win
+    # probability of 1/3, 1/5 or 1/4 gives a race share q of exactly 1.
+    trials = 2**55
+
+    def run(seed=3):
+        return simulate(s0_params, s0_decision, s0_curves, trials, seed, SimMode.WITH_BBP)
+
+    # K in {0, 1} and q in {0, 1}: one outcome per race takes every trial.
+    # (K, q) -> outcome: no bug, the white hat first, the other finder first.
+    cases = {(0.0, 1): 0, (0.0, 0): 0, (1.0, 1): 1, (1.0, 0): 2}
+    for (ks, expert_wins), severe in cases.items():
+        for (kns, non_expert_wins), nonsevere in cases.items():
+            _patch_races(
+                monkeypatch, ks, kns,
+                p_e_s=expert_wins / 3, p_b_s=(1 - expert_wins) / 4,
+                p_ne_ns=non_expert_wins / 5,
+            )
+            out = run()
+            for fields, hit in ((_SEVERE_FIELDS, severe), (_NONSEVERE_FIELDS, nonsevere)):
+                assert [getattr(out, f) for f in fields] == [float(k == hit) for k in range(3)]
+            assert out.std_error == 0.0
+
+    # K_s * q_e rounded above K_s: the black hat's mass is exactly 0, not
+    # negative, and no trial lands there, even at a trial count where the
+    # multinomial's leftover would reach a trailing zero cell.
+    p_e_s = 0.3333333333333334  # 2 ulps above 1/3: q_e = 1 + 2**-52
+    assert 0.7 * (3 * p_e_s) > 0.7
+    _patch_races(monkeypatch, 0.7, 0.3, p_e_s=p_e_s, p_b_s=0.0, p_ne_ns=0.08)
+    for seed in range(5):
+        out = run(seed)
+        assert out.freq_severe_bhh == 0.0
+        assert out.freq_severe_ewhh + out.freq_severe_none == 1.0
+
+
+def test_refuses_likelihoods_outside_unit_interval(
+    s0_params, s0_curves, s0_decision, monkeypatch
+):
+    for ks in (1.5, -0.1, float("nan")):
+        _patch_races(monkeypatch, ks, 0.8, p_e_s=1 / 3, p_b_s=0.0, p_ne_ns=0.08)
+        with pytest.raises(InfeasibleScenarioError, match="must lie in"):
+            simulate(s0_params, s0_decision, s0_curves, 10, 1, SimMode.WITH_BBP)
