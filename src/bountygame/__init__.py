@@ -71,7 +71,6 @@ from .verification import (
     FeasibleSampler,
     PropositionReport,
     SampledScenario,
-    figure1_sweep,
     identity_suite,
     run_full_suite,
     verify_proposition_1,
@@ -114,7 +113,6 @@ __all__ = [
     "condition1",
     "corner_equilibrium",
     "equilibrium",
-    "figure1_sweep",
     "focal_payoff",
     "identity_suite",
     "interior_equilibrium",

@@ -51,7 +51,6 @@ __all__ = [
     "verify_proposition_1",
     "verify_proposition_2",
     "verify_proposition_3",
-    "figure1_sweep",
     "identity_suite",
     "run_full_suite",
 ]
@@ -83,9 +82,16 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 }
 
 _MAX_PROPOSALS = 200_000
-# Doubles per proposal: 7 market fields, 8 curve fields, t, p_s, the
-# branch coin and the p_ns factor.
-_PROPOSAL_DOUBLES = 19
+# Proposals drawn per refill of the sampler's block.
+_BATCH = 64
+# The ranged doubles of a proposal, in draw order: 7 market fields, then 8
+# curve fields. Each row also holds t, p_s, the branch coin and the p_ns
+# factor.
+_RANGED_FIELDS = (
+    "c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x",
+    "K_s0", "lambda_s", "K_ns0", "lambda_ns", "R0", "a", "b", "t_max",
+)
+_PROPOSAL_DOUBLES = len(_RANGED_FIELDS) + 4
 _EFFORT_CAP = 0.99
 _PROB_MARGIN = 1e-6
 # Tolerance of the identity suite's severe-race normalization check.
@@ -111,14 +117,17 @@ class FeasibleSampler:
     validation and exists for claims that must hold on arbitrary inputs.
     Identical seeds give identical draw sequences.
 
-    Each proposal takes, from a Philox generator seeded with ``seed``, three
-    integers (n, l, m) and then 19 doubles u in [0, 1), in this order: the
-    market fields c_w, c_b, r_s, W, TC_s, TC_ns, x and the curve fields
-    K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max, each lo + (hi - lo) u
-    over its range; t = t_max u; p_s = 10 u; a coin; and a factor u, with
-    p_ns = boundary u below a coin of 0.5 and boundary (1 + u) otherwise,
-    where boundary is the non-severe bounty at the regime boundary.
-    ``proposals`` counts every proposal made.
+    Proposals come in blocks of 64 from a Philox generator seeded with
+    ``seed``. Each block takes three ``integers(lo, hi + 1, size=64)`` calls,
+    for n, l and m in that order, and then one ``random((64, 19))`` call.
+    Proposal k of a block takes element k of each count array and row k of
+    the doubles u, in this order: the market fields c_w, c_b, r_s, W, TC_s,
+    TC_ns, x and the curve fields K_s0, lambda_s, K_ns0, lambda_ns, R0, a,
+    b, t_max, each lo + (hi - lo) u over its range; t = t_max u;
+    p_s = 10 u; a coin; and a factor u, with p_ns = boundary u below a coin
+    of 0.5 and boundary (1 + u) otherwise, where boundary is the non-severe
+    bounty at the regime boundary. ``proposals`` counts the proposals used,
+    not those drawn ahead in the current block.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):
@@ -132,58 +141,56 @@ class FeasibleSampler:
         import numpy as np
 
         self._rng = np.random.Generator(np.random.Philox(seed))
+        counts = [self.ranges[name] for name in ("n", "l", "m")]
+        self._counts = [(int(lo), int(hi) + 1) for lo, hi in counts]
+        ranged = [self.ranges[name] for name in _RANGED_FIELDS]
+        self._spans = [(lo, hi - lo) for lo, hi in ranged]
+        self._block = iter(())
         self.proposals = 0
 
     # -- proposal pieces ---------------------------------------------------
 
-    def _integer(self, name: str) -> int:
-        lo, hi = self.ranges[name]
-        return int(self._rng.integers(int(lo), int(hi) + 1))
+    def _refill(self) -> None:
+        rng = self._rng
+        n, l, m = (rng.integers(lo, stop, size=_BATCH).tolist() for lo, stop in self._counts)
+        self._block = zip(n, l, m, rng.random((_BATCH, _PROPOSAL_DOUBLES)).tolist())
 
     def _propose(self) -> SampledScenario:
+        row = next(self._block, None)
+        if row is None:
+            self._refill()
+            row = next(self._block)
         self.proposals += 1
-        n, l, m = self._integer("n"), self._integer("l"), self._integer("m")
-        # Philox gives the same doubles from one random(k) call as from k
-        # scalar calls, so one call per proposal keeps every draw.
-        draws = iter(self._rng.random(_PROPOSAL_DOUBLES).tolist())
-
-        def uniform(name: str) -> float:
-            lo, hi = self.ranges[name]
-            return lo + (hi - lo) * next(draws)
-
+        n, l, m, u = row
+        (
+            c_w, c_b, r_s, W, TC_s, TC_ns, x,
+            K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max,
+        ) = [lo + span * v for (lo, span), v in zip(self._spans, u)]
         params = MarketParams(
-            n=n,
-            l=l,
-            m=m,
-            c_w=uniform("c_w"),
-            c_b=uniform("c_b"),
-            r_s=uniform("r_s"),
-            W=uniform("W"),
-            TC_s=uniform("TC_s"),
-            TC_ns=uniform("TC_ns"),
-            x=uniform("x"),
+            n=n, l=l, m=m, c_w=c_w, c_b=c_b, r_s=r_s, W=W, TC_s=TC_s, TC_ns=TC_ns, x=x
         )
         curves = ReleaseCurves(
-            K_s0=uniform("K_s0"),
-            lambda_s=uniform("lambda_s"),
-            K_ns0=uniform("K_ns0"),
-            lambda_ns=uniform("lambda_ns"),
-            R0=uniform("R0"),
-            a=uniform("a"),
-            b=uniform("b"),
-            t_max=uniform("t_max"),
+            K_s0=K_s0,
+            lambda_s=lambda_s,
+            K_ns0=K_ns0,
+            lambda_ns=lambda_ns,
+            R0=R0,
+            a=a,
+            b=b,
+            t_max=t_max,
         )
-        t = curves.t_max * next(draws)
-        p_s = 10.0 * next(draws)
+        u_t, u_p_s, coin, factor = u[len(_RANGED_FIELDS):]
+        t = t_max * u_t
+        p_s = 10.0 * u_p_s
         # Bias the non-severe bounty around the regime boundary so both
         # equilibrium families are represented in the population.
         boundary = _regime_boundary_p_ns(
             params, curves.k_severe(t), curves.k_nonsevere(t), p_s
         )
-        if next(draws) < 0.5:
-            p_ns = boundary * next(draws)
+        if coin < 0.5:
+            p_ns = boundary * factor
         else:
-            p_ns = boundary * (1.0 + next(draws))
+            p_ns = boundary * (1.0 + factor)
         return SampledScenario(params, curves, VendorDecision(t=t, p_s=p_s, p_ns=p_ns))
 
     def _accept_loop(self, predicate) -> SampledScenario:
@@ -534,25 +541,6 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
         else:
             margins.append(time_gap)
     return _make_report("proposition-3", margins, failures)
-
-
-def figure1_sweep(
-    params: MarketParams, curves, t: float, bounty_grid
-) -> list[dict]:
-    """Severe-race win probabilities as the severe bounty sweeps a grid.
-
-    Returns one row per grid point with the per-hacker expert and black
-    hat probabilities from the specialized-regime forms. The two curves
-    are affine in the bounty until a clamp binds and cross where the
-    cost-adjusted prize values coincide, at p_s = c_w W / c_b - r_s.
-    """
-    rows: list[dict] = []
-    for p_s in bounty_grid:
-        dec = VendorDecision(t=t, p_s=float(p_s), p_ns=0.0)
-        profile = corner_equilibrium(params, dec, curves)
-        probs = success_probabilities(params, dec, curves, profile)
-        rows.append({"p_s": float(p_s), "p_e_s": probs.p_e_s, "p_b_s": probs.p_b_s})
-    return rows
 
 
 def _slack(tolerance: float, error: float) -> float:

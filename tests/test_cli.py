@@ -178,9 +178,10 @@ def test_optimize_reports_release_gap_on_a_release_draw(capsys, tmp_path):
     assert gap < 0.0 and report["with_bbp"]["t"] < t_nb
 
 
-# Draw 47 of FeasibleSampler(5) over perfbench's WIDE_RANGES: no program is
-# viable, and at t = 0 the zero-bounty probabilities are p_e0 = 2.39 and
-# p_b0 = -1.39, so the fallback maximizes the clamped no-program profit.
+# Draw 47 of FeasibleSampler(5) over perfbench's WIDE_RANGES, as the sampler
+# drew before it drew proposals in blocks of 64: no program is viable, and
+# at t = 0 the zero-bounty probabilities are p_e0 = 2.39 and p_b0 = -1.39,
+# so the fallback maximizes the clamped no-program profit.
 _CLAMPED_UNVIABLE_MARKET = {
     "n": 1, "l": 7, "m": 1, "c_w": 1.1593198890968566, "c_b": 6.394062789155481,
     "r_s": 9.519750831497198, "W": 1.073208634101177, "TC_s": 112.09090262931633,
@@ -259,7 +260,8 @@ def test_optimize_maximizes_clamped_no_program_profit(capsys, tmp_path, baseline
 
 
 def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_path):
-    # Draw 27 of FeasibleSampler(5) over perfbench's WIDE_RANGES. Condition 1
+    # Draw 27 of FeasibleSampler(5) over perfbench's WIDE_RANGES, as the
+    # sampler drew before it drew proposals in blocks of 64. Condition 1
     # holds at the no-program optimum, but p_e0 is clamped at 0 there, so
     # the gap's closed form (-3.96) misstates the slope difference (-7.65).
     market = {
@@ -285,7 +287,8 @@ def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_p
 
 
 def test_optimize_answers_a_slope_with_two_sign_changes(capsys, tmp_path):
-    # Draw 244 of FeasibleSampler(5) over perfbench's WIDE_RANGES. The
+    # Draw 244 of FeasibleSampler(5) over perfbench's WIDE_RANGES, as the
+    # sampler drew before it drew proposals in blocks of 64. The
     # no-program slope rises through 0 at t = 0.0191 and falls through 0 at
     # t = 1.3623, whose profit (630.32) beats both endpoints (628.29 at 0).
     market = {
@@ -397,7 +400,7 @@ def test_verify_command_round_trip(capsys, tmp_path):
 
 
 def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
-    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", 1e-30)
+    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", -1.0)
     rc, out, _ = run_cli(capsys, "verify", "--seed", "24", "--draws", "5")
     assert rc == 1
     report = json.loads(out)
@@ -414,7 +417,7 @@ PINNED_SHA256 = {
     "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
     "optimize": "5aeafc9adc22a4b9db63e1cbd0f5d2946503294092e9f41c3cd034658b0d07d8",
     "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
-    "verify": "da3de69c0477abf6a3f47b5aa71845e5075974adf8411c16a5fd36a87bee6323",
+    "verify": "97603fa42b6b2f9c52e6fa4bed99ac61d5ad3b2770359ef253e26b10d4588872",
 }
 
 

@@ -35,7 +35,7 @@ def _baseline_records(params, curves, decision) -> list:
 
 
 def test_every_exported_record_serializes(monkeypatch, s0_params, s0_curves, s0_decision):
-    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", 1e-30)
+    monkeypatch.setattr(verification, "_NORMALIZATION_TOL", -1.0)
     exported = {
         obj
         for obj in (getattr(bg, name) for name in bg.__all__)

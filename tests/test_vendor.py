@@ -231,11 +231,12 @@ def test_release_optimizers_cover_wide_release_horizons():
     # Unpinned t_max: scans used to overshoot it by one rounding step (a
     # DomainError on these validated draws fails the test), and clamped
     # zero-bounty probabilities used to yield a no-program optimum below
-    # the grid maximum (draw 105 of this sampler, by 0.04%); every draw must
-    # have a no-program optimum that reaches the grid maximum. The
-    # with-program golden-section search assumes a unimodal objective; on 5
-    # of the 58 feasible draws here the slope turns from negative to
-    # positive somewhere, and its optimum must still reach the grid maximum.
+    # the grid maximum (by 0.04% on draw 105 of this sampler, as it drew
+    # before it drew proposals in blocks of 64); every draw must have a
+    # no-program optimum that reaches the grid maximum. The with-program
+    # golden-section search assumes a unimodal objective; on 3 of the 52
+    # feasible draws here the slope turns from negative to positive
+    # somewhere, and its optimum must still reach the grid maximum.
     sampler = FeasibleSampler(77, ranges={"t_max": (1.0, 30.0)})
     checked = with_program = 0
     for scen in sampler.draws("raw", 120):
