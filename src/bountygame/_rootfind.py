@@ -1,8 +1,7 @@
-"""Scalar root finding and 1-D maximization helpers.
+"""Scalar root finding for the release-time first-order conditions.
 
-The solvers here are deliberately small and deterministic: a safeguarded
-Newton for the release-time first-order conditions, and a golden-section
-search for the with-program release.
+A safeguarded Newton, deliberately small and deterministic, that both
+release optimizers use to refine each bracket of their slope.
 """
 
 from __future__ import annotations
@@ -11,10 +10,9 @@ from typing import Callable
 
 from .errors import ConvergenceError
 
-__all__ = ["newton_bisect", "golden_section_max"]
+__all__ = ["newton_bisect"]
 
 _NEWTON_MAX_ITER = 200
-_GOLDEN_MAX_ITER = 500
 
 
 def newton_bisect(
@@ -69,40 +67,3 @@ def newton_bisect(
     raise ConvergenceError(
         f"newton_bisect did not reach |f| <= {ftol} in {_NEWTON_MAX_ITER} iterations"
     )
-
-
-_INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-10,
-) -> float:
-    """Golden-section search for a maximizer of f on [lo, hi].
-
-    Assumes f is unimodal on the interval; returns the midpoint of the
-    final bracket. Endpoints are compared too, so a boundary maximum of a
-    monotone objective is returned correctly.
-    """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if b - a <= xtol * max(1.0, abs(a), abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    candidates = [(f(lo), lo), (f(hi), hi), (f(x), x)]
-    return max(candidates, key=lambda p: p[0])[1]

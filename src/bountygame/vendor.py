@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from ._rootfind import golden_section_max, newton_bisect
+from ._rootfind import newton_bisect
 from .errors import (
     AssumptionViolationError,
     DomainError,
@@ -140,7 +140,15 @@ class ReleaseOptimum:
 
 @dataclass(frozen=True)
 class BbpRelease:
-    """Optimal release time and bounties with a bounty program."""
+    """Optimal release time and bounties with a bounty program.
+
+    ``boundary`` is True when ``t`` is an end of the feasible interval,
+    chosen because its profit beats every falling root of the slope found,
+    and False when ``t`` is such a root. Where that end is the viability
+    edge (p_s* falls to 0 there), condition 1 is strict, so the supremum
+    is a limit that is never attained: ``t`` is the last float at which
+    condition 1 still holds.
+    """
 
     t: float
     p_s: float
@@ -462,97 +470,136 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     )
 
 
-def _grid_time(t_max: float, i: int, points: int) -> float:
-    """The i-th of ``points`` evenly spaced times on [0, t_max].
+def _bbp_slope_falls(params: MarketParams, curves: CurveSet, lo: float, hi: float) -> bool:
+    """Whether the with-program slope provably falls on [lo, hi].
 
-    The last is exactly t_max: t_max * i / (points - 1) can round above
-    t_max at i = points - 1, which would put the scan outside the curves'
-    domain.
+    Decided for the exact ``ReleaseCurves`` family only, as in
+    ``_no_bbp_slope_falls``. With p_s* = A - B/K_s substituted, where
+    A = (TC_s + (c_w/c_b) W - r_s)/2, the bracket of ``_concentrated_prime``
+    is s0 + s1 K_s with G0 = (r_s + A)/c_w - W/c_b = (TC_s - A)/c_w,
+    s0 = TC_s - n c_w G0/N = (m TC_s + n A)/N and
+    s1 = 2 m n G0 (A - TC_s)/(kappa N^2) = -2 m n (A - TC_s)^2/(c_w kappa N^2).
+    The slope's t-derivative is then
+
+        -b - lambda_s^2 K_s (s0 + 2 s1 K_s) - lambda_ns^2 TC_ns K_ns (1 - TC_ns K_ns).
+
+    Both quadratics are concave (s1 <= 0), each in one curve, monotone in
+    t, so their minima over [lo, hi] are at its ends. The slope falls when
+    b plus those minima, times lambda_s^2 and lambda_ns^2, is positive.
     """
-    return t_max if i == points - 1 else t_max * i / (points - 1)
+    if type(curves) is not ReleaseCurves:
+        return False
+    n, m = params.n, params.m
+    big_n = n + m
+    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
+    s0 = (m * params.TC_s + n * a) / big_n
+    s1 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
+    severe = min(k * (s0 + 2.0 * s1 * k) for k in (curves.k_severe(lo), curves.k_severe(hi)))
+    tc_ns = params.TC_ns
+    nonsevere = min(
+        tc_ns * k * (1.0 - tc_ns * k) for k in (curves.k_nonsevere(lo), curves.k_nonsevere(hi))
+    )
+    return curves.b + curves.lambda_s**2 * severe + curves.lambda_ns**2 * nonsevere > 0.0
 
 
-def _scan_foc_brackets(foc, t_max: float, points: int) -> list[tuple[float, float]]:
-    """Sign-change brackets of a first-order condition on [0, t_max].
+def _grid_time(lo: float, hi: float, i: int, points: int) -> float:
+    """The i-th of ``points`` evenly spaced times on [lo, hi].
 
-    Scans ``points`` evenly spaced times, the last exactly t_max.
+    The last is exactly hi: lo + (hi - lo) * i / (points - 1) can round
+    above hi at i = points - 1, which could put the scan outside the
+    curves' domain.
     """
-    ts = [_grid_time(t_max, i, points) for i in range(points)]
+    return hi if i == points - 1 else lo + (hi - lo) * i / (points - 1)
+
+
+def _scan_foc_brackets(foc, lo: float, hi: float, points: int) -> list[tuple[float, float]]:
+    """Sign-change brackets of a first-order condition on [lo, hi].
+
+    Scans ``points`` evenly spaced times, the last exactly hi.
+    """
+    ts = [_grid_time(lo, hi, i, points) for i in range(points)]
     vals = [foc(t) for t in ts]
     brackets: list[tuple[float, float]] = []
     for i in range(points - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
             brackets.append((ts[i], ts[i + 1]))
     if vals[-1] == 0.0:
-        brackets.append((t_max, t_max))
+        brackets.append((hi, hi))
     return brackets
 
 
-def _falling_foc_bracket(foc, t_max: float, points: int) -> list[tuple[float, float]]:
+def _falling_foc_bracket(foc, lo: float, hi: float, points: int) -> list[tuple[float, float]]:
     """The brackets ``_scan_foc_brackets`` finds for a falling condition.
 
     On a falling condition the scan's one bracket is the cell that ends at
-    the first grid time where it is negative, or (t_max, t_max) where it
-    ends at 0; it has none where the condition keeps one strict sign. So
-    this bisects the same grid's indices for that cell.
+    the first grid time where it is negative, or (hi, hi) where it ends at
+    0; it has none where the condition keeps one strict sign. So this
+    bisects the same grid's indices for that cell.
     """
-    if foc(0.0) < 0.0:
+    if foc(lo) < 0.0:
         return []
-    f_last = foc(t_max)
+    f_last = foc(hi)
     if f_last >= 0.0:
-        return [(t_max, t_max)] if f_last == 0.0 else []
-    lo, hi = 0, points - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if foc(_grid_time(t_max, mid, points)) >= 0.0:
-            lo = mid
+        return [(hi, hi)] if f_last == 0.0 else []
+    i_lo, i_hi = 0, points - 1
+    while i_hi - i_lo > 1:
+        mid = (i_lo + i_hi) // 2
+        if foc(_grid_time(lo, hi, mid, points)) >= 0.0:
+            i_lo = mid
         else:
-            hi = mid
-    return [(_grid_time(t_max, lo, points), _grid_time(t_max, hi, points))]
+            i_hi = mid
+    return [(_grid_time(lo, hi, i_lo, points), _grid_time(lo, hi, i_hi, points))]
+
+
+def _best_release(foc, profit, lo: float, hi: float, slope_falls: bool):
+    """The time in [lo, hi] that a release optimizer answers, as (t, boundary, profit).
+
+    Looks for sign changes of the slope ``foc`` on a 201-point grid of
+    [lo, hi]: by bisecting the grid's indices where ``slope_falls`` proves
+    there is at most one, by scanning every point elsewhere. Every falling
+    sign change (a cell whose slope is >= 0 at its start) is refined to its
+    root by ``newton_bisect``, or to the edge where the slope jumps across
+    zero. The candidates are those roots, then lo, then hi, and the first
+    with the largest ``profit`` wins: a root thus keeps a tie with an end,
+    and lo one with hi. ``boundary`` is True when an end wins. Two roots
+    inside one grid cell are not seen, so a peak narrower than
+    (hi - lo) / 200 can be missed.
+    """
+    find = _falling_foc_bracket if slope_falls else _scan_foc_brackets
+    candidates = [
+        (newton_bisect(foc, b_lo, b_hi, ftol=_FOC_TOL), False)
+        for b_lo, b_hi in find(foc, lo, hi, _FOC_SCAN_POINTS)
+        if foc(b_lo) >= 0.0
+    ]
+    candidates += [(lo, True), (hi, True)]
+    profits = [profit(t) for t, _ in candidates]
+    best = max(range(len(candidates)), key=profits.__getitem__)
+    t_star, boundary = candidates[best]
+    return t_star, boundary, profits[best]
 
 
 def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOptimum:
     """Profit-maximizing release time with no bounty program.
 
-    Looks for sign changes of the analytic first-order condition on a
-    201-point grid of [0, t_max]. It is the slope of the clamped profit
-    that ``profit_without_bbp`` reports, so it jumps where a zero-bounty
-    race probability reaches a clamp. Every falling sign change (a cell
-    whose slope is >= 0 at its start) is refined to its root, or to the
-    clamp edge where the slope jumps across zero. The candidates are those
-    roots, then 0, then t_max, and the first with the largest profit is
-    returned. A root thus keeps a tie with an endpoint, and 0 one with
-    t_max; ``boundary`` is True when an endpoint wins. Two roots inside one
-    grid cell are not seen, so a peak narrower than t_max / 200 can be
-    missed.
-
-    Where the parameters of the built-in family prove that the slope falls
-    (``_no_bbp_slope_falls``), there is at most one sign change, and the
-    grid's indices are bisected for it: the same bracket, the same result,
-    from about a tenth of the slope evaluations. Every other market is
-    scanned point by point.
+    Compares the falling roots of the analytic first-order condition on
+    [0, t_max] with both ends (``_best_release``). The condition is the
+    slope of the clamped profit that ``profit_without_bbp`` reports, so it
+    jumps where a zero-bounty race probability reaches a clamp, and a root
+    may be that clamp edge. Where the parameters of the built-in family
+    prove that the slope falls (``_no_bbp_slope_falls``), the grid is
+    bisected instead of scanned: the same bracket, the same result, from
+    about a tenth of the slope evaluations.
     """
     _check_market(params)
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)
 
-    if _no_bbp_slope_falls(params, curves):
-        brackets = _falling_foc_bracket(foc, curves.t_max, _FOC_SCAN_POINTS)
-    else:
-        brackets = _scan_foc_brackets(foc, curves.t_max, _FOC_SCAN_POINTS)
-    candidates = [
-        (newton_bisect(foc, lo, hi, ftol=_FOC_TOL), False)
-        for lo, hi in brackets
-        if foc(lo) >= 0.0
-    ]
-    candidates += [(0.0, True), (curves.t_max, True)]
-    profits = [profit_without_bbp(params, t, curves).total for t, _ in candidates]
-    best = max(range(len(candidates)), key=profits.__getitem__)
-    t_star, boundary = candidates[best]
-    return ReleaseOptimum(
-        t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profits[best]
+    t_star, boundary, profit = _best_release(
+        foc, lambda t: profit_without_bbp(params, t, curves).total,
+        0.0, curves.t_max, _no_bbp_slope_falls(params, curves),
     )
+    return ReleaseOptimum(t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profit)
 
 
 def _condition1_in_u(params: MarketParams) -> tuple[float, float, float]:
@@ -687,11 +734,12 @@ def _describe_infeasibility(params: MarketParams, curves: CurveSet) -> str:
 def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelease:
     """Jointly optimal release time and bounties with a bounty program.
 
-    Maximizes the concentrated objective over the feasible sub-interval by
-    golden-section search, then polishes with the analytic first-order
-    condition when the optimum is interior. The search assumes the
-    objective is unimodal on that interval; unlike the no-program scan, it
-    does not compare several stationary times. Raises
+    Maximizes the concentrated objective over the feasible sub-interval
+    [lo, hi] by the rule ``optimal_release_no_bbp`` uses: the falling roots
+    of the analytic first-order condition are compared with both ends
+    (``_best_release``), so no unimodality is assumed and a second
+    stationary time is seen. Where ``_bbp_slope_falls`` proves at most one
+    root, the grid is bisected instead of scanned. Raises
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """
@@ -700,35 +748,14 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     if interval is None:
         raise InfeasibleScenarioError(_describe_infeasibility(params, curves))
     lo, hi = interval
-
-    def phi(t: float) -> float:
-        return concentrated_bbp_profit(params, curves, t)
-
-    def foc(t: float) -> float:
-        return _concentrated_prime(params, curves, t)
-
-    t0 = golden_section_max(phi, lo, hi, xtol=1e-10 * max(curves.t_max, 1.0))
-    width = hi - lo
-    boundary = t0 - lo < 1e-7 * width or hi - t0 < 1e-7 * width
-    t_star = t0
-    if not boundary:
-        # Bracket the stationary point around the golden-section estimate.
-        delta = 1e-3 * width
-        b_lo, b_hi = max(lo, t0 - delta), min(hi, t0 + delta)
-        for _ in range(12):
-            if foc(b_lo) * foc(b_hi) < 0.0:
-                break
-            delta *= 2.0
-            b_lo, b_hi = max(lo, t0 - delta), min(hi, t0 + delta)
-        if foc(b_lo) * foc(b_hi) < 0.0:
-            t_star = newton_bisect(foc, b_lo, b_hi, ftol=_FOC_TOL)
+    t_star, boundary, profit = _best_release(
+        lambda t: _concentrated_prime(params, curves, t),
+        lambda t: concentrated_bbp_profit(params, curves, t),
+        lo, hi, _bbp_slope_falls(params, curves, lo, hi),
+    )
     bounties = optimal_bounties(params, curves, t_star)
     return BbpRelease(
-        t=t_star,
-        p_s=bounties.p_s,
-        p_ns=bounties.p_ns,
-        profit=phi(t_star),
-        boundary=boundary,
+        t=t_star, p_s=bounties.p_s, p_ns=bounties.p_ns, profit=profit, boundary=boundary
     )
 
 

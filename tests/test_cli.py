@@ -417,7 +417,7 @@ PINNED_SHA256 = {
     "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
     "optimize": "5aeafc9adc22a4b9db63e1cbd0f5d2946503294092e9f41c3cd034658b0d07d8",
     "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
-    "verify": "97603fa42b6b2f9c52e6fa4bed99ac61d5ad3b2770359ef253e26b10d4588872",
+    "verify": "a98c58aa05f9e63bef0d52c2e89c1f0194e7de551507b070985a23eacef743b4",
 }
 
 

@@ -1,4 +1,4 @@
-"""Scalar root finding and 1-D maximization helpers."""
+"""Scalar root finding."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bountygame._rootfind import golden_section_max, newton_bisect
+from bountygame._rootfind import newton_bisect
 
 
 def test_newton_polish_beats_plain_bisection_tolerance():
@@ -16,11 +16,6 @@ def test_newton_polish_beats_plain_bisection_tolerance():
     assert newton_bisect(f, 0.0, 2.0, ftol=1e-12) == pytest.approx(
         2.0 ** (1.0 / 3.0), abs=1e-9
     )
-
-
-def test_golden_section_locates_parabola_peak():
-    peak = golden_section_max(lambda x: -((x - 1.3) ** 2), 0.0, 2.0, xtol=1e-12)
-    assert peak == pytest.approx(1.3, abs=1e-9)
 
 
 def test_newton_stops_where_the_function_jumps_across_zero():

@@ -161,6 +161,12 @@ def test_release_with_program_stops_at_viability_edge(s0_params, s0_curves):
     assert bbp.profit > nb.profit
     assert bbp.p_s == pytest.approx(0.0, abs=1e-9)
     assert bbp.p_ns == pytest.approx(0.5, abs=1e-12)
+    # Condition 1 is strict, so the supremum at the edge is never attained:
+    # t is the last float at which the band still holds.
+    assert condition1(s0_params, s0_curves, bbp.t).feasible
+    assert not condition1(
+        s0_params, s0_curves, math.nextafter(bbp.t, s0_curves.t_max)
+    ).feasible
 
 
 def test_release_boundary_at_zero_when_waiting_never_pays(s0_params, s0_curves):
@@ -233,10 +239,10 @@ def test_release_optimizers_cover_wide_release_horizons():
     # zero-bounty probabilities used to yield a no-program optimum below
     # the grid maximum (by 0.04% on draw 105 of this sampler, as it drew
     # before it drew proposals in blocks of 64); every draw must have a
-    # no-program optimum that reaches the grid maximum. The with-program
-    # golden-section search assumes a unimodal objective; on 3 of the 52
-    # feasible draws here the slope turns from negative to positive
-    # somewhere, and its optimum must still reach the grid maximum.
+    # no-program optimum that reaches the grid maximum. On 3 of the 52
+    # feasible draws here the with-program slope turns from negative to
+    # positive somewhere; comparing every falling root with both ends of
+    # the feasible interval must still reach the grid maximum.
     sampler = FeasibleSampler(77, ranges={"t_max": (1.0, 30.0)})
     checked = with_program = 0
     for scen in sampler.draws("raw", 120):
@@ -363,7 +369,11 @@ _RISING_THEN_FALLING = (
 def test_slope_shape_test_declines_what_it_cannot_prove(s0_params, s0_curves):
     assert vendor._no_bbp_slope_falls(s0_params, s0_curves)
     # A subclass may override a curve, as this one does.
-    assert not vendor._no_bbp_slope_falls(s0_params, WavyRevenue(**asdict(s0_curves)))
+    wavy = WavyRevenue(**asdict(s0_curves))
+    assert not vendor._no_bbp_slope_falls(s0_params, wavy)
+    lo, hi = vendor._feasible_interval(s0_params, s0_curves)
+    assert vendor._bbp_slope_falls(s0_params, s0_curves, lo, hi)
+    assert not vendor._bbp_slope_falls(s0_params, wavy, lo, hi)
     # Unvalidated: a convex revenue curve.
     rising_revenue_slope = replace(s0_curves, b=-1e-3)
     assert not validate(s0_params, rising_revenue_slope).passed
@@ -379,6 +389,82 @@ def test_slope_shape_test_declines_what_it_cannot_prove(s0_params, s0_curves):
     assert not nb.boundary
     assert nb.t == pytest.approx(1.3623, abs=1e-4)
     assert nb.profit > profit_without_bbp(params, 0.0, curves).total
+
+
+def _program_release_or_error(params, curves):
+    try:
+        return optimal_release_with_bbp(params, curves)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_falling_program_slope_bisection_matches_the_scan(monkeypatch, wide_ranges):
+    # Where the with-program slope provably falls on the feasible interval,
+    # the optimizer bisects the scan's grid for its one bracket. Forcing the
+    # scan must give the same optimum, or the same error, on every draw, and
+    # wherever the proof holds the slope must not rise on a grid.
+    slope_falls = vendor._bbp_slope_falls
+    feasible = proven = 0
+    for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
+        scens = list(FeasibleSampler(5, ranges=ranges).draws("raw", 1000))
+        for scen in scens:
+            params, curves = scen.params, scen.curves
+            interval = vendor._feasible_interval(params, curves)
+            if interval is None:
+                continue
+            feasible += 1
+            if not slope_falls(params, curves, *interval):
+                continue
+            proven += 1
+            lo, hi = interval
+            ts = [lo + (hi - lo) * i / 100 for i in range(100)] + [hi]
+            slopes = [_concentrated_prime(params, curves, t) for t in ts]
+            assert all(b <= a for a, b in zip(slopes, slopes[1:])), asdict(scen)
+        bisected = [_program_release_or_error(s.params, s.curves) for s in scens]
+        with monkeypatch.context() as scan_only:
+            scan_only.setattr(vendor, "_bbp_slope_falls", lambda *args: False)
+            scanned = [_program_release_or_error(s.params, s.curves) for s in scens]
+        for k, (got, want) in enumerate(zip(bisected, scanned)):
+            assert got == want, (k, asdict(scens[k]))
+    # The proof holds on about half of the feasible wide draws and on
+    # about 72% of the others.
+    assert proven >= 0.5 * feasible
+
+
+# Default raw draw 80 of FeasibleSampler(11): on the feasible interval
+# (0.1666, 4.7229) the with-program slope rises through 0 near t = 0.36
+# and falls through 0 near t = 2.94.
+_PROGRAM_RISING_THEN_FALLING = (
+    MarketParams(
+        n=2, l=20, m=3, c_w=4.095000462301132, c_b=4.143120530454694,
+        r_s=1.6871951147168303, W=4.752093734721361, TC_s=176.8020127341922,
+        TC_ns=2.5975664976719313, x=0.38758255745326786,
+    ),
+    ReleaseCurves(
+        K_s0=0.6618229006168368, lambda_s=0.3117290181149422,
+        K_ns0=0.9735546985088879, lambda_ns=0.39364317547981154,
+        R0=218.05555290549793, a=1.289563017873698, b=1.9658254813059337,
+        t_max=10.0,
+    ),
+)
+
+
+def test_program_release_sees_a_rising_then_falling_slope():
+    params, curves = _PROGRAM_RISING_THEN_FALLING
+    lo, hi = vendor._feasible_interval(params, curves)
+    assert not vendor._bbp_slope_falls(params, curves, lo, hi)
+
+    def foc(t):
+        return _concentrated_prime(params, curves, t)
+
+    assert len(vendor._scan_foc_brackets(foc, lo, hi, 201)) == 2
+    assert foc(lo) < 0.0
+    bbp = optimal_release_with_bbp(params, curves)
+    assert not bbp.boundary
+    assert bbp.t == pytest.approx(2.9427, abs=1e-4)
+    ts = [lo + (hi - lo) * i / 4000 for i in range(4000)] + [hi]
+    best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
+    assert bbp.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
 def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):

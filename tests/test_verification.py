@@ -215,30 +215,30 @@ def test_full_suite_is_deterministic_and_green():
 # sampler tiers; a change meant to keep every result bit-for-bit must leave
 # these alone.
 PINNED_SUITE_SHA256 = {
-    5: "ef2adeac88f791fb53a8669222dcb95d3388fb5e2e3cbfb394709a5ff3990056",
-    10: "d8f36e55b436a0ad9f1769ca51dbf988187a96a666a2b1486e8a293c3b7cc6da",
-    15: "746625c526445209dc57a8c15e8c1ef827705578c080316e9e258171ddb9d1a1",
-    20: "a7cd72d521eb95097a7a4f353f6d3187b1779189b3f96af232d69797f00c25a7",
-    25: "f2cc291198a79d036c86c5192415e370022a059b9c92e1555375c419ffd880d6",
-    30: "652fe1b5c760026513a676578c83582fd3bd8734c68a40018c4501b83a7a9d05",
-    35: "13e04dc8992003ecef372a0f824df3a3eb2d56bebbd2fece28e84c2c173c8158",
-    40: "954052155b0e86c0d116984b56ff753fb2108254ff205f7c7eef0511960e9fe5",
-    45: "de0b2cebda1d4a2ce804bb1b2f2e920522bbcdfc5d7dec54ee5650fc3cad4705",
-    50: "25a3e3c5f00c4ad647b58bd26c491ebe156fb6da48693b633d40bc75937eda42",
-    55: "decaf5ceb18c77dab682446f17a4f236e59fb15940d4dedd53730c3052dc1e75",
-    60: "8477cc47e67388acf2f9f1b3620698f7fc701b87e8f66ee7ad1796b7c7d8bb13",
-    65: "58264c89ad784605bd74b88b2f3bb8c36294071cadad6b193b7d94178c216fe7",
-    70: "0a496af4091546ce7fc5d2a991790c47eec7d832b959af351f7c35eb3705963c",
-    75: "f12b5ad0aafc10ad619bbece9e4d19291ce81decb3f3be27413ceb6d7a39cc77",
-    80: "d3e458e44618d0ecdc5a682b772a064240583b33250e3c975c09887442f78a2c",
-    85: "0f1dee46602fb322fec9a7211c7a5c3d234a9e28e807da329a37848b00764fc2",
-    90: "bdcb7570ab7295218af9124fe1da08874d3759644d28ef0e01106c00c1b164db",
-    95: "365cd7e3730a9d4be0b987442f62d2de9428df7f57a2d8b1c410fcd9a0da7b45",
-    100: "3686d13e0a9d858992f3fbe89751f168fddeb1ef8b7be0dac1aba9688f0b138d",
-    105: "b2ce8b03a27049790973d3482f0479c055a7d2dc0c7155e5db3ec599d0a1a196",
-    110: "c79857e9b5023b2e2d0e617ce412ab234a0ab5a7ee73fd388b4d5ea78857e9e2",
-    115: "8513a67587d980a51f13c5e868bdd93d3cb7988c0a24af5b5d0c66858049b00c",
-    120: "131fa5d2acc4010d0d27839d7f7ab40687e24cb8cda06e8e2d70b919f899f556",
+    5: "f9210526f2aba89de20687e202e8dc2731b5dd63e04bf1a38ab6f60127024e5a",
+    10: "9fe79ca006576c91fa0884bf883f1b4102823383dfb758f61c39f7244c22d0f3",
+    15: "810242338de7138ed0212323d51b39625c33ccd4d031d67e96e9e790d4e46737",
+    20: "8a822dcfc5595d3305ebd49e11e3a7dc089fac047adc08849e9527b20ed0d259",
+    25: "4431e48905ba31b4a984497852a0a771d3f40eec37a76c86b41ff0d984c22e0b",
+    30: "cf97062fdc01ebd98cfeaab91a48f6113d868d9d17bd3299c3683056d0f6f44d",
+    35: "d5bcb49665ca35ab6fc2f4720122c490a591c1772296781e6e488a11a7894626",
+    40: "7e94ee3967e253497dfc6d502ff13c5cc08da40152f64e68e0ce5489e2c839c8",
+    45: "b1e417656b0e53bbcaf7a3ea46491f334fa0348f08f8ce7d4d32210d1dfc90bf",
+    50: "d3e28146a40b92a40e226b8a8e1113138964ca91103e0da80acdc31fbfde4f3f",
+    55: "35e494eafe079a804ef7414d5b9cd4b34eb15ed3d59633f79e5e2ecb940844b1",
+    60: "fc5d7781c3b6778d24b81e0b76665e2850fa167fdd4efa6e16f519632505b637",
+    65: "34a431645f119be6b292dff77bcb3d267c19d7f7c68e7a154bc6cf3595dea3ed",
+    70: "772af9e54b24a7248cd96b79d80a502f25507732e2018b664cb472c6755d5503",
+    75: "0f905fd16e0e84760c6b2232090e5fb5790cc4210f2de2ffb24e7d6cab2e8645",
+    80: "8e0bc05835e594e5a676b172f12a880547ff5db78e2167ce59264b1e62157d8e",
+    85: "06b8e0c39eed6e4ff527946a094af7dcf6e1d135c741360244d9107545134176",
+    90: "6042865f39675b6d10ea637957914949fb2b15af8c59109bc87ba0579511e93f",
+    95: "bdafa1bfc253af523598551eadfed8a1ab33579b29ac8d123b263e1a2e1c60fc",
+    100: "31e99504903903a30ef34c602a0a0023970e5db02e377e6837a29990561236e0",
+    105: "3a57f4107319d0d22426cc333acd14f9d9852d2c0830cfb72285aa5f8e54d3b8",
+    110: "98d0fba6bd9d9972f19c3aa878985b25c8e646fdb4f1b962fd589dd328b6bc33",
+    115: "81a2029188888772299bb9342300711848fdecfd9feff687088056b293d11052",
+    120: "24b632ee4439538a168956927e4ea41918cd76b561aa0bdf34b9781a56d05c7b",
 }
 
 
