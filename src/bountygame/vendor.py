@@ -64,7 +64,8 @@ __all__ = [
 ]
 
 _FOC_TOL = 1e-9
-_FOC_SCAN_POINTS = 201
+_FOC_GRID_CELLS = 200
+_FOC_LEAF_CELLS = 25
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +179,22 @@ class WhhCountReport:
 # ---------------------------------------------------------------------------
 
 
-def _positive_k_severe(curves: CurveSet, t: float) -> float:
-    ks = k_severe(curves, t)
+def _positive_ks(ks: float, t: float) -> float:
+    """K_s(t) as given, or ``DomainError`` where it is not positive."""
     if ks <= 0.0:
         raise DomainError(f"K_s(t) must be positive, got {ks!r} at t={t!r}")
     return ks
+
+
+def _bounty_pair(params: MarketParams, ks: float) -> tuple[float, float]:
+    """The closed-form optimal bounties (p_s*, p_ns*) where K_s(t) = ks."""
+    n, m = params.n, params.m
+    big_n = n + m
+    kappa = big_n - 1
+    p_s = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s) - 0.5 * (
+        big_n * kappa * params.c_w
+    ) / (m * ks)
+    return p_s, 0.5 * params.TC_ns
 
 
 def optimal_bounties(params: MarketParams, curves: CurveSet, t: float) -> OptimalBounties:
@@ -194,21 +206,12 @@ def optimal_bounties(params: MarketParams, curves: CurveSet, t: float) -> Optima
     likely. The non-severe bounty is half the user-discovery cost.
     """
     _check_market(params)
-    ks = _positive_k_severe(curves, t)
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    p_s = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s) - 0.5 * (
-        big_n * kappa * params.c_w
-    ) / (m * ks)
-    p_ns = 0.5 * params.TC_ns
+    p_s, p_ns = _bounty_pair(params, _positive_ks(k_severe(curves, t), t))
     return OptimalBounties(p_s=p_s, p_ns=p_ns, bbp_viable=p_s > 0.0)
 
 
-def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bounds:
-    """Feasibility band for running a bounty program at release time t."""
-    _check_market(params)
-    ks = _positive_k_severe(curves, t)
+def _feasibility_band(params: MarketParams, ks: float) -> tuple[float, float, float]:
+    """Condition 1's (lb, ub, gap) where K_s(t) = ks; it holds when lb < gap < ub."""
     n, m = params.n, params.m
     big_n = n + m
     kappa = big_n - 1
@@ -216,7 +219,13 @@ def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bo
     tc_ratio = params.TC_s / params.c_w
     lb = max(base - tc_ratio, tc_ratio - (2 * m + n) * big_n * kappa / (m * n * ks))
     ub = base + tc_ratio
-    gap = params.W / params.c_b - params.r_s / params.c_w
+    return lb, ub, params.W / params.c_b - params.r_s / params.c_w
+
+
+def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bounds:
+    """Feasibility band for running a bounty program at release time t."""
+    _check_market(params)
+    lb, ub, gap = _feasibility_band(params, _positive_ks(k_severe(curves, t), t))
     return Condition1Bounds(lb=lb, ub=ub, gap_value=gap, feasible=lb < gap < ub)
 
 
@@ -295,7 +304,7 @@ def profit_with_bbp(
     """
     _check_market(params)
     t, p_s, p_ns = decision.t, decision.p_s, decision.p_ns
-    ks = _positive_k_severe(curves, t)
+    ks = _positive_ks(k_severe(curves, t), t)
     kns = k_nonsevere(curves, t)
     if select_regime(params, decision, curves) is not Regime.CORNER:
         warnings.warn(
@@ -351,7 +360,7 @@ def profit_without_bbp(
     existing non-severe bug costs the full user-discovery amount.
     """
     _check_market(params)
-    ks = _positive_k_severe(curves, t)
+    ks = _positive_ks(k_severe(curves, t), t)
     p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     return _no_bbp_breakdown(params, curves, t, ks, _unit_clamp(p_e0), _unit_clamp(p_b0))
 
@@ -378,8 +387,9 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     Each factor N d(K_s p)/dK_s is 2Np - 1 while its race probability p is
     in [0, 1], and N clamp(p) once p is clamped. As n p_e + m p_b = 1, a
     clamp applies only where some p < 0, that is where a factor is below -1.
+    The caller keeps t in [0, t_max]; it is not checked here.
     """
-    ks = k_severe(curves, t)
+    ks = curves.k_severe(t)
     ks_prime = curves.k_severe_prime(t)
     kns_prime = curves.k_nonsevere_prime(t)
     n, m = params.n, params.m
@@ -399,8 +409,8 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     )
 
 
-def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet) -> bool:
-    """Whether the no-program slope provably falls on [0, t_max].
+def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet, lo: float, hi: float) -> bool:
+    """Whether the no-program slope provably falls on [lo, hi].
 
     Decided from the parameters of the built-in family only; any other
     curve set, subclasses of ``ReleaseCurves`` included since they may
@@ -411,7 +421,7 @@ def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet) -> bool:
            - lambda_ns^2 TC_ns K_ns.
 
     The two slope factors and the bracket are linear in K_s, which is
-    monotone in t, so their values at t = 0 and t_max bound them. With
+    monotone in t, so their values at t = lo and hi bound them. With
     neither factor below -1 (no clamp) and the bracket >= 0 at both ends,
     the derivative is negative when b, TC_s, K_s0 >= 0 and TC_ns, K_ns0 > 0,
     lambda_ns != 0. These signs are checked here because
@@ -432,7 +442,7 @@ def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet) -> bool:
     big_n = n + m
     kappa = big_n - 1
     g0 = params.r_s / params.c_w - params.W / params.c_b
-    for ks in (curves.k_severe(0.0), curves.k_severe(curves.t_max)):
+    for ks in (curves.k_severe(lo), curves.k_severe(hi)):
         if min(_corner_slope_factors(params, ks, g0)) < -1.0:
             return False
         bracket = (m + n * params.x) + 4.0 * m * n * g0 * (params.x - 1.0) * ks / (
@@ -448,25 +458,24 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
 
     By the envelope theorem the bounty re-optimization contributes nothing,
     so this is the partial time derivative of the profit at the optimal
-    bounty pair.
+    bounty pair. The caller keeps t in [0, t_max] and has checked the
+    market; neither is checked again here.
     """
-    ks = k_severe(curves, t)
-    kns = k_nonsevere(curves, t)
+    ks = curves.k_severe(t)
+    kns = curves.k_nonsevere(t)
     ks_prime = curves.k_severe_prime(t)
     kns_prime = curves.k_nonsevere_prime(t)
     n, m = params.n, params.m
     big_n = n + m
-    bounties = optimal_bounties(params, curves, t)
-    g_star = (params.r_s + bounties.p_s) / params.c_w - params.W / params.c_b
+    p_s, p_ns = _bounty_pair(params, _positive_ks(ks, t))
+    g_star = (params.r_s + p_s) / params.c_w - params.W / params.c_b
     bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g_star)
-    severe_terms = (
-        (m * params.TC_s / big_n) * bhh_factor + (n * bounties.p_s / big_n) * ewhh_factor
-    )
+    severe_terms = (m * params.TC_s / big_n) * bhh_factor + (n * p_s / big_n) * ewhh_factor
     return (
         curves.revenue_prime(t)
         - ks_prime * severe_terms
         - kns_prime * params.TC_ns
-        + 2.0 * kns * kns_prime * bounties.p_ns * bounties.p_ns
+        + 2.0 * kns * kns_prime * p_ns * p_ns
     )
 
 
@@ -502,74 +511,68 @@ def _bbp_slope_falls(params: MarketParams, curves: CurveSet, lo: float, hi: floa
     return curves.b + curves.lambda_s**2 * severe + curves.lambda_ns**2 * nonsevere > 0.0
 
 
-def _grid_time(lo: float, hi: float, i: int, points: int) -> float:
-    """The i-th of ``points`` evenly spaced times on [lo, hi].
+def _grid_time(lo: float, hi: float, i: int) -> float:
+    """The i-th of the search's 201 evenly spaced times on [lo, hi], the last exactly hi.
 
-    The last is exactly hi: lo + (hi - lo) * i / (points - 1) can round
-    above hi at i = points - 1, which could put the scan outside the
-    curves' domain.
+    lo + (hi - lo) * i / 200 can round above hi at i = 200, outside the curves' domain.
     """
-    return hi if i == points - 1 else lo + (hi - lo) * i / (points - 1)
+    return hi if i == _FOC_GRID_CELLS else lo + (hi - lo) * i / _FOC_GRID_CELLS
 
 
-def _scan_foc_brackets(foc, lo: float, hi: float, points: int) -> list[tuple[float, float]]:
-    """Sign-change brackets of a first-order condition on [lo, hi].
+def _falling_brackets(foc, lo: float, hi: float, falls) -> list[tuple[float, float]]:
+    """The cells of the 201-point grid of [lo, hi] where the slope ``foc`` falls through 0.
 
-    Scans ``points`` evenly spaced times, the last exactly hi.
+    A cell is a bracket where the slope is 0 at its start, or positive there
+    and negative at its end; 0 at hi adds (hi, hi). A piece of the grid
+    where ``falls(a, b)`` proves the slope falls holds at most one, which
+    bisection finds; an unproven piece is halved while it spans more than
+    25 cells, then scanned. So the brackets, in order, are a full scan's.
     """
-    ts = [_grid_time(lo, hi, i, points) for i in range(points)]
-    vals = [foc(t) for t in ts]
-    brackets: list[tuple[float, float]] = []
-    for i in range(points - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            brackets.append((ts[i], ts[i + 1]))
-    if vals[-1] == 0.0:
-        brackets.append((hi, hi))
-    return brackets
+    last = _FOC_GRID_CELLS
+
+    def search(i0: int, i1: int) -> list[tuple[float, float]]:
+        t0, t1 = _grid_time(lo, hi, i0), _grid_time(lo, hi, i1)
+        if falls(t0, t1):
+            if foc(t0) < 0.0:
+                return []
+            f1 = foc(t1)
+            if f1 >= 0.0:
+                return [(hi, hi)] if f1 == 0.0 and i1 == last else []
+            while i1 - i0 > 1:
+                mid = (i0 + i1) // 2
+                i0, i1 = (mid, i1) if foc(_grid_time(lo, hi, mid)) >= 0.0 else (i0, mid)
+            return [(_grid_time(lo, hi, i0), _grid_time(lo, hi, i1))]
+        if i1 - i0 > _FOC_LEAF_CELLS:
+            mid = (i0 + i1) // 2
+            return search(i0, mid) + search(mid, i1)
+        ts = [_grid_time(lo, hi, i) for i in range(i0, i1 + 1)]
+        vals = [foc(t) for t in ts]
+        found = [
+            (ts[k], ts[k + 1])
+            for k in range(i1 - i0)
+            if vals[k] == 0.0 or (vals[k] > 0.0 and vals[k] * vals[k + 1] < 0.0)
+        ]
+        return found + [(hi, hi)] if i1 == last and vals[-1] == 0.0 else found
+
+    return search(0, last)
 
 
-def _falling_foc_bracket(foc, lo: float, hi: float, points: int) -> list[tuple[float, float]]:
-    """The brackets ``_scan_foc_brackets`` finds for a falling condition.
-
-    On a falling condition the scan's one bracket is the cell that ends at
-    the first grid time where it is negative, or (hi, hi) where it ends at
-    0; it has none where the condition keeps one strict sign. So this
-    bisects the same grid's indices for that cell.
-    """
-    if foc(lo) < 0.0:
-        return []
-    f_last = foc(hi)
-    if f_last >= 0.0:
-        return [(hi, hi)] if f_last == 0.0 else []
-    i_lo, i_hi = 0, points - 1
-    while i_hi - i_lo > 1:
-        mid = (i_lo + i_hi) // 2
-        if foc(_grid_time(lo, hi, mid, points)) >= 0.0:
-            i_lo = mid
-        else:
-            i_hi = mid
-    return [(_grid_time(lo, hi, i_lo, points), _grid_time(lo, hi, i_hi, points))]
-
-
-def _best_release(foc, profit, lo: float, hi: float, slope_falls: bool):
+def _best_release(foc, profit, lo: float, hi: float, falls):
     """The time in [lo, hi] that a release optimizer answers, as (t, boundary, profit).
 
-    Looks for sign changes of the slope ``foc`` on a 201-point grid of
-    [lo, hi]: by bisecting the grid's indices where ``slope_falls`` proves
-    there is at most one, by scanning every point elsewhere. Every falling
-    sign change (a cell whose slope is >= 0 at its start) is refined to its
-    root by ``newton_bisect``, or to the edge where the slope jumps across
-    zero. The candidates are those roots, then lo, then hi, and the first
-    with the largest ``profit`` wins: a root thus keeps a tie with an end,
-    and lo one with hi. ``boundary`` is True when an end wins. Two roots
-    inside one grid cell are not seen, so a peak narrower than
-    (hi - lo) / 200 can be missed.
+    Finds where the slope ``foc`` falls through 0 on a 201-point grid of
+    [lo, hi] (``_falling_brackets``): pieces that ``falls(a, b)`` proves are
+    bisected, and the rest is scanned in leaves of 25 cells. Each such
+    bracket is refined to its root by ``newton_bisect``, or to the edge
+    where the slope jumps across zero. The candidates are those roots, then
+    lo, then hi, and the first with the largest ``profit`` wins: a root thus
+    keeps a tie with an end, and lo one with hi. ``boundary`` is True when
+    an end wins. Two roots inside one grid cell are not seen, so a peak
+    narrower than (hi - lo) / 200 can be missed.
     """
-    find = _falling_foc_bracket if slope_falls else _scan_foc_brackets
     candidates = [
         (newton_bisect(foc, b_lo, b_hi, ftol=_FOC_TOL), False)
-        for b_lo, b_hi in find(foc, lo, hi, _FOC_SCAN_POINTS)
-        if foc(b_lo) >= 0.0
+        for b_lo, b_hi in _falling_brackets(foc, lo, hi, falls)
     ]
     candidates += [(lo, True), (hi, True)]
     profits = [profit(t) for t, _ in candidates]
@@ -586,9 +589,8 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     slope of the clamped profit that ``profit_without_bbp`` reports, so it
     jumps where a zero-bounty race probability reaches a clamp, and a root
     may be that clamp edge. Where the parameters of the built-in family
-    prove that the slope falls (``_no_bbp_slope_falls``), the grid is
-    bisected instead of scanned: the same bracket, the same result, from
-    about a tenth of the slope evaluations.
+    prove that the slope falls on a piece of the grid
+    (``_no_bbp_slope_falls``), that piece is bisected instead of scanned.
     """
     _check_market(params)
 
@@ -597,7 +599,7 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
 
     t_star, boundary, profit = _best_release(
         foc, lambda t: profit_without_bbp(params, t, curves).total,
-        0.0, curves.t_max, _no_bbp_slope_falls(params, curves),
+        0.0, curves.t_max, lambda a, b: _no_bbp_slope_falls(params, curves, a, b),
     )
     return ReleaseOptimum(t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profit)
 
@@ -685,8 +687,8 @@ def _feasible_interval(
     Condition 1 holds on an open interval of u = 1/K_s(t) (see
     ``_condition1_in_u``), and u rises with t because ``validate``
     requires K_s to fall, so the feasible times form one interval. Its
-    edges are found by bisection on K_s; then a short bisection of
-    ``condition1`` itself around each edge inside (0, t_max) returns the
+    edges are found by bisection on K_s; then a short bisection of the
+    band itself around each edge inside (0, t_max) returns the
     last float at which the band holds, so the ends always pass
     ``condition1``. Returns None when no time in [0, t_max] is feasible.
     """
@@ -701,7 +703,8 @@ def _feasible_interval(
         return None
 
     def ok(t: float) -> bool:
-        return condition1(params, curves, t).feasible
+        lb, ub, gap = _feasibility_band(params, _positive_ks(curves.k_severe(t), t))
+        return lb < gap < ub
 
     inside = 0.5 * (t_lo + t_hi)
     if not ok(inside):
@@ -738,8 +741,9 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     [lo, hi] by the rule ``optimal_release_no_bbp`` uses: the falling roots
     of the analytic first-order condition are compared with both ends
     (``_best_release``), so no unimodality is assumed and a second
-    stationary time is seen. Where ``_bbp_slope_falls`` proves at most one
-    root, the grid is bisected instead of scanned. Raises
+    stationary time is seen. The 201-point grid of [lo, hi] is bisected on
+    every piece where ``_bbp_slope_falls`` proves the slope falls, and
+    scanned in leaves of 25 cells elsewhere. Raises
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """
@@ -751,12 +755,10 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     t_star, boundary, profit = _best_release(
         lambda t: _concentrated_prime(params, curves, t),
         lambda t: concentrated_bbp_profit(params, curves, t),
-        lo, hi, _bbp_slope_falls(params, curves, lo, hi),
+        lo, hi, lambda a, b: _bbp_slope_falls(params, curves, a, b),
     )
-    bounties = optimal_bounties(params, curves, t_star)
-    return BbpRelease(
-        t=t_star, p_s=bounties.p_s, p_ns=bounties.p_ns, profit=profit, boundary=boundary
-    )
+    p_s, p_ns = _bounty_pair(params, curves.k_severe(t_star))
+    return BbpRelease(t=t_star, p_s=p_s, p_ns=p_ns, profit=profit, boundary=boundary)
 
 
 def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
@@ -770,15 +772,14 @@ def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
     zero-bounty race probabilities are in [0, 1], as it takes them unclamped.
     """
     _check_market(params)
-    ks = _positive_k_severe(curves, t)
+    ks = _positive_ks(k_severe(curves, t), t)
     kns = k_nonsevere(curves, t)
     ks_prime = curves.k_severe_prime(t)
     kns_prime = curves.k_nonsevere_prime(t)
     n, m = params.n, params.m
     big_n = n + m
     kappa = big_n - 1
-    bounties = optimal_bounties(params, curves, t)
-    p_s, p_ns = bounties.p_s, bounties.p_ns
+    p_s, p_ns = _bounty_pair(params, ks)
     g0 = params.r_s / params.c_w - params.W / params.c_b
     _, ewhh_factor = _corner_slope_factors(params, ks, g0)
     bracket = (
@@ -801,13 +802,12 @@ def profit_decomposition_check(params: MarketParams, curves: CurveSet, t: float)
     algebra has been broken.
     """
     _check_market(params)
-    ks = _positive_k_severe(curves, t)
+    ks = _positive_ks(k_severe(curves, t), t)
     kns = k_nonsevere(curves, t)
     n, m = params.n, params.m
     big_n = n + m
     kappa = big_n - 1
-    bounties = optimal_bounties(params, curves, t)
-    p_s, p_ns = bounties.p_s, bounties.p_ns
+    p_s, p_ns = _bounty_pair(params, ks)
     lhs = _profit_polynomial(params, curves, t, p_s, p_ns)
     p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     rhs = (
