@@ -163,6 +163,11 @@ def _feasible(*efforts: float) -> bool:
     return all(0.0 <= e <= 1.0 for e in efforts)
 
 
+def _corner_alpha_s(params: MarketParams, ks: float, p_s: float) -> float:
+    """Corner-regime expert severe effort K_s (r_s + p_s) / ((n + m) c_w)."""
+    return ks * (params.r_s + p_s) / ((params.n + params.m) * params.c_w)
+
+
 def corner_equilibrium(
     params: MarketParams, decision: VendorDecision, curves: CurveSet
 ) -> EffortProfile:
@@ -170,7 +175,7 @@ def corner_equilibrium(
     _check_market(params)
     ks = k_severe(curves, decision.t)
     kns = k_nonsevere(curves, decision.t)
-    alpha_s = ks * (params.r_s + decision.p_s) / ((params.n + params.m) * params.c_w)
+    alpha_s = _corner_alpha_s(params, ks, decision.p_s)
     beta_ns = kns * decision.p_ns / params.l
     mu_s = ks * params.W / (params.c_b * (params.n + params.m))
     return EffortProfile(

@@ -58,6 +58,16 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; bools and non-integral types are refused."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_count(name: str, value) -> int:
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -40,6 +39,7 @@ from .scenario import (
     CurveSet,
     MarketParams,
     VendorDecision,
+    _require_int,
     k_nonsevere,
     k_severe,
     revenue,
@@ -82,16 +82,6 @@ class SimOutcome:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def _require_int(name: str, value) -> int:
-    """``value`` as an int; bools and non-integral types are refused."""
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _race_cells(k: float, q: float) -> tuple[float, float, float]:

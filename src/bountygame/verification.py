@@ -18,6 +18,9 @@ from dataclasses import asdict, dataclass
 from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
 from .hackers import (
     Regime,
+    _check_market,
+    _clamp,
+    _corner_alpha_s,
     _corner_severe_probs,
     _corner_slope_factors,
     _regime_boundary_p_ns,
@@ -27,7 +30,16 @@ from .hackers import (
     select_regime,
     success_probabilities,
 )
-from .scenario import MarketParams, ReleaseCurves, VendorDecision, k_nonsevere, k_severe, validate
+from .scenario import (
+    MarketParams,
+    ReleaseCurves,
+    VendorDecision,
+    _require_finite,
+    _require_int,
+    k_nonsevere,
+    k_severe,
+    validate,
+)
 from .vendor import (
     BbpRelease,
     ReleaseOptimum,
@@ -123,14 +135,19 @@ class FeasibleSampler:
     Proposal k of a block takes element k of each count array and row k of
     the doubles u, in this order: the market fields c_w, c_b, r_s, W, TC_s,
     TC_ns, x and the curve fields K_s0, lambda_s, K_ns0, lambda_ns, R0, a,
-    b, t_max, each lo + (hi - lo) u over its range; t = t_max u;
-    p_s = 10 u; a coin; and a factor u, with p_ns = boundary u below a coin
-    of 0.5 and boundary (1 + u) otherwise, where boundary is the non-severe
-    bounty at the regime boundary. ``proposals`` counts the proposals used,
-    not those drawn ahead in the current block.
+    b, t_max, each lo + (hi - lo) u over its range (one array expression
+    for the whole block); t = t_max u; p_s = 10 u; a coin; and a factor u,
+    with p_ns = boundary u below a coin of 0.5 and boundary (1 + u)
+    otherwise, where boundary is the non-severe bounty at the regime
+    boundary. ``proposals`` counts the proposals used, not those drawn
+    ahead in the current block. A seed that is not a non-negative integer
+    raises ``DomainError``.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):
+        seed = _require_int("seed", seed)
+        if seed < 0:
+            raise DomainError(f"seed must be non-negative, got {seed!r}")
         self.seed = seed
         self.ranges = dict(DEFAULT_RANGES)
         if ranges:
@@ -144,7 +161,8 @@ class FeasibleSampler:
         counts = [self.ranges[name] for name in ("n", "l", "m")]
         self._counts = [(int(lo), int(hi) + 1) for lo, hi in counts]
         ranged = [self.ranges[name] for name in _RANGED_FIELDS]
-        self._spans = [(lo, hi - lo) for lo, hi in ranged]
+        self._lo = np.array([lo for lo, _ in ranged], dtype=np.float64)
+        self._span = np.array([hi - lo for lo, hi in ranged], dtype=np.float64)
         self._block = iter(())
         self.proposals = 0
 
@@ -153,7 +171,9 @@ class FeasibleSampler:
     def _refill(self) -> None:
         rng = self._rng
         n, l, m = (rng.integers(lo, stop, size=_BATCH).tolist() for lo, stop in self._counts)
-        self._block = zip(n, l, m, rng.random((_BATCH, _PROPOSAL_DOUBLES)).tolist())
+        u = rng.random((_BATCH, _PROPOSAL_DOUBLES))
+        ranged = self._lo + self._span * u[:, : len(_RANGED_FIELDS)]
+        self._block = zip(n, l, m, ranged.tolist(), u[:, len(_RANGED_FIELDS) :].tolist())
 
     def _propose(self) -> SampledScenario:
         row = next(self._block, None)
@@ -161,11 +181,11 @@ class FeasibleSampler:
             self._refill()
             row = next(self._block)
         self.proposals += 1
-        n, l, m, u = row
+        n, l, m, ranged, rest = row
         (
             c_w, c_b, r_s, W, TC_s, TC_ns, x,
             K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max,
-        ) = [lo + span * v for (lo, span), v in zip(self._spans, u)]
+        ) = ranged
         params = MarketParams(
             n=n, l=l, m=m, c_w=c_w, c_b=c_b, r_s=r_s, W=W, TC_s=TC_s, TC_ns=TC_ns, x=x
         )
@@ -179,7 +199,7 @@ class FeasibleSampler:
             b=b,
             t_max=t_max,
         )
-        u_t, u_p_s, coin, factor = u[len(_RANGED_FIELDS):]
+        u_t, u_p_s, coin, factor = rest
         t = t_max * u_t
         p_s = 10.0 * u_p_s
         # Bias the non-severe bounty around the regime boundary so both
@@ -390,14 +410,43 @@ def _make_report(
     )
 
 
-def _require_draws(draws: int) -> None:
+def _require_draws(draws: int) -> int:
+    draws = _require_int("draws", draws)
     if draws < 1:
         raise DomainError("draws must be at least 1")
+    return draws
 
 
 # ---------------------------------------------------------------------------
 # Verifiers
 # ---------------------------------------------------------------------------
+
+
+def _proposition_1_sweep(
+    params: MarketParams, curves: ReleaseCurves, t: float, grid: list[float]
+) -> tuple[list[float], list[float], list[float], list[bool], list[bool]]:
+    """Corner alpha_s, clamped p_e_s and p_b_s, and their clip flags along ``grid``.
+
+    Only p_s moves along the sweep, so the market is checked and K_s(t) is
+    taken once. Each point comes from the helpers ``corner_equilibrium`` and
+    ``success_probabilities`` use, so it equals what they give at (t, p_s).
+    """
+    _check_market(params)
+    ks = k_severe(curves, t)
+    alphas: list[float] = []
+    p_es: list[float] = []
+    p_bs: list[float] = []
+    clip_e: list[bool] = []
+    clip_b: list[bool] = []
+    for p_s in grid:
+        p_e, p_b = _corner_severe_probs(params, ks, p_s)
+        clipped: list[str] = []
+        alphas.append(_corner_alpha_s(params, ks, p_s))
+        p_es.append(_clamp("p_e_s", p_e, clipped))
+        p_bs.append(_clamp("p_b_s", p_b, clipped))
+        clip_e.append("p_e_s" in clipped)
+        clip_b.append("p_b_s" in clipped)
+    return alphas, p_es, p_bs, clip_e, clip_b
 
 
 def verify_proposition_1(
@@ -408,9 +457,10 @@ def verify_proposition_1(
     Along an increasing severe-bounty grid, expert effort and the expert
     win probability must not fall and the black hat win probability must
     not rise, strictly so wherever neither endpoint of a step is clamped.
+    Every grid entry must be finite.
     """
-    _require_draws(draws)
-    grid = [float(p) for p in bounty_grid]
+    draws = _require_draws(draws)
+    grid = [_require_finite("bounty_grid entry", p) for p in bounty_grid]
     if len(grid) < 10:
         raise DomainError("bounty_grid needs at least 10 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -420,22 +470,9 @@ def verify_proposition_1(
     failures: list[dict] = []
     for _ in range(draws):
         scen = sampler.draw_basic()
-        alphas: list[float] = []
-        p_es: list[float] = []
-        p_bs: list[float] = []
-        clip_e: list[bool] = []
-        clip_b: list[bool] = []
-        t, p_ns = scen.decision.t, scen.decision.p_ns
-        for p_s in grid:
-            dec = VendorDecision(t=t, p_s=p_s, p_ns=p_ns)
-            profile = corner_equilibrium(scen.params, dec, scen.curves)
-            probs = success_probabilities(scen.params, dec, scen.curves, profile)
-            alphas.append(profile.alpha_s)
-            p_es.append(probs.p_e_s)
-            p_bs.append(probs.p_b_s)
-            clip_e.append("p_e_s" in probs.clipped)
-            clip_b.append("p_b_s" in probs.clipped)
-
+        alphas, p_es, p_bs, clip_e, clip_b = _proposition_1_sweep(
+            scen.params, scen.curves, scen.decision.t, grid
+        )
         worst = math.inf
         problem = None
         for i in range(len(grid) - 1):
@@ -480,7 +517,7 @@ def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionRep
     must show a strictly positive profit gap and a decomposition residual
     within rounding.
     """
-    _require_draws(draws)
+    draws = _require_draws(draws)
     margins: list[float] = []
     failures: list[dict] = []
     excluded = 0
@@ -521,7 +558,7 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
     negative. The release tier only accepts draws whose two optima are
     interior, and hands them over with the draw, so no draw is excluded.
     """
-    _require_draws(draws)
+    draws = _require_draws(draws)
     margins: list[float] = []
     failures: list[dict] = []
     for _ in range(draws):
@@ -558,7 +595,7 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
     p_s = 0 specialization of the general ones. Margins are reported as
     normalized slack (1 = exact, 0 = at tolerance).
     """
-    _require_draws(draws)
+    draws = _require_draws(draws)
     margins: list[float] = []
     failures: list[dict] = []
     for _ in range(draws):
@@ -657,7 +694,7 @@ def run_full_suite(seed: int, draws: int = 1000) -> dict:
     are independent of each other's rejection behavior. The summary's
     ``passed`` is the conjunction of all report outcomes.
     """
-    _require_draws(draws)
+    draws = _require_draws(draws)
     bounty_grid = [20.0 * i / 49 for i in range(50)]
     reports = [
         verify_proposition_1(FeasibleSampler(seed), draws, bounty_grid),

@@ -399,6 +399,13 @@ def test_verify_command_round_trip(capsys, tmp_path):
     assert rc2 == 0 and out2 == out
 
 
+def test_verify_negative_seed_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--seed", "-1", "--draws", "2")
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload == {"error": "DomainError", "detail": "seed must be non-negative, got -1"}
+
+
 def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
     monkeypatch.setattr(verification, "_NORMALIZATION_TOL", -1.0)
     rc, out, _ = run_cli(capsys, "verify", "--seed", "24", "--draws", "5")

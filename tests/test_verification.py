@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -14,6 +15,7 @@ from bountygame import (
     FeasibleSampler,
     Regime,
     condition1,
+    corner_equilibrium,
     equilibrium,
     identity_suite,
     optimal_bounties,
@@ -96,6 +98,12 @@ def test_proposals_count_the_proposals_used():
     assert sampler.proposals == used < 64
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5, np.float64(3.0), "7"])
+def test_sampler_refuses_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(DomainError, match="seed"):
+        FeasibleSampler(seed)
+
+
 def test_unknown_tier_and_range_key_are_rejected():
     with pytest.raises(DomainError, match="tier"):
         list(FeasibleSampler(1).draws("fancy", 1))
@@ -160,6 +168,104 @@ def test_proposition_1_validates_its_grid():
         verify_proposition_1(sampler, 1, [0.0, 1.0, 1.0] + list(range(2, 10)))
     with pytest.raises(DomainError, match="draws"):
         verify_proposition_1(sampler, 0, [float(i) for i in range(10)])
+    # The last entry keeps the grid strictly increasing (or is a nan, which
+    # no comparison sees), so only the finiteness check can refuse it, and
+    # it does so before any draw.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            verify_proposition_1(sampler, 1, [float(i) for i in range(9)] + [bad])
+    assert sampler.proposals == 0
+
+
+@pytest.mark.parametrize("draws", [2.5, True, np.float64(3.0), "3"])
+def test_verifiers_refuse_non_integer_draws(draws):
+    grid = [float(i) for i in range(10)]
+    runs = (
+        lambda: verify_proposition_1(FeasibleSampler(2), draws, grid),
+        lambda: verify_proposition_2(FeasibleSampler(2), draws),
+        lambda: verify_proposition_3(FeasibleSampler(2), draws),
+        lambda: identity_suite(FeasibleSampler(2), draws),
+        lambda: run_full_suite(2, draws),
+    )
+    for run in runs:
+        with pytest.raises(DomainError, match="draws must be an integer"):
+            run()
+
+
+def _closed_form_sweep(params, curves, decision, grid):
+    """Proposition 1's sweep rebuilt point by point from the public closed forms."""
+    alphas, p_es, p_bs, clip_e, clip_b = [], [], [], [], []
+    for p_s in grid:
+        dec = VendorDecision(t=decision.t, p_s=p_s, p_ns=decision.p_ns)
+        profile = corner_equilibrium(params, dec, curves)
+        probs = success_probabilities(params, dec, curves, profile)
+        alphas.append(profile.alpha_s)
+        p_es.append(probs.p_e_s)
+        p_bs.append(probs.p_b_s)
+        clip_e.append("p_e_s" in probs.clipped)
+        clip_b.append("p_b_s" in probs.clipped)
+    return alphas, p_es, p_bs, clip_e, clip_b
+
+
+def test_proposition_1_sweep_equals_the_closed_forms(s0_curves, s0_decision):
+    sweep = verification_module._proposition_1_sweep
+    grid = [20.0 * i / 49 for i in range(50)]
+    clamped_b = 0
+    for scen in FeasibleSampler(21).draws("basic", 200):
+        got = sweep(scen.params, scen.curves, scen.decision.t, grid)
+        want = _closed_form_sweep(scen.params, scen.curves, scen.decision, grid)
+        # repr tells -0.0 from 0.0 and shows nan, so this is bit-for-bit.
+        assert repr(got) == repr(want)
+        clamped_b += any(got[4])
+    assert clamped_b > 0
+
+    # One expert against one black hat with no black hat prize: K_s(2) g
+    # passes 2 near p_s = 4.4, so p_e_s clamps at 1 from there on.
+    params = MarketParams(
+        n=1, l=1, m=1, c_w=1.1, c_b=2.0, r_s=0.0, W=0.0, TC_s=40.0, TC_ns=1.0, x=0.5
+    )
+    got = sweep(params, s0_curves, s0_decision.t, grid)
+    assert repr(got) == repr(_closed_form_sweep(params, s0_curves, s0_decision, grid))
+    assert not got[3][0] and got[3][-1]
+
+
+@pytest.mark.parametrize(
+    "helper, fake, detail",
+    [
+        (
+            "_corner_alpha_s",
+            lambda params, ks, p_s: 0.5,
+            "alpha_s not strictly increasing at step 0",
+        ),
+        (
+            "_corner_severe_probs",
+            lambda params, ks, p_s: (0.5, 0.5 - 0.01 * p_s),
+            "p_e_s not strictly increasing at step 0",
+        ),
+        (
+            "_corner_severe_probs",
+            lambda params, ks, p_s: (0.01 * p_s, 0.5),
+            "p_b_s not strictly decreasing at step 0",
+        ),
+        (
+            "_corner_severe_probs",
+            lambda params, ks, p_s: (1.5 - p_s, 0.5),
+            "p_e_s decreases across a clamped step 0",
+        ),
+        (
+            "_corner_severe_probs",
+            lambda params, ks, p_s: (0.1 + 0.01 * p_s, p_s - 0.5),
+            "p_b_s increases across a clamped step 0",
+        ),
+    ],
+)
+def test_proposition_1_names_the_failing_step(monkeypatch, helper, fake, detail):
+    monkeypatch.setattr(verification_module, helper, fake)
+    report = verify_proposition_1(FeasibleSampler(21), 2, [float(i) for i in range(10)])
+    assert not report.passed and report.draws_tested == 2
+    assert report.min_margin == 0.0
+    assert [f["detail"] for f in report.failures] == [detail] * 2
+    assert all("scenario" in f for f in report.failures)
 
 
 def test_proposition_reports_pass_on_modest_populations():
