@@ -65,7 +65,6 @@ __all__ = [
 
 _FOC_TOL = 1e-9
 _FOC_GRID_CELLS = 200
-_FOC_LEAF_CELLS = 25
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +380,28 @@ def concentrated_bbp_profit(params: MarketParams, curves: CurveSet, t: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _clamped_slope_factors(params: MarketParams, ks: float, g0: float) -> tuple[float, float]:
+    """The zero-bounty slope factors where K_s(t) = ks, as the clamped profit takes them.
+
+    Each factor N d(K_s p)/dK_s is 2Np - 1 while its race probability p is in
+    [0, 1], and N clamp(p) once clamped, which as n p_e + m p_b = 1 happens
+    only where some p < 0, that is where a factor is below -1.
+    """
+    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g0)
+    if not (bhh_factor < -1.0 or ewhh_factor < -1.0):
+        return bhh_factor, ewhh_factor
+    big_n = params.n + params.m
+    return tuple(
+        f if -1.0 <= f <= 2 * big_n - 1 else big_n * _unit_clamp((1.0 + f) / (2 * big_n))
+        for f in (bhh_factor, ewhh_factor)
+    )
+
+
 def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     """Analytic time derivative of the clamped no-program profit.
 
-    Each factor N d(K_s p)/dK_s is 2Np - 1 while its race probability p is
-    in [0, 1], and N clamp(p) once p is clamped. As n p_e + m p_b = 1, a
-    clamp applies only where some p < 0, that is where a factor is below -1.
-    The caller keeps t in [0, t_max]; it is not checked here.
+    It jumps where a zero-bounty race probability reaches a clamp
+    (``_clamped_slope_factors``). The caller keeps t in [0, t_max].
     """
     ks = curves.k_severe(t)
     ks_prime = curves.k_severe_prime(t)
@@ -395,62 +409,13 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     n, m = params.n, params.m
     big_n = n + m
     g0 = params.r_s / params.c_w - params.W / params.c_b
-    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g0)
-    if bhh_factor < -1.0 or ewhh_factor < -1.0:
-        bhh_factor, ewhh_factor = (
-            f if -1.0 <= f <= 2 * big_n - 1 else big_n * _unit_clamp((1.0 + f) / (2 * big_n))
-            for f in (bhh_factor, ewhh_factor)
-        )
+    bhh_factor, ewhh_factor = _clamped_slope_factors(params, ks, g0)
     return (
         curves.revenue_prime(t)
         - ks_prime * (m / big_n) * bhh_factor * params.TC_s
         - ks_prime * (n / big_n) * ewhh_factor * params.x * params.TC_s
         - kns_prime * params.TC_ns
     )
-
-
-def _no_bbp_slope_falls(params: MarketParams, curves: CurveSet, lo: float, hi: float) -> bool:
-    """Whether the no-program slope provably falls on [lo, hi].
-
-    Decided from the parameters of the built-in family only; any other
-    curve set, subclasses of ``ReleaseCurves`` included since they may
-    override a curve, gets False. Where no race probability is clamped, the
-    slope's t-derivative is
-
-        -b - (lambda_s^2 TC_s / N) [(m + n x) + 4 m n g0 (x - 1) K_s / (kappa N)] K_s
-           - lambda_ns^2 TC_ns K_ns.
-
-    The two slope factors and the bracket are linear in K_s, which is
-    monotone in t, so their values at t = lo and hi bound them. With
-    neither factor below -1 (no clamp) and the bracket >= 0 at both ends,
-    the derivative is negative when b, TC_s, K_s0 >= 0 and TC_ns, K_ns0 > 0,
-    lambda_ns != 0. These signs are checked here because
-    ``optimal_release_no_bbp`` does not validate its input.
-    """
-    if type(curves) is not ReleaseCurves:
-        return False
-    if not (
-        curves.b >= 0.0
-        and params.TC_s >= 0.0
-        and curves.K_s0 >= 0.0
-        and params.TC_ns > 0.0
-        and curves.K_ns0 > 0.0
-        and curves.lambda_ns != 0.0
-    ):
-        return False
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    g0 = params.r_s / params.c_w - params.W / params.c_b
-    for ks in (curves.k_severe(lo), curves.k_severe(hi)):
-        if min(_corner_slope_factors(params, ks, g0)) < -1.0:
-            return False
-        bracket = (m + n * params.x) + 4.0 * m * n * g0 * (params.x - 1.0) * ks / (
-            kappa * big_n
-        )
-        if bracket < 0.0:
-            return False
-    return True
 
 
 def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
@@ -479,102 +444,103 @@ def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> flo
     )
 
 
-def _bbp_slope_falls(params: MarketParams, curves: CurveSet, lo: float, hi: float) -> bool:
-    """Whether the with-program slope provably falls on [lo, hi].
+def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
+    """The times in (lo, hi), in order, where the sum of c e^(-mu t) over ``terms`` changes sign.
 
-    Decided for the exact ``ReleaseCurves`` family only, as in
-    ``_no_bbp_slope_falls``. With p_s* = A - B/K_s substituted, where
-    A = (TC_s + (c_w/c_b) W - r_s)/2, the bracket of ``_concentrated_prime``
-    is s0 + s1 K_s with G0 = (r_s + A)/c_w - W/c_b = (TC_s - A)/c_w,
-    s0 = TC_s - n c_w G0/N = (m TC_s + n A)/N and
-    s1 = 2 m n G0 (A - TC_s)/(kappa N^2) = -2 m n (A - TC_s)^2/(c_w kappa N^2).
-    The slope's t-derivative is then
+    With equal exponents merged and zero coefficients dropped, the sum f has
+    at most as many real zeros as its coefficients, ordered by mu, have sign
+    changes (Laguerre's rule of signs): with none, f has no zero; with one,
+    it has one, inside (lo, hi) where f(lo) and f(hi) differ in sign. Else
+    the sign changes of (f e^(mu0 t))', mu0 the least exponent, a sum of one
+    term fewer, split (lo, hi) into pieces on which f e^(mu0 t) is monotone,
+    so f has at most one zero on each, refined to 1e-12 (hi - lo) by Newton
+    steps that bisect its bracket where a step would leave it or not halve.
+    """
+    merged: dict[float, float] = {}
+    for mu, c in terms:
+        merged[mu] = merged.get(mu, 0.0) + c
+    terms = sorted((mu, c) for mu, c in merged.items() if c != 0.0)
+    changes = sum((c0 > 0.0) != (c1 > 0.0) for (_, c0), (_, c1) in zip(terms, terms[1:]))
+    if changes == 0:
+        return []
+    ends = [lo, hi]
+    if changes > 1:
+        mu0 = terms[0][0]
+        ends[1:1] = _exp_sum_sign_changes([(mu, (mu0 - mu) * c) for mu, c in terms[1:]], lo, hi)
+    values = [sum(c * math.exp(-mu * t) for mu, c in terms) for t in ends]
+    tol = 1e-12 * (hi - lo)
+    zeros = []
+    for a, b, fa, fb in zip(ends, ends[1:], values, values[1:]):
+        if not (fa < 0.0 < fb or fb < 0.0 < fa):
+            continue
+        t, step = 0.5 * (a + b), b - a
+        while step > tol:
+            parts = [(mu, c * math.exp(-mu * t)) for mu, c in terms]
+            ft = sum(v for _, v in parts)
+            a, b = (t, b) if (ft < 0.0) == (fa < 0.0) else (a, t)
+            slope = sum(mu * v for mu, v in parts)
+            newton = t + ft / slope if slope else a
+            if a < newton < b and abs(newton - t) < 0.5 * step:
+                t, step = newton, abs(newton - t)
+            else:
+                step = 0.5 * (b - a)
+                t = a + step
+        zeros.append(t)
+    return zeros
 
-        -b - lambda_s^2 K_s (s0 + 2 s1 K_s) - lambda_ns^2 TC_ns K_ns (1 - TC_ns K_ns).
 
-    Both quadratics are concave (s1 <= 0), each in one curve, monotone in
-    t, so their minima over [lo, hi] are at its ends. The slope falls when
-    b plus those minima, times lambda_s^2 and lambda_ns^2, is positive.
+def _release_cuts(curves: CurveSet, lo: float, hi: float, k_edges, coefficients) -> list[float]:
+    """Times from lo to hi with at most one falling root of a release slope between neighbours.
+
+    Curve sets other than the exact ``ReleaseCurves``, whose subclasses may
+    override a curve, get 201 evenly spaced times, the last exactly hi. For
+    the built-in curves the slope jumps where K_s(t) reaches one of
+    ``k_edges``, and such a time gets a cut just below and just above it.
+    Between those times the slope is -a - b t + lambda_s K_s (s1 + s2 K_s) +
+    lambda_ns K_ns (ns1 + ns2 K_ns), (s1, s2, ns1, ns2) = ``coefficients(K_s)``,
+    so its t-derivative is -b plus terms in e^(-lambda_s t), e^(-2 lambda_s t),
+    e^(-lambda_ns t) and e^(-2 lambda_ns t), whose sign changes are cuts too.
     """
     if type(curves) is not ReleaseCurves:
-        return False
-    n, m = params.n, params.m
-    big_n = n + m
-    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
-    s0 = (m * params.TC_s + n * a) / big_n
-    s1 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
-    severe = min(k * (s0 + 2.0 * s1 * k) for k in (curves.k_severe(lo), curves.k_severe(hi)))
-    tc_ns = params.TC_ns
-    nonsevere = min(
-        tc_ns * k * (1.0 - tc_ns * k) for k in (curves.k_nonsevere(lo), curves.k_nonsevere(hi))
-    )
-    return curves.b + curves.lambda_s**2 * severe + curves.lambda_ns**2 * nonsevere > 0.0
-
-
-def _grid_time(lo: float, hi: float, i: int) -> float:
-    """The i-th of the search's 201 evenly spaced times on [lo, hi], the last exactly hi.
-
-    lo + (hi - lo) * i / 200 can round above hi at i = 200, outside the curves' domain.
-    """
-    return hi if i == _FOC_GRID_CELLS else lo + (hi - lo) * i / _FOC_GRID_CELLS
-
-
-def _falling_brackets(foc, lo: float, hi: float, falls) -> list[tuple[float, float]]:
-    """The cells of the 201-point grid of [lo, hi] where the slope ``foc`` falls through 0.
-
-    A cell is a bracket where the slope is 0 at its start, or positive there
-    and negative at its end; 0 at hi adds (hi, hi). A piece of the grid
-    where ``falls(a, b)`` proves the slope falls holds at most one, which
-    bisection finds; an unproven piece is halved while it spans more than
-    25 cells, then scanned. So the brackets, in order, are a full scan's.
-    """
-    last = _FOC_GRID_CELLS
-
-    def search(i0: int, i1: int) -> list[tuple[float, float]]:
-        t0, t1 = _grid_time(lo, hi, i0), _grid_time(lo, hi, i1)
-        if falls(t0, t1):
-            if foc(t0) < 0.0:
-                return []
-            f1 = foc(t1)
-            if f1 >= 0.0:
-                return [(hi, hi)] if f1 == 0.0 and i1 == last else []
-            while i1 - i0 > 1:
-                mid = (i0 + i1) // 2
-                i0, i1 = (mid, i1) if foc(_grid_time(lo, hi, mid)) >= 0.0 else (i0, mid)
-            return [(_grid_time(lo, hi, i0), _grid_time(lo, hi, i1))]
-        if i1 - i0 > _FOC_LEAF_CELLS:
-            mid = (i0 + i1) // 2
-            return search(i0, mid) + search(mid, i1)
-        ts = [_grid_time(lo, hi, i) for i in range(i0, i1 + 1)]
-        vals = [foc(t) for t in ts]
-        found = [
-            (ts[k], ts[k + 1])
-            for k in range(i1 - i0)
-            if vals[k] == 0.0 or (vals[k] > 0.0 and vals[k] * vals[k + 1] < 0.0)
+        return [lo + (hi - lo) * i / _FOC_GRID_CELLS for i in range(_FOC_GRID_CELLS)] + [hi]
+    ls, lns, ks0, kns0 = curves.lambda_s, curves.lambda_ns, curves.K_s0, curves.K_ns0
+    ratios = [ks0 / k for k in k_edges]
+    edges = sorted(t for t in (math.log(r) / ls for r in ratios if r > 0.0 and ls) if lo < t < hi)
+    step = 1e-9 * (hi - lo)
+    cuts = [lo, hi, *(max(t - step, lo) for t in edges), *(min(t + step, hi) for t in edges)]
+    bounds = [lo, *edges, hi]
+    for a, b in zip(bounds, bounds[1:]):
+        s1, s2, ns1, ns2 = coefficients(curves.k_severe(0.5 * (a + b)))
+        terms = [
+            (0.0, -curves.b),
+            (ls, -ls * ls * s1 * ks0),
+            (2.0 * ls, -2.0 * ls * ls * s2 * ks0 * ks0),
+            (lns, -lns * lns * ns1 * kns0),
+            (2.0 * lns, -2.0 * lns * lns * ns2 * kns0 * kns0),
         ]
-        return found + [(hi, hi)] if i1 == last and vals[-1] == 0.0 else found
+        cuts += _exp_sum_sign_changes(terms, a, b)
+    return sorted(set(cuts))
 
-    return search(0, last)
 
-
-def _best_release(foc, profit, lo: float, hi: float, falls):
+def _best_release(foc, profit, cuts: list[float]):
     """The time in [lo, hi] that a release optimizer answers, as (t, boundary, profit).
 
-    Finds where the slope ``foc`` falls through 0 on a 201-point grid of
-    [lo, hi] (``_falling_brackets``): pieces that ``falls(a, b)`` proves are
-    bisected, and the rest is scanned in leaves of 25 cells. Each such
-    bracket is refined to its root by ``newton_bisect``, or to the edge
-    where the slope jumps across zero. The candidates are those roots, then
-    lo, then hi, and the first with the largest ``profit`` wins: a root thus
-    keeps a tie with an end, and lo one with hi. ``boundary`` is True when
-    an end wins. Two roots inside one grid cell are not seen, so a peak
-    narrower than (hi - lo) / 200 can be missed.
+    ``cuts`` run from lo to hi, with at most one falling root of the slope
+    ``foc`` between neighbours. Neighbours are a bracket where the slope is
+    0 at the first, or positive there and negative at the second; 0 at hi
+    adds (hi, hi). Each bracket is refined to its root by ``newton_bisect``,
+    or to the edge where the slope jumps across zero. The candidates are
+    those roots, then lo, then hi, and the first with the largest
+    ``profit`` wins: a root thus keeps a tie with an end, and lo one with
+    hi. ``boundary`` is True when an end wins.
     """
-    candidates = [
-        (newton_bisect(foc, b_lo, b_hi, ftol=_FOC_TOL), False)
-        for b_lo, b_hi in _falling_brackets(foc, lo, hi, falls)
-    ]
-    candidates += [(lo, True), (hi, True)]
+    values = [foc(t) for t in cuts]
+    pairs = zip(cuts, cuts[1:], values, values[1:])
+    brackets = [(a, b) for a, b, fa, fb in pairs if fa == 0.0 or fa > 0.0 > fb]
+    if values[-1] == 0.0:
+        brackets.append((cuts[-1], cuts[-1]))
+    candidates = [(newton_bisect(foc, a, b, ftol=_FOC_TOL), False) for a, b in brackets]
+    candidates += [(cuts[0], True), (cuts[-1], True)]
     profits = [profit(t) for t, _ in candidates]
     best = max(range(len(candidates)), key=profits.__getitem__)
     t_star, boundary = candidates[best]
@@ -588,18 +554,34 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     [0, t_max] with both ends (``_best_release``). The condition is the
     slope of the clamped profit that ``profit_without_bbp`` reports, so it
     jumps where a zero-bounty race probability reaches a clamp, and a root
-    may be that clamp edge. Where the parameters of the built-in family
-    prove that the slope falls on a piece of the grid
-    (``_no_bbp_slope_falls``), that piece is bisected instead of scanned.
+    may be that clamp edge. An unclamped slope factor is 1 + beta K_s, with
+    beta = -2 n g0 / (kappa N) for the black hat and 2 m g0 / (kappa N) for
+    the expert, and a clamped one is 0 or N; a clamp starts or ends where a
+    factor crosses -1 or 2N - 1, at K_s = (level - 1)/beta. For the built-in
+    curves every root is found (``_release_cuts``); any other curve set is
+    searched on a 201-point grid, which misses two roots in one grid cell.
     """
     _check_market(params)
+    n, m = params.n, params.m
+    big_n = n + m
+    g0 = params.r_s / params.c_w - params.W / params.c_b
+    betas = (-2.0 * n * g0 / ((big_n - 1) * big_n), 2.0 * m * g0 / ((big_n - 1) * big_n))
+    weights = (m / big_n, n * params.x / big_n)
+
+    def coefficients(ks: float) -> tuple[float, float, float, float]:
+        s1 = s2 = 0.0
+        raw, kept = _corner_slope_factors(params, ks, g0), _clamped_slope_factors(params, ks, g0)
+        for w, beta, f, f_kept in zip(weights, betas, raw, kept):
+            s1, s2 = (s1 + w, s2 + w * beta) if f_kept == f else (s1 + w * f_kept, s2)
+        return params.TC_s * s1, params.TC_s * s2, params.TC_ns, 0.0
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)
 
+    k_edges = [d / beta for beta in betas if beta for d in (-2.0, 2.0 * big_n - 2.0)]
     t_star, boundary, profit = _best_release(
         foc, lambda t: profit_without_bbp(params, t, curves).total,
-        0.0, curves.t_max, lambda a, b: _no_bbp_slope_falls(params, curves, a, b),
+        _release_cuts(curves, 0.0, curves.t_max, k_edges, coefficients),
     )
     return ReleaseOptimum(t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profit)
 
@@ -741,9 +723,13 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     [lo, hi] by the rule ``optimal_release_no_bbp`` uses: the falling roots
     of the analytic first-order condition are compared with both ends
     (``_best_release``), so no unimodality is assumed and a second
-    stationary time is seen. The 201-point grid of [lo, hi] is bisected on
-    every piece where ``_bbp_slope_falls`` proves the slope falls, and
-    scanned in leaves of 25 cells elsewhere. Raises
+    stationary time is seen. With p_s* = A - B/K_s, where
+    A = (TC_s + (c_w/c_b) W - r_s)/2, the bracket of ``_concentrated_prime``
+    is s0 + s1 K_s with s0 = (m TC_s + n A)/N and
+    s1 = -2 m n (A - TC_s)^2/(c_w kappa N^2), and p_ns* = TC_ns/2 makes the
+    non-severe part lambda_ns K_ns TC_ns (1 - TC_ns K_ns / 2). For the
+    built-in curves every root is found (``_release_cuts``); any other curve
+    set is searched on a 201-point grid of [lo, hi]. Raises
     ``InfeasibleScenarioError`` naming the violated feasibility bound when
     no release time supports a program.
     """
@@ -752,10 +738,16 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     if interval is None:
         raise InfeasibleScenarioError(_describe_infeasibility(params, curves))
     lo, hi = interval
+    n, m = params.n, params.m
+    big_n = n + m
+    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
+    s0 = (m * params.TC_s + n * a) / big_n
+    s1 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
+    coefficients = (s0, s1, params.TC_ns, -0.5 * params.TC_ns * params.TC_ns)
     t_star, boundary, profit = _best_release(
         lambda t: _concentrated_prime(params, curves, t),
         lambda t: concentrated_bbp_profit(params, curves, t),
-        lo, hi, lambda a, b: _bbp_slope_falls(params, curves, a, b),
+        _release_cuts(curves, lo, hi, [], lambda ks: coefficients),
     )
     p_s, p_ns = _bounty_pair(params, curves.k_severe(t_star))
     return BbpRelease(t=t_star, p_s=p_s, p_ns=p_ns, profit=profit, boundary=boundary)

@@ -13,6 +13,7 @@ failure is reproducible from the report alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
@@ -34,6 +35,7 @@ from .scenario import (
     MarketParams,
     ReleaseCurves,
     VendorDecision,
+    _require_count,
     _require_finite,
     _require_int,
     k_nonsevere,
@@ -96,9 +98,9 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 _MAX_PROPOSALS = 200_000
 # Proposals drawn per refill of the sampler's block.
 _BATCH = 64
-# The ranged doubles of a proposal, in draw order: 7 market fields, then 8
-# curve fields. Each row also holds t, p_s, the branch coin and the p_ns
-# factor.
+# The ranged doubles of a proposal, in draw order: the 7 market fields after
+# the counts, then the 8 curve fields, each in its value type's field order.
+# Each row also holds t, p_s, the branch coin and the p_ns factor.
 _RANGED_FIELDS = (
     "c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x",
     "K_s0", "lambda_s", "K_ns0", "lambda_ns", "R0", "a", "b", "t_max",
@@ -108,6 +110,23 @@ _EFFORT_CAP = 0.99
 _PROB_MARGIN = 1e-6
 # Tolerance of the identity suite's severe-race normalization check.
 _NORMALIZATION_TOL = 1e-12
+
+
+def _check_range(name: str, bounds) -> None:
+    """Refuses a sampler range other than (low, high) finite numbers with low <= high.
+
+    Bools and strings are not numbers here, and a head count's bounds must
+    be integral.
+    """
+    if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
+        raise DomainError(f"sampler range {name} must be a (low, high) pair, got {bounds!r}")
+    require = _require_count if name in ("n", "l", "m") else _require_finite
+    for value in bounds:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"sampler range {name} needs numeric bounds, got {value!r}")
+        require(f"sampler range {name} bound", value)
+    if bounds[0] > bounds[1]:
+        raise DomainError(f"sampler range {name} is inverted: {bounds!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +159,9 @@ class FeasibleSampler:
     with p_ns = boundary u below a coin of 0.5 and boundary (1 + u)
     otherwise, where boundary is the non-severe bounty at the regime
     boundary. ``proposals`` counts the proposals used, not those drawn
-    ahead in the current block. A seed that is not a non-negative integer
-    raises ``DomainError``.
+    ahead in the current block. A seed that is not a non-negative integer,
+    or a range that is not a (low, high) pair of finite numbers with
+    low <= high (integral for n, l and m), raises ``DomainError``.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):
@@ -154,6 +174,8 @@ class FeasibleSampler:
             unknown = set(ranges) - set(DEFAULT_RANGES)
             if unknown:
                 raise DomainError(f"unknown sampler range keys: {sorted(unknown)}")
+            for name, bounds in ranges.items():
+                _check_range(name, bounds)
             self.ranges.update(ranges)
         import numpy as np
 
@@ -182,25 +204,10 @@ class FeasibleSampler:
             row = next(self._block)
         self.proposals += 1
         n, l, m, ranged, rest = row
-        (
-            c_w, c_b, r_s, W, TC_s, TC_ns, x,
-            K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max,
-        ) = ranged
-        params = MarketParams(
-            n=n, l=l, m=m, c_w=c_w, c_b=c_b, r_s=r_s, W=W, TC_s=TC_s, TC_ns=TC_ns, x=x
-        )
-        curves = ReleaseCurves(
-            K_s0=K_s0,
-            lambda_s=lambda_s,
-            K_ns0=K_ns0,
-            lambda_ns=lambda_ns,
-            R0=R0,
-            a=a,
-            b=b,
-            t_max=t_max,
-        )
+        params = MarketParams(n, l, m, *ranged[:7])
+        curves = ReleaseCurves(*ranged[7:])
         u_t, u_p_s, coin, factor = rest
-        t = t_max * u_t
+        t = curves.t_max * u_t
         p_s = 10.0 * u_p_s
         # Bias the non-severe bounty around the regime boundary so both
         # equilibrium families are represented in the population.

@@ -422,9 +422,9 @@ def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
 # result bit-for-bit must leave these alone.
 PINNED_SHA256 = {
     "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
-    "optimize": "5aeafc9adc22a4b9db63e1cbd0f5d2946503294092e9f41c3cd034658b0d07d8",
+    "optimize": "40cb65284aff7f1d3c245349c3b7f6e2797aeb5cb46e3f267a05e2bd478c49cd",
     "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
-    "verify": "a98c58aa05f9e63bef0d52c2e89c1f0194e7de551507b070985a23eacef743b4",
+    "verify": "a68c97521182290312debfe0ee11e9621e752204457310ab03194f10802a77ec",
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, replace
 
 import pytest
@@ -29,6 +30,7 @@ from bountygame import (
     validate,
 )
 from bountygame import vendor
+from bountygame._rootfind import newton_bisect
 from bountygame.hackers import _corner_severe_probs
 from bountygame.vendor import _concentrated_prime, _profit_nb_prime
 from bountygame.verification import FeasibleSampler
@@ -233,36 +235,37 @@ def test_release_without_program_stops_on_a_clamp_kink():
     assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
-def test_release_optimizers_cover_wide_release_horizons():
+def test_release_optimizers_cover_wide_release_horizons(wide_ranges):
     # Unpinned t_max: scans used to overshoot it by one rounding step (a
     # DomainError on these validated draws fails the test), and clamped
     # zero-bounty probabilities used to yield a no-program optimum below
-    # the grid maximum (by 0.04% on draw 105 of this sampler, as it drew
-    # before it drew proposals in blocks of 64); every draw must have a
+    # the grid maximum (by 0.04% on long draw 105 of this sampler, as it
+    # drew before it drew proposals in blocks of 64); every draw must have a
     # no-program optimum that reaches the grid maximum. On 3 of the 52
-    # feasible draws here the with-program slope turns from negative to
+    # feasible long draws here the with-program slope turns from negative to
     # positive somewhere; comparing every falling root with both ends of
-    # the feasible interval must still reach the grid maximum.
-    sampler = FeasibleSampler(77, ranges={"t_max": (1.0, 30.0)})
-    checked = with_program = 0
-    for scen in sampler.draws("raw", 120):
-        params, curves = scen.params, scen.curves
-        try:
-            bbp = optimal_release_with_bbp(params, curves)
-        except InfeasibleScenarioError:
-            pass
-        else:
-            lo, hi = vendor._feasible_interval(params, curves)
-            ts = [lo + (hi - lo) * i / 2000 for i in range(2000)] + [hi]
-            best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
-            assert bbp.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
-            with_program += 1
-        nb = optimal_release_no_bbp(params, curves)
-        ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
-        best = max(profit_without_bbp(params, t, curves).total for t in ts)
-        assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
-        checked += 1
-    assert checked == 120 and with_program >= 50
+    # the feasible interval must still reach the grid maximum. The wide box
+    # gives 50 feasible draws.
+    for ranges in ({"t_max": (1.0, 30.0)}, wide_ranges):
+        checked = with_program = 0
+        for scen in FeasibleSampler(77, ranges=ranges).draws("raw", 120):
+            params, curves = scen.params, scen.curves
+            try:
+                bbp = optimal_release_with_bbp(params, curves)
+            except InfeasibleScenarioError:
+                pass
+            else:
+                lo, hi = vendor._feasible_interval(params, curves)
+                ts = [lo + (hi - lo) * i / 2000 for i in range(2000)] + [hi]
+                best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
+                assert bbp.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
+                with_program += 1
+            nb = optimal_release_no_bbp(params, curves)
+            ts = [curves.t_max * i / 2000 for i in range(2000)] + [curves.t_max]
+            best = max(profit_without_bbp(params, t, curves).total for t in ts)
+            assert nb.profit >= best - 1e-12 * max(1.0, abs(best)), asdict(scen)
+            checked += 1
+        assert checked == 120 and with_program >= 50
 
 
 class WavyRevenue(ReleaseCurves):
@@ -299,43 +302,8 @@ def test_release_ties_go_to_the_first_candidate(monkeypatch, s0_params, s0_curve
     assert (nb.t, nb.boundary) == (0.0, True)
 
 
-def _no_program_release_or_error(params, curves):
-    try:
-        return optimal_release_no_bbp(params, curves)
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-
-
-def test_falling_slope_bisection_matches_the_scan(monkeypatch, wide_ranges):
-    # Where the slope provably falls, the optimizer bisects the scan's grid
-    # for its one bracket instead of evaluating all 201 points. Forcing the
-    # scan must give the same optimum, or the same error, on every draw.
-    slope = vendor._profit_nb_prime
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return slope(*args)
-
-    monkeypatch.setattr(vendor, "_profit_nb_prime", counted)
-    slope_falls = vendor._no_bbp_slope_falls
-    for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
-        scens = list(FeasibleSampler(5, ranges=ranges).draws("raw", 1000))
-        fast = sum(slope_falls(s.params, s.curves, 0.0, s.curves.t_max) for s in scens)
-        calls = 0
-        bisected = [_no_program_release_or_error(s.params, s.curves) for s in scens]
-        assert calls <= 40 * len(scens)
-        assert fast >= 0.95 * len(scens)
-        with monkeypatch.context() as scan_only:
-            scan_only.setattr(vendor, "_no_bbp_slope_falls", lambda *args: False)
-            scanned = [_no_program_release_or_error(s.params, s.curves) for s in scens]
-        for k, (got, want) in enumerate(zip(bisected, scanned)):
-            assert got == want, (k, asdict(scens[k]))
-
-
-# Wide draw 47: p_b0 = -1.39 at t = 0, so the slope is clamped there, and
-# the bracket is negative at t = 0.
+# Wide draw 47: p_b0 = -1.39 at t = 0, so the slope is clamped there; the
+# clamp ends inside [0, t_max], before the optimum.
 _CLAMPED_AT_ZERO = (
     MarketParams(
         n=1, l=7, m=1, c_w=1.1593198890968566, c_b=6.394062789155481,
@@ -364,77 +332,6 @@ _RISING_THEN_FALLING = (
         t_max=17.54753027922866,
     ),
 )
-
-
-def _no_program_slope_falls(params, curves):
-    return vendor._no_bbp_slope_falls(params, curves, 0.0, curves.t_max)
-
-
-def test_slope_shape_test_declines_what_it_cannot_prove(s0_params, s0_curves):
-    assert _no_program_slope_falls(s0_params, s0_curves)
-    # A subclass may override a curve, as this one does.
-    wavy = WavyRevenue(**asdict(s0_curves))
-    assert not _no_program_slope_falls(s0_params, wavy)
-    lo, hi = vendor._feasible_interval(s0_params, s0_curves)
-    assert vendor._bbp_slope_falls(s0_params, s0_curves, lo, hi)
-    assert not vendor._bbp_slope_falls(s0_params, wavy, lo, hi)
-    # Unvalidated: a convex revenue curve.
-    rising_revenue_slope = replace(s0_curves, b=-1e-3)
-    assert not validate(s0_params, rising_revenue_slope).passed
-    assert not _no_program_slope_falls(s0_params, rising_revenue_slope)
-    assert not _no_program_slope_falls(*_CLAMPED_AT_ZERO)
-    # Clamped after t = 12.7152 only; the bracket is >= 0 at both ends.
-    assert not _no_program_slope_falls(*_CLAMP_KINK)
-    assert not _no_program_slope_falls(*_RISING_THEN_FALLING)
-    # The scan finds both sign changes; only the falling one is a peak, and
-    # it beats both endpoints.
-    params, curves = _RISING_THEN_FALLING
-    nb = optimal_release_no_bbp(params, curves)
-    assert not nb.boundary
-    assert nb.t == pytest.approx(1.3623, abs=1e-4)
-    assert nb.profit > profit_without_bbp(params, 0.0, curves).total
-
-
-def _program_release_or_error(params, curves):
-    try:
-        return optimal_release_with_bbp(params, curves)
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-
-
-def test_falling_program_slope_bisection_matches_the_scan(monkeypatch, wide_ranges):
-    # Where the with-program slope provably falls on the feasible interval,
-    # the optimizer bisects the scan's grid for its one bracket. Forcing the
-    # scan must give the same optimum, or the same error, on every draw, and
-    # wherever the proof holds the slope must not rise on a grid.
-    slope_falls = vendor._bbp_slope_falls
-    feasible = proven = 0
-    for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
-        scens = list(FeasibleSampler(5, ranges=ranges).draws("raw", 1000))
-        for scen in scens:
-            params, curves = scen.params, scen.curves
-            interval = vendor._feasible_interval(params, curves)
-            if interval is None:
-                continue
-            feasible += 1
-            if not slope_falls(params, curves, *interval):
-                continue
-            proven += 1
-            lo, hi = interval
-            ts = [lo + (hi - lo) * i / 100 for i in range(100)] + [hi]
-            slopes = [_concentrated_prime(params, curves, t) for t in ts]
-            assert all(b <= a for a, b in zip(slopes, slopes[1:])), asdict(scen)
-        bisected = [_program_release_or_error(s.params, s.curves) for s in scens]
-        with monkeypatch.context() as scan_only:
-            scan_only.setattr(vendor, "_bbp_slope_falls", lambda *args: False)
-            scanned = [_program_release_or_error(s.params, s.curves) for s in scens]
-        for k, (got, want) in enumerate(zip(bisected, scanned)):
-            assert got == want, (k, asdict(scens[k]))
-    # The proof holds on about half of the feasible wide draws and on
-    # about 72% of the others.
-    assert proven >= 0.5 * feasible
-
-
 # Default raw draw 80 of FeasibleSampler(11): on the feasible interval
 # (0.1666, 4.7229) the with-program slope rises through 0 near t = 0.36
 # and falls through 0 near t = 2.94.
@@ -451,96 +348,112 @@ _PROGRAM_RISING_THEN_FALLING = (
         t_max=10.0,
     ),
 )
+# Default raw draw 1531 of FeasibleSampler(11), and long raw draw 1125 of
+# the same seed, which differs only in t_max. p_e0 < 0 and p_b0 > 1 until
+# t = 4.2593, where both clamps end and the slope jumps from -1.12 to
+# +0.29. The best root, t = 3.7387, falls before the jump; a search with
+# one cut at the jump itself, where the slope reads +0.29, misses it and
+# answers the root t = 4.3567 past the jump (profit 331.158, not 331.438).
+_CLAMP_JUMP = (
+    MarketParams(
+        n=1, l=3, m=1, c_w=1.7238326941737026, c_b=2.754926261734245,
+        r_s=0.7815976813255865, W=16.730997979474324, TC_s=69.01530944695875,
+        TC_ns=0.15902747320721644, x=0.5112571346888608,
+    ),
+    ReleaseCurves(
+        K_s0=0.9668018697015881, lambda_s=0.23463029287548703,
+        K_ns0=0.8533779346007984, lambda_ns=0.3999121819383831,
+        R0=378.7183311223613, a=3.905603619014245, b=0.7003393754142073,
+        t_max=10.0,
+    ),
+)
 
 
-def _scan_brackets(foc, lo, hi):
-    """Every sign-change cell of the search's 201-point grid, by a scan of every point."""
-    ts = [vendor._grid_time(lo, hi, i) for i in range(201)]
-    vals = [foc(t) for t in ts]
-    found = [
-        (ts[i], ts[i + 1]) for i in range(200) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0
-    ]
-    return found + [(hi, hi)] if vals[-1] == 0.0 else found
+def test_release_without_program_sees_a_rising_then_falling_slope():
+    # Two sign changes; only the falling one is a peak, and it beats both
+    # endpoints.
+    params, curves = _RISING_THEN_FALLING
+    assert _profit_nb_prime(params, curves, 0.0) < 0.0
+    nb = optimal_release_no_bbp(params, curves)
+    assert not nb.boundary
+    assert nb.t == pytest.approx(1.3623, abs=1e-4)
+    assert nb.profit > profit_without_bbp(params, 0.0, curves).total
+    best = _no_program_grid_max(params, curves)
+    assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
+
+
+def test_release_without_program_past_a_clamp_at_zero():
+    params, curves = _CLAMPED_AT_ZERO
+    assert _corner_severe_probs(params, curves.k_severe(0.0), 0.0)[1] < 0.0
+    nb = optimal_release_no_bbp(params, curves)
+    assert not nb.boundary
+    assert nb.t == pytest.approx(3.9227, abs=1e-4)
+    assert _corner_severe_probs(params, curves.k_severe(nb.t), 0.0)[1] > 0.0
+    best = _no_program_grid_max(params, curves)
+    assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
+
+
+def test_release_without_program_finds_the_root_before_a_clamp_jump():
+    for t_max in (10.0, 9.351725657687924):
+        params, curves = _CLAMP_JUMP[0], replace(_CLAMP_JUMP[1], t_max=t_max)
+        nb = optimal_release_no_bbp(params, curves)
+        assert not nb.boundary
+        assert nb.t == pytest.approx(3.7387, abs=1e-4)
+        assert nb.profit == pytest.approx(331.438, abs=1e-3)
+        best = _no_program_grid_max(params, curves)
+        assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
 def test_program_release_sees_a_rising_then_falling_slope():
     params, curves = _PROGRAM_RISING_THEN_FALLING
     lo, hi = vendor._feasible_interval(params, curves)
-    assert not vendor._bbp_slope_falls(params, curves, lo, hi)
-
-    def foc(t):
-        return _concentrated_prime(params, curves, t)
-
-    assert len(_scan_brackets(foc, lo, hi)) == 2
-    assert foc(lo) < 0.0
+    ts = [lo + (hi - lo) * i / 4000 for i in range(4000)] + [hi]
+    slopes = [_concentrated_prime(params, curves, t) for t in ts]
+    assert slopes[0] < 0.0
+    assert sum((a > 0.0) != (b > 0.0) for a, b in zip(slopes, slopes[1:])) == 2
     bbp = optimal_release_with_bbp(params, curves)
     assert not bbp.boundary
     assert bbp.t == pytest.approx(2.9427, abs=1e-4)
-    ts = [lo + (hi - lo) * i / 4000 for i in range(4000)] + [hi]
     best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
     assert bbp.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
-def _release_searches(params, curves):
-    """(slope, falls, lo, hi) for each release optimizer with an interval to search."""
-    yield (
-        lambda t: _profit_nb_prime(params, curves, t),
-        lambda a, b: vendor._no_bbp_slope_falls(params, curves, a, b),
-        0.0, curves.t_max,
-    )
-    interval = vendor._feasible_interval(params, curves)
-    if interval is not None:
-        yield (
-            lambda t: _concentrated_prime(params, curves, t),
-            lambda a, b: vendor._bbp_slope_falls(params, curves, a, b),
-            *interval,
-        )
+def test_release_search_roots_every_falling_bracket_of_a_dense_scan(monkeypatch, wide_ranges):
+    # Each cell of a 2,001-point scan of the slope where it falls through 0
+    # must hold a root that the optimizer refined; the roots are recorded
+    # from its calls of newton_bisect.
+    roots = []
 
+    def recorded(*args, **kwargs):
+        roots.append(newton_bisect(*args, **kwargs))
+        return roots[-1]
 
-def _check_piecewise_search(params, curves):
-    """Checks both searches of one market; returns (proven pieces, pieces)."""
-    proven = visited = 0
-    for foc, falls, lo, hi in _release_searches(params, curves):
-        pieces = []
-
-        def recorded(a, b):
-            pieces.append((a, b, falls(a, b)))
-            return pieces[-1][2]
-
-        want = [b for b in _scan_brackets(foc, lo, hi) if foc(b[0]) >= 0.0]
-        assert vendor._falling_brackets(foc, lo, hi, recorded) == want, asdict(curves)
-        for a, b, holds in pieces:
-            if holds:
-                slopes = [foc(a + (b - a) * i / 10) for i in range(10)] + [foc(b)]
-                assert all(y <= x for x, y in zip(slopes, slopes[1:])), (a, b, asdict(curves))
-        proven += sum(holds for _, _, holds in pieces)
-        visited += len(pieces)
-    return proven, visited
-
-
-def test_piecewise_search_finds_the_brackets_of_a_full_scan(wide_ranges):
-    # Both release optimizers bisect each piece of the grid that their
-    # shape test proves falling and scan the rest in leaves of 25 cells.
-    # That must find the falling brackets a scan of all 201 points finds,
-    # and the slope must not rise on any piece the search took as proven.
-    proven = visited = 0
+    monkeypatch.setattr(vendor, "newton_bisect", recorded)
+    falling = 0
     for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
         for scen in FeasibleSampler(5, ranges=ranges).draws("raw", 1000):
-            got = _check_piecewise_search(scen.params, scen.curves)
-            proven, visited = proven + got[0], visited + got[1]
-    # 3,253 of the 6,389 pieces visited are proven.
-    assert proven >= 0.5 * visited
-    # Two sign changes, or a clamp kink: the whole interval is unproven,
-    # but the search still proves some of its pieces.
-    for params, curves in (_RISING_THEN_FALLING, _CLAMP_KINK, _PROGRAM_RISING_THEN_FALLING):
-        assert 0 < _check_piecewise_search(params, curves)[0]
+            params, curves = scen.params, scen.curves
+            searches = [(optimal_release_no_bbp, _profit_nb_prime, (0.0, curves.t_max))]
+            interval = vendor._feasible_interval(params, curves)
+            if interval is not None:
+                searches.append((optimal_release_with_bbp, _concentrated_prime, interval))
+            for optimizer, slope, (lo, hi) in searches:
+                roots.clear()
+                optimizer(params, curves)
+                ts = [lo + (hi - lo) * i / 2000 for i in range(2000)] + [hi]
+                values = [slope(params, curves, t) for t in ts]
+                for a, b, fa, fb in zip(ts, ts[1:], values, values[1:]):
+                    if fa > 0.0 > fb:
+                        falling += 1
+                        assert any(a <= r <= b for r in roots), (a, b, roots, asdict(scen))
+    # 1,747 falling cells on these draws.
+    assert falling >= 1500
 
 
-def test_program_release_evaluates_a_fifth_of_a_scans_slopes(monkeypatch):
-    # A count, not a timing: the piecewise search against a search that
-    # proves nothing and so scans all 201 points of every market. On these
-    # draws the search makes 13.7% of the scan's slope evaluations; a proof
-    # tried on the whole feasible interval only would make about 31%.
+def test_program_release_makes_few_slope_evaluations(monkeypatch):
+    # A count, not a timing: on these draws the grid search this replaced
+    # made 29.0 slope evaluations per answered call, and the exact search
+    # makes 6.6.
     slope = vendor._concentrated_prime
     calls = 0
 
@@ -550,15 +463,72 @@ def test_program_release_evaluates_a_fifth_of_a_scans_slopes(monkeypatch):
         return slope(*args)
 
     monkeypatch.setattr(vendor, "_concentrated_prime", counted)
-    scens = list(FeasibleSampler(11).draws("raw", 400))
-    for s in scens:
-        _program_release_or_error(s.params, s.curves)
-    searched, calls = calls, 0
-    with monkeypatch.context() as scan_only:
-        scan_only.setattr(vendor, "_bbp_slope_falls", lambda *args: False)
-        for s in scens:
-            _program_release_or_error(s.params, s.curves)
-    assert searched <= 0.2 * calls
+    answered = 0
+    for scen in FeasibleSampler(11).draws("raw", 400):
+        try:
+            optimal_release_with_bbp(scen.params, scen.curves)
+        except InfeasibleScenarioError:
+            continue
+        answered += 1
+    assert answered >= 150
+    assert calls <= 10 * answered
+
+
+def _exp_sum(terms, t):
+    return sum(c * math.exp(-mu * t) for mu, c in terms)
+
+
+def test_exp_sum_zeros_closer_than_a_grid_cell_are_both_found():
+    # (e^-t - e^-5.01)(e^-t - e^-5.02) has zeros 0.01 apart, inside one
+    # cell of a 201-point grid of [0, 10]; one exponent is split in two and
+    # a zero term added, which the search merges and drops.
+    e1, e2 = math.exp(-5.01), math.exp(-5.02)
+    terms = [(2.0, 1.0), (1.0, -e1), (1.0, -e2), (0.0, e1 * e2), (3.0, 0.0)]
+    zeros = vendor._exp_sum_sign_changes(terms, 0.0, 10.0)
+    assert zeros == pytest.approx([5.01, 5.02], abs=1e-9)
+    assert vendor._exp_sum_sign_changes(terms, 5.015, 10.0) == pytest.approx([5.02], abs=1e-9)
+    assert vendor._exp_sum_sign_changes(terms, 0.0, 5.0) == []
+
+
+def test_exp_sum_zeros_match_a_dense_sign_scan():
+    rng = random.Random(21)
+    found = 0
+    for _ in range(400):
+        count = rng.randint(2, 5)
+        terms = [(rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 1.0)) for _ in range(count)]
+        if all(c > 0.0 for _, c in terms) or all(c < 0.0 for _, c in terms):
+            continue
+        hi = rng.uniform(1.0, 10.0)
+        zeros = vendor._exp_sum_sign_changes(terms, 0.0, hi)
+        coefficients = [c for _, c in sorted(terms)]
+        changes = sum((a > 0.0) != (b > 0.0) for a, b in zip(coefficients, coefficients[1:]))
+        assert len(zeros) <= changes, terms
+        assert zeros == sorted(zeros) and all(0.0 < z < hi for z in zeros), terms
+        ts = [hi * i / 4000 for i in range(4001)]
+        signs = [_exp_sum(terms, t) > 0.0 for t in ts]
+        cells = [(a, b) for a, b, sa, sb in zip(ts, ts[1:], signs, signs[1:]) if sa != sb]
+        assert len(zeros) == len(cells), terms
+        for (a, b), z in zip(cells, zeros):
+            assert a - 1e-9 * hi <= z <= b + 1e-9 * hi, terms
+        found += len(zeros)
+    assert found >= 100
+
+
+def test_exp_sum_finds_the_known_zeros_of_products():
+    # prod_i (e^(-lam t) - e^(-lam z_i)) is a sum in e^(-k lam t), k = 0..d,
+    # whose zeros are the z_i: up to four, at least 0.01 apart.
+    rng = random.Random(5)
+    for _ in range(200):
+        lam = rng.uniform(0.2, 2.0)
+        zs = sorted(rng.uniform(0.1, 9.9) for _ in range(rng.randint(1, 4)))
+        if any(b - a < 0.01 for a, b in zip(zs, zs[1:])):
+            continue
+        poly = [1.0]  # coefficients of x^0, x^1, ... with x = e^(-lam t)
+        for z in zs:
+            root = math.exp(-lam * z)
+            poly = [a - root * b for a, b in zip([0.0, *poly], [*poly, 0.0])]
+        terms = [(k * lam, c) for k, c in enumerate(poly)]
+        assert vendor._exp_sum_sign_changes(terms, 0.0, 10.0) == pytest.approx(zs, abs=1e-8)
 
 
 def test_no_viable_program_anywhere_is_structured(s0_params, s0_curves):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -102,6 +102,56 @@ def test_proposals_count_the_proposals_used():
 def test_sampler_refuses_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(DomainError, match="seed"):
         FeasibleSampler(seed)
+
+
+@pytest.mark.parametrize(
+    "ranges, message",
+    [
+        ({"n": (5, 1)}, "inverted"),
+        ({"c_w": (5.0, 1.1)}, "inverted"),
+        ({"c_w": ("a", 2)}, "numeric"),
+        ({"c_w": (1.1, "5")}, "numeric"),
+        ({"c_w": (True, 2.0)}, "numeric"),
+        ({"n": (1, True)}, "numeric"),
+        ({"c_w": (1.1, math.inf)}, "finite"),
+        ({"W": (math.nan, 2.0)}, "finite"),
+        ({"n": (1.5, 3)}, "integer"),
+        ({"m": (1, math.inf)}, "finite"),
+        ({"c_w": 2.0}, "pair"),
+        ({"c_w": (1.1, 2.0, 3.0)}, "pair"),
+        ({"t_max": (10, 10)}, None),
+        ({"n": (1, 1)}, None),
+        ({"n": (1.0, 3.0), "c_w": (np.float64(1.5), np.int64(3))}, None),
+        ({"c_w": [1.5, 3.0]}, None),
+    ],
+)
+def test_sampler_checks_its_ranges(ranges, message):
+    if message is None:
+        sampler = FeasibleSampler(3, ranges=ranges)
+        assert sampler.draw_raw() is not None
+        return
+    with pytest.raises(DomainError, match=message):
+        FeasibleSampler(3, ranges=ranges)
+
+
+def test_integer_bounds_of_float_fields_sample_as_floats():
+    def digest(ranges):
+        sampler = FeasibleSampler(8, ranges=ranges)
+        proposals = [asdict(sampler._propose()) for _ in range(20_000)]
+        return hashlib.sha256(repr(proposals).encode()).hexdigest()
+
+    # Recorded with CPython 3.11 and numpy 2.4 on x86-64 Linux, before the
+    # sampler checked its ranges.
+    pinned = "190ed546931ae1920d5a0719889048e0000cb0ef304c215dfa605df588973a6b"
+    assert digest({"R0": (50, 500), "a": (1, 3)}) == pinned
+    assert digest({"R0": (50.0, 500.0), "a": (1.0, 3.0)}) == pinned
+
+
+def test_sampler_ranged_fields_follow_the_value_types_field_order():
+    # The sampler builds MarketParams and ReleaseCurves positionally from
+    # its ranged doubles.
+    names = [f.name for f in fields(MarketParams)][3:] + [f.name for f in fields(ReleaseCurves)]
+    assert list(verification_module._RANGED_FIELDS) == names
 
 
 def test_unknown_tier_and_range_key_are_rejected():
@@ -321,30 +371,30 @@ def test_full_suite_is_deterministic_and_green():
 # sampler tiers; a change meant to keep every result bit-for-bit must leave
 # these alone.
 PINNED_SUITE_SHA256 = {
-    5: "f9210526f2aba89de20687e202e8dc2731b5dd63e04bf1a38ab6f60127024e5a",
-    10: "9fe79ca006576c91fa0884bf883f1b4102823383dfb758f61c39f7244c22d0f3",
-    15: "810242338de7138ed0212323d51b39625c33ccd4d031d67e96e9e790d4e46737",
-    20: "8a822dcfc5595d3305ebd49e11e3a7dc089fac047adc08849e9527b20ed0d259",
-    25: "4431e48905ba31b4a984497852a0a771d3f40eec37a76c86b41ff0d984c22e0b",
-    30: "cf97062fdc01ebd98cfeaab91a48f6113d868d9d17bd3299c3683056d0f6f44d",
-    35: "d5bcb49665ca35ab6fc2f4720122c490a591c1772296781e6e488a11a7894626",
-    40: "7e94ee3967e253497dfc6d502ff13c5cc08da40152f64e68e0ce5489e2c839c8",
-    45: "b1e417656b0e53bbcaf7a3ea46491f334fa0348f08f8ce7d4d32210d1dfc90bf",
-    50: "d3e28146a40b92a40e226b8a8e1113138964ca91103e0da80acdc31fbfde4f3f",
-    55: "35e494eafe079a804ef7414d5b9cd4b34eb15ed3d59633f79e5e2ecb940844b1",
-    60: "fc5d7781c3b6778d24b81e0b76665e2850fa167fdd4efa6e16f519632505b637",
-    65: "34a431645f119be6b292dff77bcb3d267c19d7f7c68e7a154bc6cf3595dea3ed",
-    70: "772af9e54b24a7248cd96b79d80a502f25507732e2018b664cb472c6755d5503",
-    75: "0f905fd16e0e84760c6b2232090e5fb5790cc4210f2de2ffb24e7d6cab2e8645",
-    80: "8e0bc05835e594e5a676b172f12a880547ff5db78e2167ce59264b1e62157d8e",
-    85: "06b8e0c39eed6e4ff527946a094af7dcf6e1d135c741360244d9107545134176",
-    90: "6042865f39675b6d10ea637957914949fb2b15af8c59109bc87ba0579511e93f",
-    95: "bdafa1bfc253af523598551eadfed8a1ab33579b29ac8d123b263e1a2e1c60fc",
-    100: "31e99504903903a30ef34c602a0a0023970e5db02e377e6837a29990561236e0",
-    105: "3a57f4107319d0d22426cc333acd14f9d9852d2c0830cfb72285aa5f8e54d3b8",
-    110: "98d0fba6bd9d9972f19c3aa878985b25c8e646fdb4f1b962fd589dd328b6bc33",
-    115: "81a2029188888772299bb9342300711848fdecfd9feff687088056b293d11052",
-    120: "24b632ee4439538a168956927e4ea41918cd76b561aa0bdf34b9781a56d05c7b",
+    5: "cd41eb4363e11d919c60346f7bcb68e92bd8c9f3066ff22dfd3a3da11752abf6",
+    10: "3de319bd83b542ff335d255bf88edfdd110573960df337512dda9c2c69db1c85",
+    15: "e3387d7001d63f5e39f0efc5765134fe37f40b54cfb044dc326cc11a2b49fe4d",
+    20: "c1abb0c3ea39e140489d697c7ad5c6f8481deac07555acd8ec4e45fc31cb43dd",
+    25: "48eb66f57e826939ffce22680d52283b608e3181a9873cb84bebd6c439d46cc7",
+    30: "bb2497e1701eeca273f7fc5ab9a8da6f3297105213dcc6131ccf09f309298207",
+    35: "0ecdd686320e2f087c61753f695cc88f50fea34c10292363141d1bc8ad22cd78",
+    40: "1b7a5415e9bb56adf1853b4b134b69bb961ece8d463c58f015396f85ecbd218d",
+    45: "6527623faa1f270ae40c861d1b34e75647fd08aede8f8bb35af846a4352b2f45",
+    50: "0904f4f495b52cf4e541ea5d068ab24db32f2a8cdd9c8b808893e45e4b095d32",
+    55: "72270fb7a687d083c696a125d61b5849822bf5687aed77cc5b5deef6597042ff",
+    60: "1ba49e7a99f46597b575b2db33d5b21e53f5226f797c8f86d1b978ffbc31eb81",
+    65: "fef05d1cc1a294a1623420e718b48a800ac0e90fc78d032da3b89137ab9603b4",
+    70: "9b2593115a93ec34ddc64afc30be8f7f2f3c039ae1803078a6e3cc26af96a843",
+    75: "747a76246ed787e32db1cce994e39d3f92d603c9a20bef73fc997577c2a4d089",
+    80: "63b03467e8863c6e3d37edac22277aeca86f1a24c96c55fd4b05abe15afb08d5",
+    85: "65dea0c977534cf2ce5549efd392791a47de036f35a7da686868ba06b52bb49b",
+    90: "3c9d265afdedf0ab5d391ea535f510abd9c9599e71518a3bafd2823bea5fa8e8",
+    95: "c8a273695ca227651163d886c6cdfaff27866f48807ad5d31cdf0cf187534b12",
+    100: "4e9cd847224ae4ebf894e917a31fd2d6efab8d8d5319e3e649dae93602f02618",
+    105: "770cc2ffb76980f96f5508cce62688e6d49b1cd254582fdd3606321a7f572a97",
+    110: "ae4c568308ab2d0cd74029609abc3765b8105d163a6fd5e9368a8a0a415d17a7",
+    115: "d6126e2766679abdb8eba5818e92874821d04173cd06128176d4ab1216f5da6a",
+    120: "8215c8ad7db36cce22f0dc0a06f690070ef8f968900f7a7e71c65307e874a6ee",
 }
 
 
