@@ -21,13 +21,15 @@ def newton_bisect(
     hi: float,
     *,
     ftol: float = 1e-9,
+    fprime: Callable[[float], float] | None = None,
 ) -> float:
     """A zero of f on [lo, hi], where f(lo) and f(hi) must differ in sign.
 
-    Steps by Newton, with a central-difference slope, or bisects where that
-    step would leave the bracket, until |f| <= ftol. Once no float lies
-    strictly inside the bracket, f jumps across zero there, and the end with
-    the smaller |f| is returned. Raises ``ConvergenceError`` after 200 steps.
+    Steps by Newton, with the slope ``fprime`` or else a central difference,
+    or bisects where that step would leave the bracket, until |f| <= ftol or
+    a Newton step no longer moves x. Once no float lies strictly inside the
+    bracket, f jumps across zero there, and the end with the smaller |f| is
+    returned. Raises ``ConvergenceError`` after 200 steps.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -46,11 +48,16 @@ def newton_bisect(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo if abs(flo) <= abs(fhi) else hi
-        h = 1e-7 * max(hi - lo, abs(x), 1e-30)
-        slope = (f(x + h) - f(x - h)) / (2.0 * h)
+        if fprime is None:
+            h = 1e-7 * max(hi - lo, abs(x), 1e-30)
+            slope = (f(x + h) - f(x - h)) / (2.0 * h)
+        else:
+            slope = fprime(x)
         took_newton = False
         if slope != 0.0:
             x_new = x - fx / slope
+            if x_new == x:
+                return x
             if lo < x_new < hi:
                 took_newton = True
         if not took_newton:

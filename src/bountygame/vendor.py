@@ -397,25 +397,26 @@ def _clamped_slope_factors(params: MarketParams, ks: float, g0: float) -> tuple[
     )
 
 
+def _severe_costs_nb(params: MarketParams, ks_prime: float, factors) -> tuple[float, float]:
+    """The no-program slope's severe costs K_s' (m/N) f_b TC_s and K_s' (n/N) f_e x TC_s."""
+    big_n = params.n + params.m
+    return (
+        ks_prime * (params.m / big_n) * factors[0] * params.TC_s,
+        ks_prime * (params.n / big_n) * factors[1] * params.x * params.TC_s,
+    )
+
+
 def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     """Analytic time derivative of the clamped no-program profit.
 
     It jumps where a zero-bounty race probability reaches a clamp
     (``_clamped_slope_factors``). The caller keeps t in [0, t_max].
     """
-    ks = curves.k_severe(t)
-    ks_prime = curves.k_severe_prime(t)
-    kns_prime = curves.k_nonsevere_prime(t)
-    n, m = params.n, params.m
-    big_n = n + m
     g0 = params.r_s / params.c_w - params.W / params.c_b
-    bhh_factor, ewhh_factor = _clamped_slope_factors(params, ks, g0)
-    return (
-        curves.revenue_prime(t)
-        - ks_prime * (m / big_n) * bhh_factor * params.TC_s
-        - ks_prime * (n / big_n) * ewhh_factor * params.x * params.TC_s
-        - kns_prime * params.TC_ns
-    )
+    factors = _clamped_slope_factors(params, curves.k_severe(t), g0)
+    black_hat, expert = _severe_costs_nb(params, curves.k_severe_prime(t), factors)
+    non_severe = curves.k_nonsevere_prime(t) * params.TC_ns
+    return curves.revenue_prime(t) - black_hat - expert - non_severe
 
 
 def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
@@ -453,8 +454,8 @@ def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
     it has one, inside (lo, hi) where f(lo) and f(hi) differ in sign. Else
     the sign changes of (f e^(mu0 t))', mu0 the least exponent, a sum of one
     term fewer, split (lo, hi) into pieces on which f e^(mu0 t) is monotone,
-    so f has at most one zero on each, refined to 1e-12 (hi - lo) by Newton
-    steps that bisect its bracket where a step would leave it or not halve.
+    so f has at most one zero on each, refined by ``newton_bisect`` with the
+    analytic slope until a Newton step no longer moves it.
     """
     merged: dict[float, float] = {}
     for mu, c in terms:
@@ -467,26 +468,19 @@ def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
     if changes > 1:
         mu0 = terms[0][0]
         ends[1:1] = _exp_sum_sign_changes([(mu, (mu0 - mu) * c) for mu, c in terms[1:]], lo, hi)
-    values = [sum(c * math.exp(-mu * t) for mu, c in terms) for t in ends]
-    tol = 1e-12 * (hi - lo)
-    zeros = []
-    for a, b, fa, fb in zip(ends, ends[1:], values, values[1:]):
-        if not (fa < 0.0 < fb or fb < 0.0 < fa):
-            continue
-        t, step = 0.5 * (a + b), b - a
-        while step > tol:
-            parts = [(mu, c * math.exp(-mu * t)) for mu, c in terms]
-            ft = sum(v for _, v in parts)
-            a, b = (t, b) if (ft < 0.0) == (fa < 0.0) else (a, t)
-            slope = sum(mu * v for mu, v in parts)
-            newton = t + ft / slope if slope else a
-            if a < newton < b and abs(newton - t) < 0.5 * step:
-                t, step = newton, abs(newton - t)
-            else:
-                step = 0.5 * (b - a)
-                t = a + step
-        zeros.append(t)
-    return zeros
+
+    def f(t: float) -> float:
+        return sum(c * math.exp(-mu * t) for mu, c in terms)
+
+    def f_prime(t: float) -> float:
+        return -sum(mu * c * math.exp(-mu * t) for mu, c in terms)
+
+    values = [f(t) for t in ends]
+    return [
+        newton_bisect(f, a, b, ftol=0.0, fprime=f_prime)
+        for a, b, fa, fb in zip(ends, ends[1:], values, values[1:])
+        if fa < 0.0 < fb or fb < 0.0 < fa
+    ]
 
 
 def _release_cuts(curves: CurveSet, lo: float, hi: float, k_edges, coefficients) -> list[float]:
@@ -554,26 +548,25 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     [0, t_max] with both ends (``_best_release``). The condition is the
     slope of the clamped profit that ``profit_without_bbp`` reports, so it
     jumps where a zero-bounty race probability reaches a clamp, and a root
-    may be that clamp edge. An unclamped slope factor is 1 + beta K_s, with
-    beta = -2 n g0 / (kappa N) for the black hat and 2 m g0 / (kappa N) for
-    the expert, and a clamped one is 0 or N; a clamp starts or ends where a
-    factor crosses -1 or 2N - 1, at K_s = (level - 1)/beta. For the built-in
-    curves every root is found (``_release_cuts``); any other curve set is
-    searched on a 201-point grid, which misses two roots in one grid cell.
+    may be that clamp edge. An unclamped slope factor is 1 + beta K_s
+    (``_corner_slope_factors``), and a clamped one is 0 or N; a clamp starts
+    or ends where a factor crosses -1 or 2N - 1, at K_s = (level - 1)/beta.
+    For the built-in curves every root is found (``_release_cuts``); any
+    other curve set is searched on a 201-point grid, which misses two roots
+    in one grid cell.
     """
     _check_market(params)
-    n, m = params.n, params.m
-    big_n = n + m
+    big_n = params.n + params.m
     g0 = params.r_s / params.c_w - params.W / params.c_b
-    betas = (-2.0 * n * g0 / ((big_n - 1) * big_n), 2.0 * m * g0 / ((big_n - 1) * big_n))
-    weights = (m / big_n, n * params.x / big_n)
+    betas = [f - 1.0 for f in _corner_slope_factors(params, 1.0, g0)]
 
     def coefficients(ks: float) -> tuple[float, float, float, float]:
-        s1 = s2 = 0.0
         raw, kept = _corner_slope_factors(params, ks, g0), _clamped_slope_factors(params, ks, g0)
-        for w, beta, f, f_kept in zip(weights, betas, raw, kept):
-            s1, s2 = (s1 + w, s2 + w * beta) if f_kept == f else (s1 + w * f_kept, s2)
-        return params.TC_s * s1, params.TC_s * s2, params.TC_ns, 0.0
+        linear = [f == f_kept for f, f_kept in zip(raw, kept)]
+        constant = [1.0 if lin else f for lin, f in zip(linear, kept)]
+        slope = [beta if lin else 0.0 for lin, beta in zip(linear, betas)]
+        s1, s2 = (sum(_severe_costs_nb(params, 1.0, factors)) for factors in (constant, slope))
+        return s1, s2, params.TC_ns, 0.0
 
     def foc(t: float) -> float:
         return _profit_nb_prime(params, curves, t)

@@ -424,7 +424,7 @@ PINNED_SHA256 = {
     "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
     "optimize": "40cb65284aff7f1d3c245349c3b7f6e2797aeb5cb46e3f267a05e2bd478c49cd",
     "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
-    "verify": "a68c97521182290312debfe0ee11e9621e752204457310ab03194f10802a77ec",
+    "verify": "1b6c53c1af48afc83254724604e0bd50d94a62e7bee16e7138d9187127530876",
 }
 
 

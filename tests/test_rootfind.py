@@ -25,3 +25,19 @@ def test_newton_stops_where_the_function_jumps_across_zero():
     assert newton_bisect(lambda x: 1.0 if x < 0.3 else -2.0, 0.0, 1.0) == math.nextafter(
         0.3, 0.0
     )
+
+
+def test_newton_with_an_analytic_slope_stops_once_a_step_no_longer_moves_x():
+    # With ftol 0 the stops are an exact zero, a Newton step that rounds
+    # back onto x, or a bracket with no float inside; cos never reaches an
+    # exact zero here, and closing the bracket takes 45 evaluations.
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return math.cos(x)
+
+    root = newton_bisect(f, 0.0, 3.0, ftol=0.0, fprime=lambda x: -math.sin(x))
+    assert root == pytest.approx(math.pi / 2, abs=1e-15)
+    assert calls <= 8

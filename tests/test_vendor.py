@@ -421,12 +421,15 @@ def test_program_release_sees_a_rising_then_falling_slope():
 def test_release_search_roots_every_falling_bracket_of_a_dense_scan(monkeypatch, wide_ranges):
     # Each cell of a 2,001-point scan of the slope where it falls through 0
     # must hold a root that the optimizer refined; the roots are recorded
-    # from its calls of newton_bisect.
+    # from its calls of newton_bisect to the slope tolerance, which leaves
+    # out the cut search's zeros (ftol 0).
     roots = []
 
     def recorded(*args, **kwargs):
-        roots.append(newton_bisect(*args, **kwargs))
-        return roots[-1]
+        root = newton_bisect(*args, **kwargs)
+        if kwargs["ftol"] == vendor._FOC_TOL:
+            roots.append(root)
+        return root
 
     monkeypatch.setattr(vendor, "newton_bisect", recorded)
     falling = 0
@@ -488,6 +491,28 @@ def test_exp_sum_zeros_closer_than_a_grid_cell_are_both_found():
     assert zeros == pytest.approx([5.01, 5.02], abs=1e-9)
     assert vendor._exp_sum_sign_changes(terms, 5.015, 10.0) == pytest.approx([5.02], abs=1e-9)
     assert vendor._exp_sum_sign_changes(terms, 0.0, 5.0) == []
+
+
+def test_exp_sum_zeros_in_a_narrow_interval_far_from_zero(monkeypatch):
+    # Near t = 10 half a float spacing exceeds 1e-12 of these intervals, so
+    # each zero must be refined to float precision; the exp budget turns a
+    # refinement that never stops into a failure.
+    exp, calls = math.exp, 0
+
+    def budgeted(x):
+        nonlocal calls
+        calls += 1
+        assert calls < 10_000, "the zero refinement does not stop"
+        return exp(x)
+
+    e1, e2 = exp(-9.99993), exp(-9.99997)
+    one_zero = [(0.0, -exp(-9.99995)), (1.0, 1.0)]
+    two_zeros = [(2.0, 1.0), (1.0, -e1 - e2), (0.0, e1 * e2)]
+    monkeypatch.setattr(math, "exp", budgeted)
+    zeros = vendor._exp_sum_sign_changes(one_zero, 9.99991, 10.0)
+    assert zeros == pytest.approx([9.99995], abs=1e-12)
+    zeros = vendor._exp_sum_sign_changes(two_zeros, 9.99991, 10.0)
+    assert zeros == pytest.approx([9.99993, 9.99997], abs=1e-10)
 
 
 def test_exp_sum_zeros_match_a_dense_sign_scan():

@@ -389,7 +389,7 @@ PINNED_SUITE_SHA256 = {
     80: "63b03467e8863c6e3d37edac22277aeca86f1a24c96c55fd4b05abe15afb08d5",
     85: "65dea0c977534cf2ce5549efd392791a47de036f35a7da686868ba06b52bb49b",
     90: "3c9d265afdedf0ab5d391ea535f510abd9c9599e71518a3bafd2823bea5fa8e8",
-    95: "c8a273695ca227651163d886c6cdfaff27866f48807ad5d31cdf0cf187534b12",
+    95: "406ba5cad65fd302b54b22f256e686b7e09d3e021bc6cded4c36ba246ce0756f",
     100: "4e9cd847224ae4ebf894e917a31fd2d6efab8d8d5319e3e649dae93602f02618",
     105: "770cc2ffb76980f96f5508cce62688e6d49b1cd254582fdd3606321a7f572a97",
     110: "ae4c568308ab2d0cd74029609abc3765b8105d163a6fd5e9368a8a0a415d17a7",
