@@ -38,7 +38,6 @@ from .ratio_game import (
     solve_ratio_equilibrium,
 )
 from .scenario import (
-    CurveSet,
     MarketParams,
     ReleaseCurves,
     ValidationReport,
@@ -85,7 +84,6 @@ __all__ = [
     "BbpRelease",
     "Condition1Bounds",
     "ConvergenceError",
-    "CurveSet",
     "DomainError",
     "EffortProfile",
     "FeasibilityWarning",

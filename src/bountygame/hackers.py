@@ -25,7 +25,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .scenario import CurveSet, MarketParams, VendorDecision, k_nonsevere, k_severe
+from .scenario import MarketParams, ReleaseCurves, VendorDecision, k_nonsevere, k_severe
 
 if TYPE_CHECKING:
     import numpy as np
@@ -119,7 +119,7 @@ def _check_profile(others: EffortProfile) -> None:
 
 
 def _marginal_values(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> tuple[float, float]:
     """Per-capita marginal prize values for the two races.
 
@@ -131,7 +131,7 @@ def _marginal_values(
 
 
 def select_regime(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> Regime:
     """Decide which equilibrium family applies at this vendor decision.
 
@@ -169,7 +169,7 @@ def _corner_alpha_s(params: MarketParams, ks: float, p_s: float) -> float:
 
 
 def corner_equilibrium(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> EffortProfile:
     """Specialized-expert equilibrium efforts."""
     _check_market(params)
@@ -189,7 +189,7 @@ def corner_equilibrium(
 
 
 def interior_equilibrium(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> EffortProfile:
     """Split-effort equilibrium efforts.
 
@@ -216,7 +216,7 @@ def interior_equilibrium(
 
 
 def equilibrium(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> EffortProfile:
     """Equilibrium efforts for whichever regime the decision induces."""
     if select_regime(params, decision, curves) is Regime.CORNER:
@@ -265,7 +265,7 @@ def _corner_slope_factors(params: MarketParams, ks: float, g: float) -> tuple[fl
 def success_probabilities(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     profile: EffortProfile,
 ) -> SuccessProfile:
     """Per-hacker first-discovery probabilities at an equilibrium profile.
@@ -313,7 +313,7 @@ def success_probabilities(
 def _ewhh_payoff_groups(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     others: EffortProfile,
     e_s: float | np.ndarray,
     e_ns: float | np.ndarray,
@@ -337,7 +337,7 @@ def _ewhh_payoff_groups(
 def _newhh_contest_terms(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     others: EffortProfile,
 ) -> tuple[float, float]:
     """(A, avg) for a non-expert's deviation payoff, regime dependent.
@@ -358,7 +358,7 @@ def _newhh_contest_terms(
 def _bhh_contest_terms(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     others: EffortProfile,
 ) -> tuple[float, float]:
     """(A, avg) for a black hat's deviation payoff."""
@@ -372,7 +372,7 @@ def _bhh_contest_terms(
 def focal_payoff(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     others: EffortProfile,
     focal_type: HackerType,
     focal_efforts: float | tuple[float, float],
@@ -406,7 +406,7 @@ def focal_payoff(
 def best_response_oracle(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     others: EffortProfile,
     focal_type: HackerType,
 ) -> float | tuple[float, float]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolationError, DomainError
 from .hackers import _check_market
-from .scenario import CurveSet, MarketParams, VendorDecision, k_severe
+from .scenario import MarketParams, ReleaseCurves, VendorDecision, k_severe
 
 __all__ = [
     "RatioEquilibrium",
@@ -69,7 +69,7 @@ class RatioSensitivities:
 
 
 def _prizes(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> tuple[float, float]:
     """Per-capita prize values (q_w, q_b) = K_s (r_s + p_s) / N, K_s W / N."""
     ks = k_severe(curves, decision.t)
@@ -111,7 +111,7 @@ def _residuals(
 def solve_ratio_equilibrium(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     initial_guess: tuple[float, float] | None = None,
 ) -> RatioEquilibrium:
     """Solve the symmetric ratio-contest equilibrium of the severe race.
@@ -166,7 +166,7 @@ def solve_ratio_equilibrium(
 def ratio_sensitivities(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     eq: RatioEquilibrium,
 ) -> RatioSensitivities:
     """Equilibrium effort derivatives in p_s via the implicit function theorem.

@@ -2,9 +2,10 @@
 
 The market is populated by three hacker types: n expert white hats, l
 non-expert white hats, and m black hats. The vendor picks a release time t
-and a pair of bounties (p_s, p_ns). Everything downstream consumes the
+and a pair of bounties (p_s, p_ns). Everything downstream reads the
 residual-bug likelihood curves K_s(t), K_ns(t) and the revenue curve R(t)
-through the interfaces defined here.
+from ``ReleaseCurves``, the one curve family: the optimizers use its
+parameters as well as its methods, so it refuses subclasses.
 
 The value types are frozen dataclasses: copy them with
 ``dataclasses.replace`` and serialize them with ``dataclasses.asdict``.
@@ -22,14 +23,12 @@ from __future__ import annotations
 
 import math
 import operator
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
 __all__ = [
     "MarketParams",
-    "CurveSet",
     "ReleaseCurves",
     "VendorDecision",
     "ValidationReport",
@@ -38,10 +37,6 @@ __all__ = [
     "k_nonsevere",
     "revenue",
 ]
-
-# Number of sample points for the numeric curve-shape check.
-SHAPE_GRID_POINTS = 160
-
 
 # Counts enter float arithmetic, which holds every integer up to 2**53
 # exactly.
@@ -139,48 +134,16 @@ class MarketParams:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
 
-class CurveSet(ABC):
-    """Interface for the release curves K_s(t), K_ns(t), R(t).
-
-    Implementations must provide values and first derivatives on
-    [0, t_max], and have to pass the shape check in ``validate``:
-    decreasing likelihoods with slowing decay, decreasing concave revenue,
-    positive revenue at t_max. ``validate`` checks ``ReleaseCurves`` itself
-    from its parameters and every other implementation, subclasses of
-    ``ReleaseCurves`` included, numerically on a grid.
-    """
-
-    t_max: float
-
-    @abstractmethod
-    def k_severe(self, t: float) -> float: ...
-
-    @abstractmethod
-    def k_nonsevere(self, t: float) -> float: ...
-
-    @abstractmethod
-    def revenue(self, t: float) -> float: ...
-
-    @abstractmethod
-    def k_severe_prime(self, t: float) -> float: ...
-
-    @abstractmethod
-    def k_nonsevere_prime(self, t: float) -> float: ...
-
-    @abstractmethod
-    def revenue_prime(self, t: float) -> float: ...
-
-
-
 @dataclass(frozen=True)
-class ReleaseCurves(CurveSet):
+class ReleaseCurves:
     """Built-in parametric curve family.
 
     K_s(t) = K_s0 * exp(-lambda_s * t) and likewise for K_ns; the revenue
     curve is the concave quadratic R(t) = R0 - a*t - (b/2)*t**2. These are
     the simplest families satisfying the shape constraints: likelihoods
     decay with slowing rate, revenue falls and falls faster the longer the
-    release is delayed.
+    release is delayed. Subclasses are refused: the optimizers read these
+    parameters, so an overridden curve would not be the one they solve.
     """
 
     K_s0: float
@@ -192,15 +155,16 @@ class ReleaseCurves(CurveSet):
     b: float
     t_max: float = 10.0
 
+    def __init_subclass__(cls, **kwargs):
+        raise TypeError("ReleaseCurves cannot be subclassed: the optimizers read its parameters")
+
     def __post_init__(self):
         K_s0, lambda_s, K_ns0, lambda_ns, R0, a, b, t_max = (
             self.K_s0, self.lambda_s, self.K_ns0, self.lambda_ns,
             self.R0, self.a, self.b, self.t_max,
         )
-        # A subclass may add fields, so only the exact class skips the loop.
         if not (
-            type(self) is ReleaseCurves
-            and type(K_s0) is type(lambda_s) is type(K_ns0) is type(lambda_ns) is float
+            type(K_s0) is type(lambda_s) is type(K_ns0) is type(lambda_ns) is float
             and type(R0) is type(a) is type(b) is type(t_max) is float
             and math.isfinite(K_s0 + lambda_s + K_ns0 + lambda_ns + R0 + a + b + t_max)
         ):
@@ -257,38 +221,34 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def _check_t(curves: CurveSet, t: float) -> float:
+def _check_t(curves: ReleaseCurves, t: float) -> float:
     t = float(t)
     if not math.isfinite(t) or t < 0.0 or t > curves.t_max:
         raise DomainError(f"t = {t!r} is outside [0, {curves.t_max}]")
     return t
 
 
-def k_severe(curves: CurveSet, t: float) -> float:
+def k_severe(curves: ReleaseCurves, t: float) -> float:
     """Likelihood of a residual severe bug at release time t."""
     return curves.k_severe(_check_t(curves, t))
 
 
-def k_nonsevere(curves: CurveSet, t: float) -> float:
+def k_nonsevere(curves: ReleaseCurves, t: float) -> float:
     """Likelihood of a residual non-severe bug at release time t."""
     return curves.k_nonsevere(_check_t(curves, t))
 
 
-def revenue(curves: CurveSet, t: float) -> float:
+def revenue(curves: ReleaseCurves, t: float) -> float:
     """Vendor revenue when releasing at time t."""
     return curves.revenue(_check_t(curves, t))
 
 
-def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
+def validate(params: MarketParams, curves: ReleaseCurves) -> ValidationReport:
     """Check every model assumption, returning a report instead of raising.
 
-    Parameter checks are direct. The shape of the built-in family
-    ``ReleaseCurves`` is decided from its closed forms: the signs of its
-    parameters and its values at t_max. Any other curve implementation,
-    subclasses of ``ReleaseCurves`` included since they may override a
-    curve, is checked numerically: values and first and second finite
-    differences are sampled on a grid of ``SHAPE_GRID_POINTS`` points over
-    [0, t_max]. The cost asymmetry TC_s >> TC_ns is qualitative in the
+    Parameter checks are direct. The curve shape is decided from the
+    closed forms: the signs of the parameters and the values at t_max.
+    The cost asymmetry TC_s >> TC_ns is qualitative in the
     model, so a mild ratio only triggers a warning rather than a failure.
     """
     failures: list[str] = []
@@ -317,26 +277,21 @@ def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
     if params.W < 0.0:
         failures.append("W >= 0")
 
-    if isinstance(curves, ReleaseCurves):
-        if not 0.0 < curves.K_s0 <= 1.0:
-            failures.append("K_s0 in (0, 1]")
-        if not curves.lambda_s > 0.0:
-            failures.append("lambda_s > 0")
-        if not 0.0 < curves.K_ns0 <= 1.0:
-            failures.append("K_ns0 in (0, 1]")
-        if not curves.lambda_ns > 0.0:
-            failures.append("lambda_ns > 0")
-        if not curves.R0 > 0.0:
-            failures.append("R0 > 0")
-        if not curves.a > 0.0:
-            failures.append("a > 0")
-        if curves.b < 0.0:
-            failures.append("b >= 0")
-
-    if type(curves) is ReleaseCurves:
-        failures.extend(_release_curve_shape_failures(curves))
-    else:
-        failures.extend(_grid_shape_failures(curves))
+    if not 0.0 < curves.K_s0 <= 1.0:
+        failures.append("K_s0 in (0, 1]")
+    if not curves.lambda_s > 0.0:
+        failures.append("lambda_s > 0")
+    if not 0.0 < curves.K_ns0 <= 1.0:
+        failures.append("K_ns0 in (0, 1]")
+    if not curves.lambda_ns > 0.0:
+        failures.append("lambda_ns > 0")
+    if not curves.R0 > 0.0:
+        failures.append("R0 > 0")
+    if not curves.a > 0.0:
+        failures.append("a > 0")
+    if curves.b < 0.0:
+        failures.append("b >= 0")
+    failures.extend(_release_curve_shape_failures(curves))
 
     return ValidationReport(
         passed=not failures, failures=tuple(failures), warnings=tuple(warnings)
@@ -344,7 +299,7 @@ def validate(params: MarketParams, curves: CurveSet) -> ValidationReport:
 
 
 def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
-    """Shape failures of the built-in family, named as the grid names them.
+    """Shape failures of the curves, decided from their closed forms.
 
     K(t) = K0 exp(-lambda t) is monotone, so its range on [0, t_max] is
     spanned by K(0) = K0 and K(t_max); K' = -lambda K and K'' = lambda^2 K
@@ -375,42 +330,5 @@ def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
     if curves.b < 0.0:
         failures.append("R''(t) <= 0")
     if not curves.revenue(t_max) > 0.0:
-        failures.append("R(t_max) > 0")
-    return failures
-
-
-def _grid_shape_failures(curves: CurveSet) -> list[str]:
-    """Shape failures of any curve set, from finite differences on a grid."""
-    import numpy as np
-
-    failures: list[str] = []
-    grid = np.linspace(0.0, curves.t_max, SHAPE_GRID_POINTS)
-    rev = np.array([curves.revenue(t) for t in grid])
-
-    for name, curve in (("K_s", curves.k_severe), ("K_ns", curves.k_nonsevere)):
-        try:
-            vals = np.array([curve(t) for t in grid])
-        except OverflowError:
-            # A value beyond binary64 is outside (0, 1].
-            failures.append(f"{name}(t) in (0, 1]")
-            continue
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        tol = 1e-12 * scale
-        if np.any(vals <= 0.0) or np.any(vals > 1.0 + tol):
-            failures.append(f"{name}(t) in (0, 1]")
-        d1 = np.diff(vals)
-        if not np.all(d1 < 0.0):
-            failures.append(f"{name}'(t) < 0")
-        if not np.all(np.diff(d1) >= -tol):
-            failures.append(f"{name}''(t) >= 0")
-
-    rev_scale = max(1.0, float(np.max(np.abs(rev))))
-    rev_tol = 1e-12 * rev_scale
-    d1 = np.diff(rev)
-    if not np.all(d1 < 0.0):
-        failures.append("R'(t) < 0")
-    if not np.all(np.diff(d1) <= rev_tol):
-        failures.append("R''(t) <= 0")
-    if not rev[-1] > 0.0:
         failures.append("R(t_max) > 0")
     return failures

@@ -36,8 +36,8 @@ from enum import Enum
 from .errors import DomainError, InfeasibleScenarioError
 from .hackers import Regime, equilibrium, success_probabilities
 from .scenario import (
-    CurveSet,
     MarketParams,
+    ReleaseCurves,
     VendorDecision,
     _require_int,
     k_nonsevere,
@@ -97,7 +97,7 @@ def _race_cells(k: float, q: float) -> tuple[float, float, float]:
 def simulate(
     params: MarketParams,
     decision: VendorDecision,
-    curves: CurveSet,
+    curves: ReleaseCurves,
     trials: int,
     seed: int,
     mode: SimMode,

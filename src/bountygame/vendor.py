@@ -5,7 +5,12 @@ The vendor moves first. It picks a release time t and a bounty pair
 weighs bounty payouts against the costs of exploited or user-discovered
 bugs. Everything here is built on the specialized (corner) closed forms:
 that is the regime the bounty program is designed to induce, and the
-optimal-bounty and release-time formulas are derived inside it.
+optimal-bounty and release-time formulas are derived inside it. The
+release optimizers read the parameters of ``ReleaseCurves``, not only its
+curves: a time where 1/K_s reaches a level u, such as an edge of the
+feasible interval or of a no-program clamp, is ln(u K_s0)/lambda_s, and
+each slope's t-derivative is a short sum of exponentials whose sign
+changes are found exactly.
 
 Profit appears twice on purpose. ``profit_with_bbp`` assembles the
 expected-cost form term by term from success probabilities, while an
@@ -35,7 +40,6 @@ from .hackers import (
     select_regime,
 )
 from .scenario import (
-    CurveSet,
     MarketParams,
     ReleaseCurves,
     VendorDecision,
@@ -64,7 +68,6 @@ __all__ = [
 ]
 
 _FOC_TOL = 1e-9
-_FOC_GRID_CELLS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ def _bounty_pair(params: MarketParams, ks: float) -> tuple[float, float]:
     return p_s, 0.5 * params.TC_ns
 
 
-def optimal_bounties(params: MarketParams, curves: CurveSet, t: float) -> OptimalBounties:
+def optimal_bounties(params: MarketParams, curves: ReleaseCurves, t: float) -> OptimalBounties:
     """Closed-form profit-maximizing bounties at release time t.
 
     The severe bounty is half the exploit cost the vendor avoids plus the
@@ -221,7 +224,7 @@ def _feasibility_band(params: MarketParams, ks: float) -> tuple[float, float, fl
     return lb, ub, params.W / params.c_b - params.r_s / params.c_w
 
 
-def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bounds:
+def condition1(params: MarketParams, curves: ReleaseCurves, t: float) -> Condition1Bounds:
     """Feasibility band for running a bounty program at release time t."""
     _check_market(params)
     lb, ub, gap = _feasibility_band(params, _positive_ks(k_severe(curves, t), t))
@@ -234,7 +237,7 @@ def condition1(params: MarketParams, curves: CurveSet, t: float) -> Condition1Bo
 
 
 def _profit_polynomial(
-    params: MarketParams, curves: CurveSet, t: float, p_s: float, p_ns: float
+    params: MarketParams, curves: ReleaseCurves, t: float, p_s: float, p_ns: float
 ) -> float:
     """Expanded polynomial form of the with-program profit.
 
@@ -262,7 +265,7 @@ def _profit_polynomial(
 
 
 def _with_bbp_breakdown(
-    params: MarketParams, curves: CurveSet, t: float, p_s: float, p_ns: float
+    params: MarketParams, curves: ReleaseCurves, t: float, p_s: float, p_ns: float
 ) -> ProfitBreakdown:
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
@@ -291,7 +294,7 @@ def _with_bbp_breakdown(
 
 
 def profit_with_bbp(
-    params: MarketParams, decision: VendorDecision, curves: CurveSet
+    params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> ProfitBreakdown:
     """Expected vendor profit running a bounty program at this decision.
 
@@ -324,7 +327,7 @@ def profit_with_bbp(
 
 
 def _no_bbp_breakdown(
-    params: MarketParams, curves: CurveSet, t: float, ks: float, p_e0: float, p_b0: float
+    params: MarketParams, curves: ReleaseCurves, t: float, ks: float, p_e0: float, p_b0: float
 ) -> ProfitBreakdown:
     """No-program profit at t from the zero-bounty race probabilities given."""
     kns = k_nonsevere(curves, t)
@@ -349,7 +352,7 @@ def _unit_clamp(p: float) -> float:
 
 
 def profit_without_bbp(
-    params: MarketParams, t: float, curves: CurveSet
+    params: MarketParams, t: float, curves: ReleaseCurves
 ) -> ProfitBreakdown:
     """Expected vendor profit with no bounty program at release time t.
 
@@ -364,7 +367,7 @@ def profit_without_bbp(
     return _no_bbp_breakdown(params, curves, t, ks, _unit_clamp(p_e0), _unit_clamp(p_b0))
 
 
-def concentrated_bbp_profit(params: MarketParams, curves: CurveSet, t: float) -> float:
+def concentrated_bbp_profit(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
     """With-program profit at release time t with bounties re-optimized.
 
     This is the one-dimensional objective the release-time search climbs:
@@ -406,7 +409,7 @@ def _severe_costs_nb(params: MarketParams, ks_prime: float, factors) -> tuple[fl
     )
 
 
-def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
+def _profit_nb_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
     """Analytic time derivative of the clamped no-program profit.
 
     It jumps where a zero-bounty race probability reaches a clamp
@@ -419,7 +422,7 @@ def _profit_nb_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
     return curves.revenue_prime(t) - black_hat - expert - non_severe
 
 
-def _concentrated_prime(params: MarketParams, curves: CurveSet, t: float) -> float:
+def _concentrated_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
     """Analytic time derivative of the concentrated with-program profit.
 
     By the envelope theorem the bounty re-optimization contributes nothing,
@@ -483,23 +486,34 @@ def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
     ]
 
 
-def _release_cuts(curves: CurveSet, lo: float, hi: float, k_edges, coefficients) -> list[float]:
+def _severe_decay_time(curves: ReleaseCurves, ratio: float) -> float:
+    """The t where K_s(t) = K_s0 / ratio, ln(ratio) / lambda_s, clamped to [0, t_max].
+
+    So 1/K_s reaches u where ratio = u K_s0, and a ratio of at most 1 gives
+    0. Curves whose K_s does not fall, which ``validate`` refuses, raise
+    ``DomainError``.
+    """
+    if not curves.lambda_s > 0.0:
+        raise DomainError(f"K_s must fall over time, got lambda_s = {curves.lambda_s!r}")
+    if not ratio > 1.0:
+        return 0.0
+    return min(math.log(ratio) / curves.lambda_s, curves.t_max)
+
+
+def _release_cuts(
+    curves: ReleaseCurves, lo: float, hi: float, k_edges, coefficients
+) -> list[float]:
     """Times from lo to hi with at most one falling root of a release slope between neighbours.
 
-    Curve sets other than the exact ``ReleaseCurves``, whose subclasses may
-    override a curve, get 201 evenly spaced times, the last exactly hi. For
-    the built-in curves the slope jumps where K_s(t) reaches one of
-    ``k_edges``, and such a time gets a cut just below and just above it.
-    Between those times the slope is -a - b t + lambda_s K_s (s1 + s2 K_s) +
-    lambda_ns K_ns (ns1 + ns2 K_ns), (s1, s2, ns1, ns2) = ``coefficients(K_s)``,
-    so its t-derivative is -b plus terms in e^(-lambda_s t), e^(-2 lambda_s t),
-    e^(-lambda_ns t) and e^(-2 lambda_ns t), whose sign changes are cuts too.
+    The slope jumps where K_s(t) reaches one of ``k_edges``, and such a time
+    gets a cut just below and just above it. Between those times the slope
+    is -a - b t + lambda_s K_s (s1 + s2 K_s) + lambda_ns K_ns (ns1 + ns2 K_ns),
+    (s1, s2, ns1, ns2) = ``coefficients(K_s)``, so its t-derivative is -b
+    plus terms in e^(-lambda_s t), e^(-2 lambda_s t), e^(-lambda_ns t) and
+    e^(-2 lambda_ns t), whose sign changes are cuts too.
     """
-    if type(curves) is not ReleaseCurves:
-        return [lo + (hi - lo) * i / _FOC_GRID_CELLS for i in range(_FOC_GRID_CELLS)] + [hi]
     ls, lns, ks0, kns0 = curves.lambda_s, curves.lambda_ns, curves.K_s0, curves.K_ns0
-    ratios = [ks0 / k for k in k_edges]
-    edges = sorted(t for t in (math.log(r) / ls for r in ratios if r > 0.0 and ls) if lo < t < hi)
+    edges = sorted(t for t in (_severe_decay_time(curves, ks0 / k) for k in k_edges) if lo < t < hi)
     step = 1e-9 * (hi - lo)
     cuts = [lo, hi, *(max(t - step, lo) for t in edges), *(min(t + step, hi) for t in edges)]
     bounds = [lo, *edges, hi]
@@ -541,7 +555,7 @@ def _best_release(foc, profit, cuts: list[float]):
     return t_star, boundary, profits[best]
 
 
-def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOptimum:
+def optimal_release_no_bbp(params: MarketParams, curves: ReleaseCurves) -> ReleaseOptimum:
     """Profit-maximizing release time with no bounty program.
 
     Compares the falling roots of the analytic first-order condition on
@@ -551,9 +565,7 @@ def optimal_release_no_bbp(params: MarketParams, curves: CurveSet) -> ReleaseOpt
     may be that clamp edge. An unclamped slope factor is 1 + beta K_s
     (``_corner_slope_factors``), and a clamped one is 0 or N; a clamp starts
     or ends where a factor crosses -1 or 2N - 1, at K_s = (level - 1)/beta.
-    For the built-in curves every root is found (``_release_cuts``); any
-    other curve set is searched on a 201-point grid, which misses two roots
-    in one grid cell.
+    Every root is found (``_release_cuts``).
     """
     _check_market(params)
     big_n = params.n + params.m
@@ -603,26 +615,6 @@ def _condition1_in_u(params: MarketParams) -> tuple[float, float, float]:
     )
 
 
-def _time_of_u(curves: CurveSet, u: float, tol: float) -> float:
-    """The t in [0, t_max] where 1/K_s(t) reaches u, to within ``tol``.
-
-    Bisects on K_s, which ``validate`` requires to fall, so 1/K_s rises;
-    returns 0 or t_max when u lies outside the range 1/K_s takes there.
-    """
-    lo, hi = 0.0, curves.t_max
-    if curves.k_severe(lo) * u <= 1.0:
-        return lo
-    if curves.k_severe(hi) * u > 1.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if curves.k_severe(mid) * u > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _feasible_edge(ok, inside: float, estimate: float, end: float, step: float) -> float:
     """The feasible float nearest ``end`` on the side of ``inside``.
 
@@ -655,25 +647,26 @@ def _feasible_edge(ok, inside: float, estimate: float, end: float, step: float) 
 
 
 def _feasible_interval(
-    params: MarketParams, curves: CurveSet
+    params: MarketParams, curves: ReleaseCurves
 ) -> tuple[float, float] | None:
     """The sub-interval of [0, t_max] where the feasibility band holds.
 
     Condition 1 holds on an open interval of u = 1/K_s(t) (see
     ``_condition1_in_u``), and u rises with t because ``validate``
     requires K_s to fall, so the feasible times form one interval. Its
-    edges are found by bisection on K_s; then a short bisection of the
-    band itself around each edge inside (0, t_max) returns the
-    last float at which the band holds, so the ends always pass
-    ``condition1``. Returns None when no time in [0, t_max] is feasible.
+    edges are estimated in closed form (``_severe_decay_time``); then a
+    short bisection of the band itself around each edge inside (0, t_max)
+    returns the last float at which the band holds, so the ends always
+    pass ``condition1``. Returns None when no time in [0, t_max] is
+    feasible.
     """
     above_ub, above_lb, below_cap = _condition1_in_u(params)
     u_lo = max(above_ub, above_lb)
     if not u_lo < below_cap:
         return None
     step = 1e-9 * curves.t_max
-    t_lo = _time_of_u(curves, u_lo, 0.25 * step)
-    t_hi = _time_of_u(curves, below_cap, 0.25 * step)
+    t_lo = _severe_decay_time(curves, u_lo * curves.K_s0)
+    t_hi = _severe_decay_time(curves, below_cap * curves.K_s0)
     if not t_lo < t_hi:
         return None
 
@@ -690,7 +683,7 @@ def _feasible_interval(
     )
 
 
-def _describe_infeasibility(params: MarketParams, curves: CurveSet) -> str:
+def _describe_infeasibility(params: MarketParams, curves: ReleaseCurves) -> str:
     above_ub, above_lb, below_cap = _condition1_in_u(params)
     u_first = 1.0 / curves.k_severe(0.0)
     u_last = 1.0 / curves.k_severe(curves.t_max)
@@ -709,7 +702,7 @@ def _describe_infeasibility(params: MarketParams, curves: CurveSet) -> str:
     return f"prize gap leaves the feasibility band everywhere on [0, t_max] ({detail})"
 
 
-def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelease:
+def optimal_release_with_bbp(params: MarketParams, curves: ReleaseCurves) -> BbpRelease:
     """Jointly optimal release time and bounties with a bounty program.
 
     Maximizes the concentrated objective over the feasible sub-interval
@@ -720,11 +713,9 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     A = (TC_s + (c_w/c_b) W - r_s)/2, the bracket of ``_concentrated_prime``
     is s0 + s1 K_s with s0 = (m TC_s + n A)/N and
     s1 = -2 m n (A - TC_s)^2/(c_w kappa N^2), and p_ns* = TC_ns/2 makes the
-    non-severe part lambda_ns K_ns TC_ns (1 - TC_ns K_ns / 2). For the
-    built-in curves every root is found (``_release_cuts``); any other curve
-    set is searched on a 201-point grid of [lo, hi]. Raises
-    ``InfeasibleScenarioError`` naming the violated feasibility bound when
-    no release time supports a program.
+    non-severe part lambda_ns K_ns TC_ns (1 - TC_ns K_ns / 2). Every root is
+    found (``_release_cuts``). Raises ``InfeasibleScenarioError`` naming the
+    violated feasibility bound when no release time supports a program.
     """
     _check_market(params)
     interval = _feasible_interval(params, curves)
@@ -746,7 +737,7 @@ def optimal_release_with_bbp(params: MarketParams, curves: CurveSet) -> BbpRelea
     return BbpRelease(t=t_star, p_s=p_s, p_ns=p_ns, profit=profit, boundary=boundary)
 
 
-def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
+def release_gap_term(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
     """Derivative gap D(t) between the two concentrated profit slopes.
 
     D(t) is the time derivative of the with-program profit (bounties
@@ -775,7 +766,7 @@ def release_gap_term(params: MarketParams, curves: CurveSet, t: float) -> float:
     return ks_prime * bracket + 2.0 * kns * kns_prime * p_ns * p_ns
 
 
-def profit_decomposition_check(params: MarketParams, curves: CurveSet, t: float) -> float:
+def profit_decomposition_check(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
     """Residual of the with-program profit decomposition at optimal bounties.
 
     At the optimal bounty pair the with-program profit equals the
@@ -816,7 +807,7 @@ _WHH_NOTE = (
 )
 
 
-def optimal_whh_count(params: MarketParams, curves: CurveSet, t: float) -> WhhCountReport:
+def optimal_whh_count(params: MarketParams, curves: ReleaseCurves, t: float) -> WhhCountReport:
     """Three answers for how many experts maximize with-program profit.
 
     ``n_closed_form`` and ``n_quadratic`` are the two published continuous

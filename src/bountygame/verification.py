@@ -116,7 +116,7 @@ def _check_range(name: str, bounds) -> None:
     """Refuses a sampler range other than (low, high) finite numbers with low <= high.
 
     Bools and strings are not numbers here, and a head count's bounds must
-    be integral.
+    be integral, with a high of at least 1 so that some count is valid.
     """
     if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
         raise DomainError(f"sampler range {name} must be a (low, high) pair, got {bounds!r}")
@@ -127,6 +127,8 @@ def _check_range(name: str, bounds) -> None:
         require(f"sampler range {name} bound", value)
     if bounds[0] > bounds[1]:
         raise DomainError(f"sampler range {name} is inverted: {bounds!r}")
+    if require is _require_count and bounds[1] < 1:
+        raise DomainError(f"sampler range {name} holds no count of at least 1: {bounds!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,8 @@ class FeasibleSampler:
     boundary. ``proposals`` counts the proposals used, not those drawn
     ahead in the current block. A seed that is not a non-negative integer,
     or a range that is not a (low, high) pair of finite numbers with
-    low <= high (integral for n, l and m), raises ``DomainError``.
+    low <= high (integral for n, l and m, with high >= 1), raises
+    ``DomainError``.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):

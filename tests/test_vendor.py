@@ -10,6 +10,7 @@ import pytest
 
 from bountygame import (
     AssumptionViolationError,
+    DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
     MarketParams,
@@ -268,24 +269,45 @@ def test_release_optimizers_cover_wide_release_horizons(wide_ranges):
         assert checked == 120 and with_program >= 50
 
 
-class WavyRevenue(ReleaseCurves):
-    def revenue(self, t: float) -> float:
-        return super().revenue(t) + (5.0 / 3.0) * math.sin(3.0 * t)
+# Default raw draw 172 of FeasibleSampler(11). The feasible interval is
+# [0, 2.47520]; the with-program slope is negative at 0, rises through 0 at
+# t = 0.8552 and falls through 0 at t = 2.47020 (profit 154.0075), below the
+# profit 154.42214 of the start t = 0.
+_END_BEATS_ROOT = (
+    MarketParams(
+        n=2, l=9, m=2, c_w=2.98981941823198, c_b=1.6659192161508538,
+        r_s=3.941617998518614, W=0.4757563740756554, TC_s=185.6288001335417,
+        TC_ns=2.4355131201084506, x=0.7940884246015059,
+    ),
+    ReleaseCurves(
+        K_s0=0.2613910445520358, lambda_s=0.39522667661090005,
+        K_ns0=0.5193841172444416, lambda_ns=0.2673745948872084,
+        R0=172.2785266812695, a=3.472614402007261, b=0.053086445247655156,
+        t_max=10.0,
+    ),
+)
 
-    def revenue_prime(self, t: float) -> float:
-        return super().revenue_prime(t) + 5.0 * math.cos(3.0 * t)
 
+def test_release_picks_the_best_of_several_peaks():
+    # The profit peaks at the start and at the falling root; the start wins.
+    # (Of several falling roots the best wins: see _CLAMP_JUMP below.)
+    params, curves = _END_BEATS_ROOT
+    lo, hi = vendor._feasible_interval(params, curves)
+    assert lo == 0.0 and hi == pytest.approx(2.47520, abs=1e-5)
 
-def test_release_picks_the_best_of_several_peaks(s0_params, s0_curves):
-    # The slope falls through 0 at several times; the best peak is interior
-    # on [0, 10], and on [0, 2] the endpoint t_max beats the one falling root.
-    wavy = WavyRevenue(**asdict(s0_curves))
-    for curves, t, boundary in ((wavy, 2.6717, False), (replace(wavy, t_max=2.0), 2.0, True)):
-        nb = optimal_release_no_bbp(s0_params, curves)
-        assert nb.boundary is boundary
-        assert nb.t == pytest.approx(t, abs=1e-4)
-        best = _no_program_grid_max(s0_params, curves)
-        assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
+    def slope(t):
+        return _concentrated_prime(params, curves, t)
+
+    assert slope(lo) < 0.0 < slope(2.4) and slope(hi) < 0.0
+    root = newton_bisect(slope, 2.4, hi, ftol=vendor._FOC_TOL)
+    assert root == pytest.approx(2.47020, abs=1e-5)
+    assert concentrated_bbp_profit(params, curves, root) == pytest.approx(154.0075, abs=1e-4)
+    bbp = optimal_release_with_bbp(params, curves)
+    assert (bbp.t, bbp.boundary) == (0.0, True)
+    assert bbp.profit == pytest.approx(154.42214, abs=1e-5)
+    ts = [lo + (hi - lo) * i / 2000 for i in range(2000)] + [hi]
+    best = max(concentrated_bbp_profit(params, curves, t) for t in ts)
+    assert bbp.profit >= best - 1e-12 * max(1.0, abs(best))
 
 
 def test_release_ties_go_to_the_first_candidate(monkeypatch, s0_params, s0_curves):
@@ -608,6 +630,36 @@ def test_feasible_window_narrower_than_a_scan_step_is_found(s0_params, s0_curves
     assert not condition1(params, curves, math.nextafter(lo, 0.0)).feasible
     assert not condition1(params, curves, math.nextafter(hi, curves.t_max)).feasible
     assert lo <= optimal_release_with_bbp(params, curves).t <= hi
+
+
+def test_feasible_interval_ends_are_the_last_feasible_floats(wide_ranges):
+    # Each end passes condition 1 and the next float outward fails it,
+    # unless the end is 0 or t_max.
+    feasible = 0
+    for scen in FeasibleSampler(11, ranges=wide_ranges).draws("raw", 300):
+        params, curves = scen.params, scen.curves
+        interval = vendor._feasible_interval(params, curves)
+        if interval is None:
+            continue
+        feasible += 1
+        for end, outward in zip(interval, (0.0, curves.t_max)):
+            assert condition1(params, curves, end).feasible, asdict(scen)
+            if end != outward:
+                beyond = math.nextafter(end, outward)
+                assert not condition1(params, curves, beyond).feasible, asdict(scen)
+    assert feasible >= 100
+
+
+@pytest.mark.parametrize("lambda_s", [0.0, -0.1])
+def test_release_optimizers_refuse_a_severity_that_does_not_fall(s0_params, s0_curves, lambda_s):
+    # validate refuses these curves; the optimizers, which read the time
+    # K_s takes to fall from lambda_s, raise DomainError rather than divide
+    # by zero or answer on a misread interval.
+    curves = replace(s0_curves, lambda_s=lambda_s)
+    assert "lambda_s > 0" in validate(s0_params, curves).failures
+    for optimizer in (optimal_release_no_bbp, optimal_release_with_bbp):
+        with pytest.raises(DomainError, match="lambda_s"):
+            optimizer(s0_params, curves)
 
 
 def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):

@@ -123,6 +123,9 @@ def test_sampler_refuses_seeds_that_are_not_non_negative_integers(seed):
         ({"n": (1, 1)}, None),
         ({"n": (1.0, 3.0), "c_w": (np.float64(1.5), np.int64(3))}, None),
         ({"c_w": [1.5, 3.0]}, None),
+        ({"n": (0, 0)}, "no count of at least 1"),
+        ({"m": (-3, 0)}, "no count of at least 1"),
+        ({"l": (0, 5)}, None),
     ],
 )
 def test_sampler_checks_its_ranges(ranges, message):
