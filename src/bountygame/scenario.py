@@ -134,6 +134,11 @@ class MarketParams:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
 
+def _likelihood(k0: float, rate: float, t: float) -> float:
+    """K0 exp(-lambda t): both likelihood curves, from plain numbers."""
+    return k0 * math.exp(-rate * t)
+
+
 @dataclass(frozen=True)
 class ReleaseCurves:
     """Built-in parametric curve family.
@@ -174,10 +179,10 @@ class ReleaseCurves:
             raise DomainError(f"t_max must be positive, got {self.t_max}")
 
     def k_severe(self, t: float) -> float:
-        return self.K_s0 * math.exp(-self.lambda_s * t)
+        return _likelihood(self.K_s0, self.lambda_s, t)
 
     def k_nonsevere(self, t: float) -> float:
-        return self.K_ns0 * math.exp(-self.lambda_ns * t)
+        return _likelihood(self.K_ns0, self.lambda_ns, t)
 
     def revenue(self, t: float) -> float:
         return self.R0 - self.a * t - 0.5 * self.b * t * t

@@ -212,22 +212,33 @@ def optimal_bounties(params: MarketParams, curves: ReleaseCurves, t: float) -> O
     return OptimalBounties(p_s=p_s, p_ns=p_ns, bbp_viable=p_s > 0.0)
 
 
-def _feasibility_band(params: MarketParams, ks: float) -> tuple[float, float, float]:
-    """Condition 1's (lb, ub, gap) where K_s(t) = ks; it holds when lb < gap < ub."""
-    n, m = params.n, params.m
+def _feasibility_band(
+    n: int, m: int, c_w: float, c_b: float, r_s: float, W: float, TC_s: float, ks: float
+) -> tuple[float, float, float]:
+    """Condition 1's (lb, ub, gap) where K_s(t) = ks; it holds when lb < gap < ub.
+
+    Takes plain numbers so that the sampler can screen a proposal before
+    building its market.
+    """
     big_n = n + m
     kappa = big_n - 1
     base = big_n * kappa / (m * ks)
-    tc_ratio = params.TC_s / params.c_w
+    tc_ratio = TC_s / c_w
     lb = max(base - tc_ratio, tc_ratio - (2 * m + n) * big_n * kappa / (m * n * ks))
     ub = base + tc_ratio
-    return lb, ub, params.W / params.c_b - params.r_s / params.c_w
+    return lb, ub, W / c_b - r_s / c_w
+
+
+def _band_market(params: MarketParams) -> tuple[int, int, float, float, float, float, float]:
+    """The market fields ``_feasibility_band`` reads, in its argument order."""
+    return params.n, params.m, params.c_w, params.c_b, params.r_s, params.W, params.TC_s
 
 
 def condition1(params: MarketParams, curves: ReleaseCurves, t: float) -> Condition1Bounds:
     """Feasibility band for running a bounty program at release time t."""
     _check_market(params)
-    lb, ub, gap = _feasibility_band(params, _positive_ks(k_severe(curves, t), t))
+    ks = _positive_ks(k_severe(curves, t), t)
+    lb, ub, gap = _feasibility_band(*_band_market(params), ks)
     return Condition1Bounds(lb=lb, ub=ub, gap_value=gap, feasible=lb < gap < ub)
 
 
@@ -670,8 +681,10 @@ def _feasible_interval(
     if not t_lo < t_hi:
         return None
 
+    market = _band_market(params)
+
     def ok(t: float) -> bool:
-        lb, ub, gap = _feasibility_band(params, _positive_ks(curves.k_severe(t), t))
+        lb, ub, gap = _feasibility_band(*market, _positive_ks(curves.k_severe(t), t))
         return lb < gap < ub
 
     inside = 0.5 * (t_lo + t_hi)
@@ -685,8 +698,8 @@ def _feasible_interval(
 
 def _describe_infeasibility(params: MarketParams, curves: ReleaseCurves) -> str:
     above_ub, above_lb, below_cap = _condition1_in_u(params)
-    u_first = 1.0 / curves.k_severe(0.0)
-    u_last = 1.0 / curves.k_severe(curves.t_max)
+    u_first = 1.0 / _positive_ks(curves.k_severe(0.0), 0.0)
+    u_last = 1.0 / _positive_ks(curves.k_severe(curves.t_max), curves.t_max)
     t_mid = 0.5 * curves.t_max
     sample = condition1(params, curves, t_mid)
     detail = (

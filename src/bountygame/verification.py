@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass
 
 from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
@@ -35,6 +36,7 @@ from .scenario import (
     MarketParams,
     ReleaseCurves,
     VendorDecision,
+    _likelihood,
     _require_count,
     _require_finite,
     _require_int,
@@ -45,6 +47,7 @@ from .scenario import (
 from .vendor import (
     BbpRelease,
     ReleaseOptimum,
+    _feasibility_band,
     _profit_nb_prime,
     concentrated_bbp_profit,
     condition1,
@@ -106,6 +109,11 @@ _RANGED_FIELDS = (
     "K_s0", "lambda_s", "K_ns0", "lambda_ns", "R0", "a", "b", "t_max",
 )
 _PROPOSAL_DOUBLES = len(_RANGED_FIELDS) + 4
+# The ranged doubles the condition-1 screen reads: the band's market fields
+# in ``_feasibility_band``'s order, then K_s0, lambda_s and t_max.
+_SCREEN_FIELDS = operator.itemgetter(
+    *map(_RANGED_FIELDS.index, ("c_w", "c_b", "r_s", "W", "TC_s", "K_s0", "lambda_s", "t_max"))
+)
 _EFFORT_CAP = 0.99
 _PROB_MARGIN = 1e-6
 # Tolerance of the identity suite's severe-race normalization check.
@@ -131,6 +139,24 @@ def _check_range(name: str, bounds) -> None:
         raise DomainError(f"sampler range {name} holds no count of at least 1: {bounds!r}")
 
 
+def _condition1_screen(row) -> bool:
+    """Whether condition 1 holds at a proposal's t, read from its raw row.
+
+    The same K_s(t) and band arithmetic as ``condition1``, on the same
+    numbers, so on a valid market the two always agree. A row on which it
+    would divide by zero or overflow (m = 0, or K_s(t) = 0 or beyond
+    binary64) fails ``validate``; it counts as rejected.
+    """
+    n, _, m, ranged, rest = row
+    c_w, c_b, r_s, W, TC_s, k_s0, lambda_s, t_max = _SCREEN_FIELDS(ranged)
+    try:
+        ks = _likelihood(k_s0, lambda_s, t_max * rest[0])
+        lb, ub, gap = _feasibility_band(n, m, c_w, c_b, r_s, W, TC_s, ks)
+    except (ZeroDivisionError, OverflowError):
+        return False
+    return lb < gap < ub
+
+
 @dataclass(frozen=True)
 class SampledScenario:
     """One draw: market, curves, and a vendor decision to evaluate at."""
@@ -150,6 +176,13 @@ class FeasibleSampler:
     validation and exists for claims that must hold on arbitrary inputs.
     Identical seeds give identical draw sequences.
 
+    Each proposal meets three gates in turn. Every tier but ``raw`` first
+    screens the raw row on condition 1 at its t (``_condition1_screen``),
+    before any value object is built; then the market and curves are built
+    and must pass ``validate``; then the decision is built and the tier's
+    predicate, which checks condition 1 again, decides. The screen
+    computes what that check computes, so it changes no draw.
+
     Proposals come in blocks of 64 from a Philox generator seeded with
     ``seed``. Each block takes three ``integers(lo, hi + 1, size=64)`` calls,
     for n, l and m in that order, and then one ``random((64, 19))`` call.
@@ -160,11 +193,11 @@ class FeasibleSampler:
     for the whole block); t = t_max u; p_s = 10 u; a coin; and a factor u,
     with p_ns = boundary u below a coin of 0.5 and boundary (1 + u)
     otherwise, where boundary is the non-severe bounty at the regime
-    boundary. ``proposals`` counts the proposals used, not those drawn
-    ahead in the current block. A seed that is not a non-negative integer,
-    or a range that is not a (low, high) pair of finite numbers with
-    low <= high (integral for n, l and m, with high >= 1), raises
-    ``DomainError``.
+    boundary. ``proposals`` counts the proposals used, screened out ones
+    included, not those drawn ahead in the current block. A seed that is
+    not a non-negative integer, or a range that is not a (low, high) pair
+    of finite numbers with low <= high (integral for n, l and m, with
+    high >= 1), raises ``DomainError``.
     """
 
     def __init__(self, seed: int, ranges: dict[str, tuple[float, float]] | None = None):
@@ -200,16 +233,22 @@ class FeasibleSampler:
         ranged = self._lo + self._span * u[:, : len(_RANGED_FIELDS)]
         self._block = zip(n, l, m, ranged.tolist(), u[:, len(_RANGED_FIELDS) :].tolist())
 
-    def _propose(self) -> SampledScenario:
+    def _next_row(self):
         row = next(self._block, None)
         if row is None:
             self._refill()
             row = next(self._block)
         self.proposals += 1
-        n, l, m, ranged, rest = row
-        params = MarketParams(n, l, m, *ranged[:7])
-        curves = ReleaseCurves(*ranged[7:])
-        u_t, u_p_s, coin, factor = rest
+        return row
+
+    @staticmethod
+    def _market(row) -> tuple[MarketParams, ReleaseCurves]:
+        n, l, m, ranged, _ = row
+        return MarketParams(n, l, m, *ranged[:7]), ReleaseCurves(*ranged[7:])
+
+    @staticmethod
+    def _scenario(row, params: MarketParams, curves: ReleaseCurves) -> SampledScenario:
+        u_t, u_p_s, coin, factor = row[4]
         t = curves.t_max * u_t
         p_s = 10.0 * u_p_s
         # Bias the non-severe bounty around the regime boundary so both
@@ -223,12 +262,22 @@ class FeasibleSampler:
             p_ns = boundary * (1.0 + factor)
         return SampledScenario(params, curves, VendorDecision(t=t, p_s=p_s, p_ns=p_ns))
 
-    def _accept_loop(self, predicate) -> SampledScenario:
+    def _propose(self) -> SampledScenario:
+        """The next proposal built whole, whether its market is valid or not."""
+        row = self._next_row()
+        return self._scenario(row, *self._market(row))
+
+    def _accept_loop(self, predicate, screened: bool = True) -> SampledScenario:
+        # The decision is built only for a valid market: its regime boundary
+        # divides by K_ns(t), which an invalid market may have at 0.
         for _ in range(_MAX_PROPOSALS):
-            scen = self._propose()
-            if not validate(scen.params, scen.curves).passed:
+            row = self._next_row()
+            if screened and not _condition1_screen(row):
                 continue
-            result = predicate(scen)
+            params, curves = self._market(row)
+            if not validate(params, curves).passed:
+                continue
+            result = predicate(self._scenario(row, params, curves))
             if result is not None:
                 return result
         raise RuntimeError(
@@ -239,7 +288,7 @@ class FeasibleSampler:
 
     def draw_raw(self) -> SampledScenario:
         """A validated draw with no feasibility filtering at all."""
-        return self._accept_loop(lambda scen: scen)
+        return self._accept_loop(lambda scen: scen, screened=False)
 
     def _margins_ok(self, scen: SampledScenario) -> bool:
         profile = equilibrium(scen.params, scen.decision, scen.curves)

@@ -662,6 +662,19 @@ def test_release_optimizers_refuse_a_severity_that_does_not_fall(s0_params, s0_c
             optimizer(s0_params, curves)
 
 
+@pytest.mark.parametrize("K_s0", [0.0, -0.5])
+def test_release_optimizers_refuse_a_severity_likelihood_that_is_not_positive(
+    s0_params, s0_curves, K_s0
+):
+    # validate refuses these curves; with no feasible interval the program
+    # optimizer describes the band in u = 1/K_s, and must not divide by zero.
+    curves = replace(s0_curves, K_s0=K_s0)
+    assert "K_s0 in (0, 1]" in validate(s0_params, curves).failures
+    for optimizer in (optimal_release_no_bbp, optimal_release_with_bbp):
+        with pytest.raises(DomainError, match=r"K_s\(t\) must be positive"):
+            optimizer(s0_params, curves)
+
+
 def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):
     h = 1e-5
     for t in (0.5, 1.0, 2.0):

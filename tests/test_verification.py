@@ -213,6 +213,62 @@ def test_sampler_cap_is_an_explicit_error(monkeypatch):
         sampler.draw_ratio()
 
 
+def test_sampler_builds_a_decision_only_for_a_valid_market(monkeypatch):
+    # K_ns(t) underflows to 0 on some of these markets, which validate
+    # refuses; the regime boundary behind p_ns divides by it.
+    sampler = FeasibleSampler(1, ranges={"lambda_ns": (10.0, 50.0), "t_max": (20.0, 20.0)})
+    assert len(list(sampler.draws("raw", 10))) == 10
+    monkeypatch.setattr(verification_module, "_MAX_PROPOSALS", 500)
+    for tier in ("raw", "basic"):
+        with pytest.raises(RuntimeError, match="no feasible draw"):
+            list(FeasibleSampler(1, ranges={"K_ns0": (0.0, 0.0)}).draws(tier, 1))
+
+
+@pytest.mark.parametrize("box", ["default", "wide", "long"])
+def test_condition1_screen_leaves_every_tier_unchanged(monkeypatch, wide_ranges, box):
+    ranges = {"default": None, "wide": wide_ranges, "long": {"t_max": (1.0, 30.0)}}[box]
+
+    def run():
+        out = []
+        for tier in ("raw", "basic", "bbp", "release", "ratio"):
+            for seed in (0, 1):
+                sampler = FeasibleSampler(seed, ranges=ranges)
+                draws = [asdict(scen) for scen in sampler.draws(tier, 6)]
+                out.append((tier, seed, draws, sampler.proposals))
+        return out
+
+    screened = run()
+    monkeypatch.setattr(verification_module, "_condition1_screen", lambda row: True)
+    assert run() == screened
+
+
+def test_condition1_screen_rejects_only_where_condition1_fails():
+    # The box holds invalid markets too: c_w <= 1, K_s0 near 0, rising
+    # K_s and no black hats.
+    ranges = {"c_w": (0.5, 2.0), "K_s0": (0.0, 1.0), "lambda_s": (-0.1, 1.0), "m": (0, 3)}
+    sampler = FeasibleSampler(21, ranges=ranges)
+    rows = [sampler._next_row() for _ in range(4000)]
+    # Rows that would divide by zero or overflow: K_s(t) = 0, K_s(t_max)
+    # beyond binary64, c_w = 0, no experts, no black hats.
+    n, l, m, ranged, rest = rows[0]
+    for name, value in (("K_s0", 0.0), ("lambda_s", -1000.0), ("c_w", 0.0)):
+        bent = list(ranged)
+        bent[verification_module._RANGED_FIELDS.index(name)] = value
+        rows.append((n, l, m, bent, [1.0, *rest[1:]]))
+    rows += [(0, l, m, ranged, rest), (n, l, 0, ranged, rest)]
+    valid = feasible = 0
+    for row in rows:
+        passed = verification_module._condition1_screen(row)
+        params, curves = FeasibleSampler._market(row)
+        if not validate(params, curves).passed:
+            continue
+        valid += 1
+        t = curves.t_max * row[4][0]
+        assert passed == condition1(params, curves, t).feasible, row
+        feasible += passed
+    assert 1000 < valid < len(rows) and feasible > 100
+
+
 def test_proposition_1_validates_its_grid():
     sampler = FeasibleSampler(2)
     with pytest.raises(DomainError, match="at least 10"):
