@@ -180,8 +180,8 @@ class FeasibleSampler:
     screens the raw row on condition 1 at its t (``_condition1_screen``),
     before any value object is built; then the market and curves are built
     and must pass ``validate``; then the decision is built and the tier's
-    predicate, which checks condition 1 again, decides. The screen
-    computes what that check computes, so it changes no draw.
+    predicate decides. The screen is the tiers' only check of condition 1
+    at the proposal's t; on a valid market it answers as ``condition1``.
 
     Proposals come in blocks of 64 from a Philox generator seeded with
     ``seed``. Each block takes three ``integers(lo, hi + 1, size=64)`` calls,
@@ -319,22 +319,13 @@ class FeasibleSampler:
     def draw_basic(self) -> SampledScenario:
         """Feasible draw with random bounties; both regimes occur."""
 
-        def accept(scen: SampledScenario):
-            if not condition1(scen.params, scen.curves, scen.decision.t).feasible:
-                return None
-            if not self._margins_ok(scen):
-                return None
-            return scen
-
-        return self._accept_loop(accept)
+        return self._accept_loop(lambda scen: scen if self._margins_ok(scen) else None)
 
     def draw_bbp(self) -> SampledScenario:
         """Feasible draw evaluated at its own optimal bounty pair."""
 
         def accept(scen: SampledScenario):
             t = scen.decision.t
-            if not condition1(scen.params, scen.curves, t).feasible:
-                return None
             bounties = optimal_bounties(scen.params, scen.curves, t)
             tuned = SampledScenario(
                 scen.params,
@@ -363,8 +354,6 @@ class FeasibleSampler:
         def accept(scen: SampledScenario):
             params, curves = scen.params, scen.curves
             if not self._no_bbp_margins_ok(params, curves):
-                return None
-            if not condition1(params, curves, scen.decision.t).feasible:
                 return None
             # Cheap slope gate: an interior no-program optimum needs the
             # profit rising at t = 0 and falling at t_max.
@@ -401,8 +390,6 @@ class FeasibleSampler:
         def accept(scen: SampledScenario):
             params = scen.params
             dec = scen.decision
-            if not condition1(params, scen.curves, dec.t).feasible:
-                return None
             if params.n == 1 and params.m == 1:
                 return None
             prize_w = params.r_s + dec.p_s

@@ -237,8 +237,16 @@ def test_condition1_screen_leaves_every_tier_unchanged(monkeypatch, wide_ranges,
                 out.append((tier, seed, draws, sampler.proposals))
         return out
 
+    def scalar_screen(row):
+        # The reference the screen replaces: condition 1 at the proposal's t
+        # on the built market, for markets that pass validate.
+        params, curves = FeasibleSampler._market(row)
+        if not validate(params, curves).passed:
+            return False
+        return condition1(params, curves, curves.t_max * row[4][0]).feasible
+
     screened = run()
-    monkeypatch.setattr(verification_module, "_condition1_screen", lambda row: True)
+    monkeypatch.setattr(verification_module, "_condition1_screen", scalar_screen)
     assert run() == screened
 
 
