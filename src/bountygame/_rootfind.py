@@ -1,7 +1,9 @@
 """Scalar root finding for the release-time first-order conditions.
 
-A safeguarded Newton, deliberately small and deterministic, that both
-release optimizers use to refine each bracket of their slope.
+A safeguarded Newton, deliberately small and deterministic. Both release
+optimizers use it, with exact derivatives, to refine each bracket of their
+slope and each zero of the sums of exponentials that cut the slope into
+pieces.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ def newton_bisect(
     hi: float,
     *,
     ftol: float = 1e-9,
-    fprime: Callable[[float], float] | None = None,
+    fprime: Callable[[float], float],
 ) -> float:
     """A zero of f on [lo, hi], where f(lo) and f(hi) must differ in sign.
 
-    Steps by Newton, with the slope ``fprime`` or else a central difference,
-    or bisects where that step would leave the bracket, until |f| <= ftol or
+    Steps by Newton with the exact derivative ``fprime``, or bisects where
+    that step would leave the bracket or ``fprime`` is 0, until |f| <= ftol or
     a Newton step no longer moves x. Once no float lies strictly inside the
     bracket, f jumps across zero there, and the end with the smaller |f| is
     returned. Raises ``ConvergenceError`` after 200 steps.
@@ -48,11 +50,7 @@ def newton_bisect(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return lo if abs(flo) <= abs(fhi) else hi
-        if fprime is None:
-            h = 1e-7 * max(hi - lo, abs(x), 1e-30)
-            slope = (f(x + h) - f(x - h)) / (2.0 * h)
-        else:
-            slope = fprime(x)
+        slope = fprime(x)
         took_newton = False
         if slope != 0.0:
             x_new = x - fx / slope

@@ -8,9 +8,11 @@ that is the regime the bounty program is designed to induce, and the
 optimal-bounty and release-time formulas are derived inside it. The
 release optimizers read the parameters of ``ReleaseCurves``, not only its
 curves: a time where 1/K_s reaches a level u, such as an edge of the
-feasible interval or of a no-program clamp, is ln(u K_s0)/lambda_s, and
-each slope's t-derivative is a short sum of exponentials whose sign
-changes are found exactly.
+feasible interval or of a no-program clamp, is ln(u K_s0)/lambda_s. Each
+release slope is written once, as the coefficients of one form in K_s and
+K_ns (``_slope``). Its t-derivative is a short sum of exponentials in the
+same coefficients: the root search finds that sum's sign changes exactly,
+and Newton steps with its value.
 
 Profit appears twice on purpose. ``profit_with_bbp`` assembles the
 expected-cost form term by term from success probabilities, while an
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 from ._rootfind import newton_bisect
 from .errors import (
@@ -357,11 +360,6 @@ def _no_bbp_breakdown(
     )
 
 
-def _unit_clamp(p: float) -> float:
-    """p clamped into [0, 1], as the no-program profit takes its race probabilities."""
-    return min(1.0, max(0.0, p))
-
-
 def profit_without_bbp(
     params: MarketParams, t: float, curves: ReleaseCurves
 ) -> ProfitBreakdown:
@@ -374,8 +372,8 @@ def profit_without_bbp(
     """
     _check_market(params)
     ks = _positive_ks(k_severe(curves, t), t)
-    p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
-    return _no_bbp_breakdown(params, curves, t, ks, _unit_clamp(p_e0), _unit_clamp(p_b0))
+    p_e0, p_b0 = (min(1.0, max(0.0, p)) for p in _corner_severe_probs(params, ks, 0.0))
+    return _no_bbp_breakdown(params, curves, t, ks, p_e0, p_b0)
 
 
 def concentrated_bbp_profit(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
@@ -394,69 +392,91 @@ def concentrated_bbp_profit(params: MarketParams, curves: ReleaseCurves, t: floa
 # ---------------------------------------------------------------------------
 
 
-def _clamped_slope_factors(params: MarketParams, ks: float, g0: float) -> tuple[float, float]:
-    """The zero-bounty slope factors where K_s(t) = ks, as the clamped profit takes them.
+def _bbp_coefficients(params: MarketParams):
+    """The with-program slope's ``coefficients(K_s)`` (see ``_slope``), constant in K_s.
 
-    Each factor N d(K_s p)/dK_s is 2Np - 1 while its race probability p is in
-    [0, 1], and N clamp(p) once clamped, which as n p_e + m p_b = 1 happens
-    only where some p < 0, that is where a factor is below -1.
+    By the envelope theorem the bounty re-optimization adds nothing to the
+    slope. With p_s* = A - B/K_s, A = (TC_s + (c_w/c_b) W - r_s)/2, the
+    severe bracket is s1 + s2 K_s with s1 = (m TC_s + n A)/N and
+    s2 = -2 m n (A - TC_s)^2/(c_w kappa N^2); p_ns* = TC_ns/2 gives
+    ns1 = TC_ns and ns2 = -TC_ns^2/2.
     """
-    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g0)
-    if not (bhh_factor < -1.0 or ewhh_factor < -1.0):
-        return bhh_factor, ewhh_factor
-    big_n = params.n + params.m
-    return tuple(
-        f if -1.0 <= f <= 2 * big_n - 1 else big_n * _unit_clamp((1.0 + f) / (2 * big_n))
-        for f in (bhh_factor, ewhh_factor)
-    )
+    n, m = params.n, params.m
+    big_n = n + m
+    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
+    s1 = (m * params.TC_s + n * a) / big_n
+    s2 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
+    fixed = (s1, s2, params.TC_ns, -0.5 * params.TC_ns * params.TC_ns)
+    return lambda ks: fixed
 
 
-def _severe_costs_nb(params: MarketParams, ks_prime: float, factors) -> tuple[float, float]:
-    """The no-program slope's severe costs K_s' (m/N) f_b TC_s and K_s' (n/N) f_e x TC_s."""
+def _no_bbp_coefficients(params: MarketParams):
+    """The no-program slope's ``coefficients(K_s)`` (see ``_slope``), and the K_s where they jump.
+
+    The severe bracket is (m/N) TC_s f_b + (n/N) x TC_s f_e, with the slope
+    factor f = N d(K_s p)/dK_s of each zero-bounty race probability p as
+    ``profit_without_bbp`` clamps it: 1 + beta K_s (``_corner_slope_factors``)
+    while that is in [-1, 2N - 1], else 0 below it (p = 0) and N above (p = 1).
+    So a clamp starts or ends at K_s = (level - 1)/beta.
+    """
     big_n = params.n + params.m
+    g0 = params.r_s / params.c_w - params.W / params.c_b
+    betas = [f - 1.0 for f in _corner_slope_factors(params, 1.0, g0)]
+    weights = (params.m * params.TC_s / big_n, params.n * params.x * params.TC_s / big_n)
+
+    def coefficients(ks: float) -> tuple[float, float, float, float]:
+        s1 = s2 = 0.0
+        for weight, beta in zip(weights, betas):
+            factor = 1.0 + beta * ks
+            if factor > 2 * big_n - 1:
+                s1 += big_n * weight
+            elif factor >= -1.0:
+                s1 += weight
+                s2 += beta * weight
+        return s1, s2, params.TC_ns, 0.0
+
+    return coefficients, [d / beta for beta in betas if beta for d in (-2.0, 2.0 * big_n - 2.0)]
+
+
+def _slope(curves: ReleaseCurves, coefficients, t: float) -> float:
+    """The release slope -a - b t + lambda_s K_s (s1 + s2 K_s) + lambda_ns K_ns (ns1 + ns2 K_ns).
+
+    (s1, s2, ns1, ns2) = ``coefficients(K_s(t))``; the caller keeps t in [0, t_max].
+    """
+    ks, kns = curves.k_severe(t), curves.k_nonsevere(t)
+    s1, s2, ns1, ns2 = coefficients(ks)
     return (
-        ks_prime * (params.m / big_n) * factors[0] * params.TC_s,
-        ks_prime * (params.n / big_n) * factors[1] * params.x * params.TC_s,
+        curves.revenue_prime(t)
+        + curves.lambda_s * ks * (s1 + s2 * ks)
+        + curves.lambda_ns * kns * (ns1 + ns2 * kns)
     )
+
+
+def _slope_terms(curves: ReleaseCurves, coefficients, t: float) -> list[tuple[float, float]]:
+    """d/dt of ``_slope`` with the coefficients held at K_s(t), as terms (mu, c) of c e^(-mu t)."""
+    s1, s2, ns1, ns2 = coefficients(curves.k_severe(t))
+    ls, lns, ks0, kns0 = curves.lambda_s, curves.lambda_ns, curves.K_s0, curves.K_ns0
+    return [
+        (0.0, -curves.b),
+        (ls, -ls * ls * s1 * ks0),
+        (2.0 * ls, -2.0 * ls * ls * s2 * ks0 * ks0),
+        (lns, -lns * lns * ns1 * kns0),
+        (2.0 * lns, -2.0 * lns * lns * ns2 * kns0 * kns0),
+    ]
+
+
+def _exp_sum(terms, t: float) -> float:
+    return sum(c * math.exp(-mu * t) for mu, c in terms)
 
 
 def _profit_nb_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
-    """Analytic time derivative of the clamped no-program profit.
-
-    It jumps where a zero-bounty race probability reaches a clamp
-    (``_clamped_slope_factors``). The caller keeps t in [0, t_max].
-    """
-    g0 = params.r_s / params.c_w - params.W / params.c_b
-    factors = _clamped_slope_factors(params, curves.k_severe(t), g0)
-    black_hat, expert = _severe_costs_nb(params, curves.k_severe_prime(t), factors)
-    non_severe = curves.k_nonsevere_prime(t) * params.TC_ns
-    return curves.revenue_prime(t) - black_hat - expert - non_severe
+    """Analytic time derivative of the clamped no-program profit, for t in [0, t_max]."""
+    return _slope(curves, _no_bbp_coefficients(params)[0], t)
 
 
 def _concentrated_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
-    """Analytic time derivative of the concentrated with-program profit.
-
-    By the envelope theorem the bounty re-optimization contributes nothing,
-    so this is the partial time derivative of the profit at the optimal
-    bounty pair. The caller keeps t in [0, t_max] and has checked the
-    market; neither is checked again here.
-    """
-    ks = curves.k_severe(t)
-    kns = curves.k_nonsevere(t)
-    ks_prime = curves.k_severe_prime(t)
-    kns_prime = curves.k_nonsevere_prime(t)
-    n, m = params.n, params.m
-    big_n = n + m
-    p_s, p_ns = _bounty_pair(params, _positive_ks(ks, t))
-    g_star = (params.r_s + p_s) / params.c_w - params.W / params.c_b
-    bhh_factor, ewhh_factor = _corner_slope_factors(params, ks, g_star)
-    severe_terms = (m * params.TC_s / big_n) * bhh_factor + (n * p_s / big_n) * ewhh_factor
-    return (
-        curves.revenue_prime(t)
-        - ks_prime * severe_terms
-        - kns_prime * params.TC_ns
-        + 2.0 * kns * kns_prime * p_ns * p_ns
-    )
+    """Analytic time derivative of the concentrated with-program profit, for t in [0, t_max]."""
+    return _slope(curves, _bbp_coefficients(params), t)
 
 
 def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
@@ -483,12 +503,8 @@ def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
         mu0 = terms[0][0]
         ends[1:1] = _exp_sum_sign_changes([(mu, (mu0 - mu) * c) for mu, c in terms[1:]], lo, hi)
 
-    def f(t: float) -> float:
-        return sum(c * math.exp(-mu * t) for mu, c in terms)
-
-    def f_prime(t: float) -> float:
-        return -sum(mu * c * math.exp(-mu * t) for mu, c in terms)
-
+    f = partial(_exp_sum, terms)
+    f_prime = partial(_exp_sum, [(mu, -mu * c) for mu, c in terms])
     values = [f(t) for t in ends]
     return [
         newton_bisect(f, a, b, ftol=0.0, fprime=f_prime)
@@ -511,54 +527,52 @@ def _severe_decay_time(curves: ReleaseCurves, ratio: float) -> float:
     return min(math.log(ratio) / curves.lambda_s, curves.t_max)
 
 
-def _release_cuts(
-    curves: ReleaseCurves, lo: float, hi: float, k_edges, coefficients
-) -> list[float]:
+def _release_cuts(curves: ReleaseCurves, lo: float, hi: float, k_edges, coefficients) -> list:
     """Times from lo to hi with at most one falling root of a release slope between neighbours.
 
-    The slope jumps where K_s(t) reaches one of ``k_edges``, and such a time
-    gets a cut just below and just above it. Between those times the slope
-    is -a - b t + lambda_s K_s (s1 + s2 K_s) + lambda_ns K_ns (ns1 + ns2 K_ns),
-    (s1, s2, ns1, ns2) = ``coefficients(K_s)``, so its t-derivative is -b
-    plus terms in e^(-lambda_s t), e^(-2 lambda_s t), e^(-lambda_ns t) and
-    e^(-2 lambda_ns t), whose sign changes are cuts too.
+    The slope is ``_slope`` with these ``coefficients``, which jump where
+    K_s(t) reaches one of ``k_edges``; such a time gets a cut just below and
+    just above it. Between those times the coefficients are fixed, so the
+    slope's t-derivative is the sum ``_slope_terms``, whose sign changes are
+    cuts too.
     """
-    ls, lns, ks0, kns0 = curves.lambda_s, curves.lambda_ns, curves.K_s0, curves.K_ns0
+    ks0 = curves.K_s0
     edges = sorted(t for t in (_severe_decay_time(curves, ks0 / k) for k in k_edges) if lo < t < hi)
     step = 1e-9 * (hi - lo)
     cuts = [lo, hi, *(max(t - step, lo) for t in edges), *(min(t + step, hi) for t in edges)]
     bounds = [lo, *edges, hi]
     for a, b in zip(bounds, bounds[1:]):
-        s1, s2, ns1, ns2 = coefficients(curves.k_severe(0.5 * (a + b)))
-        terms = [
-            (0.0, -curves.b),
-            (ls, -ls * ls * s1 * ks0),
-            (2.0 * ls, -2.0 * ls * ls * s2 * ks0 * ks0),
-            (lns, -lns * lns * ns1 * kns0),
-            (2.0 * lns, -2.0 * lns * lns * ns2 * kns0 * kns0),
-        ]
-        cuts += _exp_sum_sign_changes(terms, a, b)
+        cuts += _exp_sum_sign_changes(_slope_terms(curves, coefficients, 0.5 * (a + b)), a, b)
     return sorted(set(cuts))
 
 
-def _best_release(foc, profit, cuts: list[float]):
+def _best_release(curves: ReleaseCurves, coefficients, profit, cuts: list[float]):
     """The time in [lo, hi] that a release optimizer answers, as (t, boundary, profit).
 
     ``cuts`` run from lo to hi, with at most one falling root of the slope
-    ``foc`` between neighbours. Neighbours are a bracket where the slope is
-    0 at the first, or positive there and negative at the second; 0 at hi
-    adds (hi, hi). Each bracket is refined to its root by ``newton_bisect``,
-    or to the edge where the slope jumps across zero. The candidates are
-    those roots, then lo, then hi, and the first with the largest
-    ``profit`` wins: a root thus keeps a tie with an end, and lo one with
-    hi. ``boundary`` is True when an end wins.
+    (``_slope`` with ``coefficients``) between neighbours. Neighbours are a
+    bracket where the slope is 0 at the first, or positive there and
+    negative at the second; 0 at hi adds (hi, hi). Each bracket is refined
+    to its root by ``newton_bisect`` with the slope's exact derivative
+    (``_slope_terms``), or to the edge where the slope jumps across zero.
+    The candidates are those roots, then lo, then hi, and the first with
+    the largest ``profit`` wins: a root thus keeps a tie with an end, and lo
+    one with hi. ``boundary`` is True when an end wins.
     """
-    values = [foc(t) for t in cuts]
+    slope = partial(_slope, curves, coefficients)
+
+    def slope_prime(t: float) -> float:
+        return _exp_sum(_slope_terms(curves, coefficients, t), t)
+
+    values = [slope(t) for t in cuts]
     pairs = zip(cuts, cuts[1:], values, values[1:])
     brackets = [(a, b) for a, b, fa, fb in pairs if fa == 0.0 or fa > 0.0 > fb]
     if values[-1] == 0.0:
         brackets.append((cuts[-1], cuts[-1]))
-    candidates = [(newton_bisect(foc, a, b, ftol=_FOC_TOL), False) for a, b in brackets]
+    candidates = [
+        (newton_bisect(slope, a, b, ftol=_FOC_TOL, fprime=slope_prime), False)
+        for a, b in brackets
+    ]
     candidates += [(cuts[0], True), (cuts[-1], True)]
     profits = [profit(t) for t, _ in candidates]
     best = max(range(len(candidates)), key=profits.__getitem__)
@@ -572,34 +586,20 @@ def optimal_release_no_bbp(params: MarketParams, curves: ReleaseCurves) -> Relea
     Compares the falling roots of the analytic first-order condition on
     [0, t_max] with both ends (``_best_release``). The condition is the
     slope of the clamped profit that ``profit_without_bbp`` reports, so it
-    jumps where a zero-bounty race probability reaches a clamp, and a root
-    may be that clamp edge. An unclamped slope factor is 1 + beta K_s
-    (``_corner_slope_factors``), and a clamped one is 0 or N; a clamp starts
-    or ends where a factor crosses -1 or 2N - 1, at K_s = (level - 1)/beta.
-    Every root is found (``_release_cuts``).
+    jumps where a zero-bounty race probability reaches a clamp
+    (``_no_bbp_coefficients``), and a root may be that clamp edge. Every
+    root is found (``_release_cuts``).
     """
     _check_market(params)
-    big_n = params.n + params.m
-    g0 = params.r_s / params.c_w - params.W / params.c_b
-    betas = [f - 1.0 for f in _corner_slope_factors(params, 1.0, g0)]
-
-    def coefficients(ks: float) -> tuple[float, float, float, float]:
-        raw, kept = _corner_slope_factors(params, ks, g0), _clamped_slope_factors(params, ks, g0)
-        linear = [f == f_kept for f, f_kept in zip(raw, kept)]
-        constant = [1.0 if lin else f for lin, f in zip(linear, kept)]
-        slope = [beta if lin else 0.0 for lin, beta in zip(linear, betas)]
-        s1, s2 = (sum(_severe_costs_nb(params, 1.0, factors)) for factors in (constant, slope))
-        return s1, s2, params.TC_ns, 0.0
-
-    def foc(t: float) -> float:
-        return _profit_nb_prime(params, curves, t)
-
-    k_edges = [d / beta for beta in betas if beta for d in (-2.0, 2.0 * big_n - 2.0)]
+    coefficients, k_edges = _no_bbp_coefficients(params)
     t_star, boundary, profit = _best_release(
-        foc, lambda t: profit_without_bbp(params, t, curves).total,
+        curves,
+        coefficients,
+        lambda t: profit_without_bbp(params, t, curves).total,
         _release_cuts(curves, 0.0, curves.t_max, k_edges, coefficients),
     )
-    return ReleaseOptimum(t=t_star, boundary=boundary, foc_value=foc(t_star), profit=profit)
+    foc = _slope(curves, coefficients, t_star)
+    return ReleaseOptimum(t=t_star, boundary=boundary, foc_value=foc, profit=profit)
 
 
 def _condition1_in_u(params: MarketParams) -> tuple[float, float, float]:
@@ -720,14 +720,10 @@ def optimal_release_with_bbp(params: MarketParams, curves: ReleaseCurves) -> Bbp
 
     Maximizes the concentrated objective over the feasible sub-interval
     [lo, hi] by the rule ``optimal_release_no_bbp`` uses: the falling roots
-    of the analytic first-order condition are compared with both ends
-    (``_best_release``), so no unimodality is assumed and a second
-    stationary time is seen. With p_s* = A - B/K_s, where
-    A = (TC_s + (c_w/c_b) W - r_s)/2, the bracket of ``_concentrated_prime``
-    is s0 + s1 K_s with s0 = (m TC_s + n A)/N and
-    s1 = -2 m n (A - TC_s)^2/(c_w kappa N^2), and p_ns* = TC_ns/2 makes the
-    non-severe part lambda_ns K_ns TC_ns (1 - TC_ns K_ns / 2). Every root is
-    found (``_release_cuts``). Raises ``InfeasibleScenarioError`` naming the
+    of the analytic first-order condition (``_bbp_coefficients``) are
+    compared with both ends (``_best_release``), so no unimodality is
+    assumed and a second stationary time is seen. Every root is found
+    (``_release_cuts``). Raises ``InfeasibleScenarioError`` naming the
     violated feasibility bound when no release time supports a program.
     """
     _check_market(params)
@@ -735,16 +731,12 @@ def optimal_release_with_bbp(params: MarketParams, curves: ReleaseCurves) -> Bbp
     if interval is None:
         raise InfeasibleScenarioError(_describe_infeasibility(params, curves))
     lo, hi = interval
-    n, m = params.n, params.m
-    big_n = n + m
-    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
-    s0 = (m * params.TC_s + n * a) / big_n
-    s1 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
-    coefficients = (s0, s1, params.TC_ns, -0.5 * params.TC_ns * params.TC_ns)
+    coefficients = _bbp_coefficients(params)
     t_star, boundary, profit = _best_release(
-        lambda t: _concentrated_prime(params, curves, t),
+        curves,
+        coefficients,
         lambda t: concentrated_bbp_profit(params, curves, t),
-        _release_cuts(curves, lo, hi, [], lambda ks: coefficients),
+        _release_cuts(curves, lo, hi, [], coefficients),
     )
     p_s, p_ns = _bounty_pair(params, curves.k_severe(t_star))
     return BbpRelease(t=t_star, p_s=p_s, p_ns=p_ns, profit=profit, boundary=boundary)

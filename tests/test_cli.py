@@ -422,9 +422,9 @@ def test_verify_failure_exits_1_with_evidence(capsys, monkeypatch):
 # result bit-for-bit must leave these alone.
 PINNED_SHA256 = {
     "evaluate": "d358145dad5a4b8cb30ca7a4639580bbfea26f789a29c391af9f48425c64d4e5",
-    "optimize": "40cb65284aff7f1d3c245349c3b7f6e2797aeb5cb46e3f267a05e2bd478c49cd",
+    "optimize": "ab9936d29130968bd817a787f2e0932a1c2e9f1d45a8673cc1548db37bc748c2",
     "sweep_csv": "d93ffc454be88f2b919dc20129a35d62079957414d8fd499c176b0aeadb25327",
-    "verify": "1b6c53c1af48afc83254724604e0bd50d94a62e7bee16e7138d9187127530876",
+    "verify": "5243e379a6f0956756cb26e2b2fd55c6f755f650a9d7845eec6f9694277ac211",
 }
 
 

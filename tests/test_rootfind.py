@@ -11,20 +11,23 @@ from bountygame._rootfind import newton_bisect
 
 def test_newton_polish_beats_plain_bisection_tolerance():
     f = lambda x: x**3 - 2.0
-    root = newton_bisect(f, 0.0, 2.0, ftol=1e-14)
+    fprime = lambda x: 3.0 * x * x
+    root = newton_bisect(f, 0.0, 2.0, ftol=1e-14, fprime=fprime)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
-    assert newton_bisect(f, 0.0, 2.0, ftol=1e-12) == pytest.approx(
+    assert newton_bisect(f, 0.0, 2.0, ftol=1e-12, fprime=fprime) == pytest.approx(
         2.0 ** (1.0 / 3.0), abs=1e-9
     )
 
 
 def test_newton_stops_where_the_function_jumps_across_zero():
     # f has no root, only a jump at 0.3: once the bracket closes to two
-    # adjacent floats, the end with the smaller |f| is returned.
-    assert newton_bisect(lambda x: 2.0 if x < 0.3 else -1.0, 0.0, 1.0) == 0.3
-    assert newton_bisect(lambda x: 1.0 if x < 0.3 else -2.0, 0.0, 1.0) == math.nextafter(
-        0.3, 0.0
-    )
+    # adjacent floats, the end with the smaller |f| is returned. A slope of
+    # 0 makes every step a bisection.
+    flat = lambda x: 0.0
+    assert newton_bisect(lambda x: 2.0 if x < 0.3 else -1.0, 0.0, 1.0, fprime=flat) == 0.3
+    assert newton_bisect(
+        lambda x: 1.0 if x < 0.3 else -2.0, 0.0, 1.0, fprime=flat
+    ) == math.nextafter(0.3, 0.0)
 
 
 def test_newton_with_an_analytic_slope_stops_once_a_step_no_longer_moves_x():

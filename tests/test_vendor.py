@@ -299,7 +299,10 @@ def test_release_picks_the_best_of_several_peaks():
         return _concentrated_prime(params, curves, t)
 
     assert slope(lo) < 0.0 < slope(2.4) and slope(hi) < 0.0
-    root = newton_bisect(slope, 2.4, hi, ftol=vendor._FOC_TOL)
+    terms = vendor._slope_terms(curves, vendor._bbp_coefficients(params), lo)
+    root = newton_bisect(
+        slope, 2.4, hi, ftol=vendor._FOC_TOL, fprime=lambda t: vendor._exp_sum(terms, t)
+    )
     assert root == pytest.approx(2.47020, abs=1e-5)
     assert concentrated_bbp_profit(params, curves, root) == pytest.approx(154.0075, abs=1e-4)
     bbp = optimal_release_with_bbp(params, curves)
@@ -475,28 +478,41 @@ def test_release_search_roots_every_falling_bracket_of_a_dense_scan(monkeypatch,
     assert falling >= 1500
 
 
-def test_program_release_makes_few_slope_evaluations(monkeypatch):
-    # A count, not a timing: on these draws the grid search this replaced
-    # made 29.0 slope evaluations per answered call, and the exact search
-    # makes 6.6.
-    slope = vendor._concentrated_prime
-    calls = 0
+def _slope_calls_per_answer(monkeypatch, optimizer):
+    slope = vendor._slope
+    calls = answered = 0
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return slope(*args)
 
-    monkeypatch.setattr(vendor, "_concentrated_prime", counted)
-    answered = 0
+    monkeypatch.setattr(vendor, "_slope", counted)
     for scen in FeasibleSampler(11).draws("raw", 400):
         try:
-            optimal_release_with_bbp(scen.params, scen.curves)
+            optimizer(scen.params, scen.curves)
         except InfeasibleScenarioError:
             continue
         answered += 1
+    return calls, answered
+
+
+def test_program_release_makes_few_slope_evaluations(monkeypatch):
+    # A count, not a timing: on these draws the grid search this replaced
+    # made 29.0 slope evaluations per answered call, and the exact search
+    # with Newton on the analytic derivative makes 4.39.
+    calls, answered = _slope_calls_per_answer(monkeypatch, optimal_release_with_bbp)
     assert answered >= 150
     assert calls <= 10 * answered
+
+
+def test_no_program_release_makes_few_slope_evaluations(monkeypatch):
+    # A count, not a timing: on these draws Newton with a central-difference
+    # slope made 15.37 slope evaluations per call, and with the analytic
+    # derivative it makes 8.74.
+    calls, answered = _slope_calls_per_answer(monkeypatch, optimal_release_no_bbp)
+    assert answered == 400
+    assert calls <= 12 * answered
 
 
 def _exp_sum(terms, t):

@@ -438,30 +438,30 @@ def test_full_suite_is_deterministic_and_green():
 # sampler tiers; a change meant to keep every result bit-for-bit must leave
 # these alone.
 PINNED_SUITE_SHA256 = {
-    5: "cd41eb4363e11d919c60346f7bcb68e92bd8c9f3066ff22dfd3a3da11752abf6",
-    10: "3de319bd83b542ff335d255bf88edfdd110573960df337512dda9c2c69db1c85",
-    15: "e3387d7001d63f5e39f0efc5765134fe37f40b54cfb044dc326cc11a2b49fe4d",
-    20: "c1abb0c3ea39e140489d697c7ad5c6f8481deac07555acd8ec4e45fc31cb43dd",
-    25: "48eb66f57e826939ffce22680d52283b608e3181a9873cb84bebd6c439d46cc7",
-    30: "bb2497e1701eeca273f7fc5ab9a8da6f3297105213dcc6131ccf09f309298207",
-    35: "0ecdd686320e2f087c61753f695cc88f50fea34c10292363141d1bc8ad22cd78",
-    40: "1b7a5415e9bb56adf1853b4b134b69bb961ece8d463c58f015396f85ecbd218d",
-    45: "6527623faa1f270ae40c861d1b34e75647fd08aede8f8bb35af846a4352b2f45",
-    50: "0904f4f495b52cf4e541ea5d068ab24db32f2a8cdd9c8b808893e45e4b095d32",
-    55: "72270fb7a687d083c696a125d61b5849822bf5687aed77cc5b5deef6597042ff",
-    60: "1ba49e7a99f46597b575b2db33d5b21e53f5226f797c8f86d1b978ffbc31eb81",
-    65: "fef05d1cc1a294a1623420e718b48a800ac0e90fc78d032da3b89137ab9603b4",
-    70: "9b2593115a93ec34ddc64afc30be8f7f2f3c039ae1803078a6e3cc26af96a843",
-    75: "747a76246ed787e32db1cce994e39d3f92d603c9a20bef73fc997577c2a4d089",
-    80: "63b03467e8863c6e3d37edac22277aeca86f1a24c96c55fd4b05abe15afb08d5",
-    85: "65dea0c977534cf2ce5549efd392791a47de036f35a7da686868ba06b52bb49b",
-    90: "3c9d265afdedf0ab5d391ea535f510abd9c9599e71518a3bafd2823bea5fa8e8",
-    95: "406ba5cad65fd302b54b22f256e686b7e09d3e021bc6cded4c36ba246ce0756f",
-    100: "4e9cd847224ae4ebf894e917a31fd2d6efab8d8d5319e3e649dae93602f02618",
-    105: "770cc2ffb76980f96f5508cce62688e6d49b1cd254582fdd3606321a7f572a97",
-    110: "ae4c568308ab2d0cd74029609abc3765b8105d163a6fd5e9368a8a0a415d17a7",
-    115: "d6126e2766679abdb8eba5818e92874821d04173cd06128176d4ab1216f5da6a",
-    120: "8215c8ad7db36cce22f0dc0a06f690070ef8f968900f7a7e71c65307e874a6ee",
+    5: "72e6830a02a3a7dac85dc82ec74813aded21d4b2ffb6288c142b5455202fe727",
+    10: "33cf9e5c6c8bb3bc9a7944d240b1141ac251f1304a02c82fbc8e25e715aa9948",
+    15: "bcea28313970e47f4a36f3ae263671d3abdd66bb270ddec558705aad9fe29a41",
+    20: "6523253d4a62d1b1d434fae4efb067b80e70895ecb0b369513d50fb69ce17db0",
+    25: "5a4021c0340eb00fdccf29395f9aac0940f86c7c527f85919565f2c69fabf2e4",
+    30: "eed5f7c66947ace62ba90427ce14e64f637db2888a227328b71061713ad9d2e7",
+    35: "b52e074346047e5f604ccceba4472b32738e99618b6f02d43f609d7a1a6b3156",
+    40: "e42a69c06b8ba045ee17c0da680e512fd449b82431a86889322ab5838b88fe13",
+    45: "9533aec54947745d6fc4a795da0418e6170f3cde4438a6805006b251c39aa25b",
+    50: "cb9b258f268cdd2298d740529842139cb60d59878cf95a13a31b4b6c07b2a17b",
+    55: "153a58c6980640b7b880207a2db0b3371297ad6e87fa89a934acc9fdcc7080c9",
+    60: "da7ebac6786196219ae14f2651604fcff1a14626d5567ed3779cf7d92a4ccff3",
+    65: "a32099317b2df648a83759d87f50000653c00b3faf9e6e191cf5669766bb085a",
+    70: "cd9e9d7745685f08ca17b1f2e6dd13a9dd1c27a89de185e1ad104aabd7190f53",
+    75: "0c1ec35e6a104a8867551f036f31a3b763f0373e3c66248207996c7949d9aaaa",
+    80: "4955900b8318b645db9b9a1f783a74beac1dd2025ce861180b89ccfe66fe2152",
+    85: "da8d8adb869d293abb59873fa6580e1796d29b55666848ffc92dcedde7e4d00c",
+    90: "9ce0ae95a1708f88ed15e9959ed12db677361040bf57045c07a28e2d0b6739f5",
+    95: "7346dea41d3e249fc1c1304b199b09512e90b4bb41f2312d91a9e53e8aa9351e",
+    100: "7e9aad26b620bfcdef9186d57251e45090a708126409f5347873a0ec2a723fb9",
+    105: "2f4ccc2b322efeacddee63d8e0aed24b2870e8cd1f895a56e54eb3946def1b25",
+    110: "932d17da5fff66b8b77f519a869bbe5e86be08fed25cc90e2f928daf8260ae6e",
+    115: "cacf0955e4d0a1b6447ec0431037d65946c962f1eb127b84e0f8e01398552656",
+    120: "a74e2795a1c4f5542dfcc734bdcf54585f4f31982f8c3f8773b3b6d9128da5a0",
 }
 
 
