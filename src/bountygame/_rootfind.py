@@ -21,20 +21,21 @@ def newton_bisect(
     f: Callable[[float], float],
     lo: float,
     hi: float,
+    flo: float,
+    fhi: float,
     *,
-    ftol: float = 1e-9,
+    ftol: float,
     fprime: Callable[[float], float],
 ) -> float:
-    """A zero of f on [lo, hi], where f(lo) and f(hi) must differ in sign.
+    """A zero of f on [lo, hi], given flo = f(lo) and fhi = f(hi), which must differ in sign.
 
     Steps by Newton with the exact derivative ``fprime``, or bisects where
     that step would leave the bracket or ``fprime`` is 0, until |f| <= ftol or
     a Newton step no longer moves x. Once no float lies strictly inside the
     bracket, f jumps across zero there, and the end with the smaller |f| is
-    returned. Raises ``ConvergenceError`` after 200 steps.
+    returned. Raises ``ConvergenceError`` where flo and fhi have the same
+    sign, or after 200 steps.
     """
-    flo = f(lo)
-    fhi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:

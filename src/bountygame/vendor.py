@@ -507,7 +507,7 @@ def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
     f_prime = partial(_exp_sum, [(mu, -mu * c) for mu, c in terms])
     values = [f(t) for t in ends]
     return [
-        newton_bisect(f, a, b, ftol=0.0, fprime=f_prime)
+        newton_bisect(f, a, b, fa, fb, ftol=0.0, fprime=f_prime)
         for a, b, fa, fb in zip(ends, ends[1:], values, values[1:])
         if fa < 0.0 < fb or fb < 0.0 < fa
     ]
@@ -566,12 +566,12 @@ def _best_release(curves: ReleaseCurves, coefficients, profit, cuts: list[float]
 
     values = [slope(t) for t in cuts]
     pairs = zip(cuts, cuts[1:], values, values[1:])
-    brackets = [(a, b) for a, b, fa, fb in pairs if fa == 0.0 or fa > 0.0 > fb]
+    brackets = [(a, b, fa, fb) for a, b, fa, fb in pairs if fa == 0.0 or fa > 0.0 > fb]
     if values[-1] == 0.0:
-        brackets.append((cuts[-1], cuts[-1]))
+        brackets.append((cuts[-1], cuts[-1], 0.0, 0.0))
     candidates = [
-        (newton_bisect(slope, a, b, ftol=_FOC_TOL, fprime=slope_prime), False)
-        for a, b in brackets
+        (newton_bisect(slope, *bracket, ftol=_FOC_TOL, fprime=slope_prime), False)
+        for bracket in brackets
     ]
     candidates += [(cuts[0], True), (cuts[-1], True)]
     profits = [profit(t) for t, _ in candidates]

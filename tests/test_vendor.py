@@ -301,7 +301,8 @@ def test_release_picks_the_best_of_several_peaks():
     assert slope(lo) < 0.0 < slope(2.4) and slope(hi) < 0.0
     terms = vendor._slope_terms(curves, vendor._bbp_coefficients(params), lo)
     root = newton_bisect(
-        slope, 2.4, hi, ftol=vendor._FOC_TOL, fprime=lambda t: vendor._exp_sum(terms, t)
+        slope, 2.4, hi, slope(2.4), slope(hi),
+        ftol=vendor._FOC_TOL, fprime=lambda t: vendor._exp_sum(terms, t),
     )
     assert root == pytest.approx(2.47020, abs=1e-5)
     assert concentrated_bbp_profit(params, curves, root) == pytest.approx(154.0075, abs=1e-4)
@@ -500,7 +501,7 @@ def _slope_calls_per_answer(monkeypatch, optimizer):
 def test_program_release_makes_few_slope_evaluations(monkeypatch):
     # A count, not a timing: on these draws the grid search this replaced
     # made 29.0 slope evaluations per answered call, and the exact search
-    # with Newton on the analytic derivative makes 4.39.
+    # with Newton on the analytic derivative makes 3.72.
     calls, answered = _slope_calls_per_answer(monkeypatch, optimal_release_with_bbp)
     assert answered >= 150
     assert calls <= 10 * answered
@@ -509,7 +510,7 @@ def test_program_release_makes_few_slope_evaluations(monkeypatch):
 def test_no_program_release_makes_few_slope_evaluations(monkeypatch):
     # A count, not a timing: on these draws Newton with a central-difference
     # slope made 15.37 slope evaluations per call, and with the analytic
-    # derivative it makes 8.74.
+    # derivative it makes 7.14.
     calls, answered = _slope_calls_per_answer(monkeypatch, optimal_release_no_bbp)
     assert answered == 400
     assert calls <= 12 * answered
@@ -715,6 +716,49 @@ def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):
             rel=1e-9,
         )
         assert gap < 0.0
+
+
+@pytest.mark.parametrize("box", ["wide", "long"])
+def test_slope_coefficients_match_finite_differences(wide_ranges, box):
+    # The one coefficient form of each slope, for both optimizers, at random
+    # times away from the no-program clamp edges: its derivative terms match
+    # a central difference of the slope, and the slope a central difference
+    # of the profit it differentiates.
+    ranges = {"wide": wide_ranges, "long": {"t_max": (1.0, 30.0)}}[box]
+    rng = random.Random(8)
+    h = 1e-5
+    checked = 0
+    for scen in FeasibleSampler(5, ranges=ranges).draws("raw", 200):
+        params, curves = scen.params, scen.curves
+        coefficients, k_edges = vendor._no_bbp_coefficients(params)
+        edges = [vendor._severe_decay_time(curves, curves.K_s0 / k) for k in k_edges]
+        slopes = [
+            (coefficients, _profit_nb_prime, 0.0, curves.t_max,
+             lambda t: profit_without_bbp(params, t, curves).total),
+        ]
+        interval = vendor._feasible_interval(params, curves)
+        if interval is not None:
+            slopes.append(
+                (vendor._bbp_coefficients(params), _concentrated_prime, *interval,
+                 lambda t: concentrated_bbp_profit(params, curves, t))
+            )
+        for coefficients, prime, lo, hi, profit in slopes:
+            for _ in range(3):
+                t = rng.uniform(lo + 2 * h, hi - 2 * h)
+                if any(abs(t - edge) < 4 * h for edge in edges):
+                    continue
+                checked += 1
+                slope = prime(params, curves, t)
+                assert slope == vendor._slope(curves, coefficients, t)
+                fd = (profit(t + h) - profit(t - h)) / (2 * h)
+                scale = max(1.0, abs(profit(t)))
+                assert slope == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale), asdict(scen)
+                fd = (prime(params, curves, t + h) - prime(params, curves, t - h)) / (2 * h)
+                terms = vendor._slope_terms(curves, coefficients, t)
+                assert vendor._exp_sum(terms, t) == pytest.approx(
+                    fd, rel=1e-6, abs=1e-8 * max(1.0, abs(slope))
+                ), asdict(scen)
+    assert checked >= 700
 
 
 def test_optimal_whh_count_report(s0_params, s0_curves):
