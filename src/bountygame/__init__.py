@@ -11,6 +11,8 @@ verification suite over randomly drawn feasible markets.
 
 from __future__ import annotations
 
+import importlib
+
 from .errors import (
     AssumptionViolationError,
     ConvergenceError,
@@ -31,12 +33,6 @@ from .hackers import (
     select_regime,
     success_probabilities,
 )
-from .ratio_game import (
-    RatioEquilibrium,
-    RatioSensitivities,
-    ratio_sensitivities,
-    solve_ratio_equilibrium,
-)
 from .scenario import (
     MarketParams,
     ReleaseCurves,
@@ -47,6 +43,7 @@ from .scenario import (
     revenue,
     validate,
 )
+# Eager: the function shadows its module, which a lazy load could leave bound here.
 from .simulate import SimMode, SimOutcome, simulate
 from .vendor import (
     BbpRelease,
@@ -65,16 +62,6 @@ from .vendor import (
     profit_with_bbp,
     profit_without_bbp,
     release_gap_term,
-)
-from .verification import (
-    FeasibleSampler,
-    PropositionReport,
-    SampledScenario,
-    identity_suite,
-    run_full_suite,
-    verify_proposition_1,
-    verify_proposition_2,
-    verify_proposition_3,
 )
 
 __version__ = "0.1.0"
@@ -137,3 +124,24 @@ __all__ = [
     "verify_proposition_3",
     "__version__",
 ]
+
+# Names loaded on first access, so the scalar commands skip their modules.
+_LAZY = dict.fromkeys(
+    ("RatioEquilibrium", "RatioSensitivities", "ratio_sensitivities", "solve_ratio_equilibrium"),
+    "ratio_game",
+) | dict.fromkeys(
+    ("FeasibleSampler", "PropositionReport", "SampledScenario", "identity_suite",
+     "run_full_suite", "verify_proposition_1", "verify_proposition_2", "verify_proposition_3"),
+    "verification",
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -29,7 +29,6 @@ arguments: no clocks, no locale formatting.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -54,7 +53,6 @@ from .vendor import (
     profit_without_bbp,
     release_gap_term,
 )
-from .verification import run_full_suite
 
 __all__ = ["main", "load_scenario", "ScenarioFile"]
 
@@ -118,7 +116,10 @@ def _strict_block(doc: dict, name: str, field_names: tuple[str, ...]) -> dict:
 def load_scenario(path: str) -> ScenarioFile:
     """Parse and validate a scenario file, strictly."""
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ScenarioFormatError(f"scenario file is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario file must hold one JSON object")
     unknown = set(doc) - {"market", "curves", "decision", "sweep"}
@@ -282,6 +283,8 @@ def _format_cell(value) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
+
     scen = load_scenario(args.scenario)
     if scen.sweep is None:
         raise ScenarioFormatError("sweep command needs a 'sweep' block")
@@ -346,6 +349,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_full_suite
+
     report = run_full_suite(args.seed, args.draws)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

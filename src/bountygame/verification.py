@@ -408,7 +408,7 @@ class FeasibleSampler:
         return self._accept_loop(accept)
 
     def draws(self, tier: str, count: int):
-        """Yield ``count`` draws from the named tier."""
+        """An iterator over ``count`` draws from the named tier, both checked here."""
         method = {
             "raw": self.draw_raw,
             "basic": self.draw_basic,
@@ -418,8 +418,10 @@ class FeasibleSampler:
         }.get(tier)
         if method is None:
             raise DomainError(f"unknown sampler tier {tier!r}")
-        for _ in range(count):
-            yield method()
+        count = _require_int("count", count)
+        if count < 0:
+            raise DomainError(f"count must be non-negative, got {count}")
+        return (method() for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

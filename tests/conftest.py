@@ -8,8 +8,14 @@ hand at those two constants.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bountygame
 from bountygame import MarketParams, ReleaseCurves, VendorDecision
 
 # exp(-2 * LAMBDA_S) * 0.9 == 0.5 and exp(-2 * LAMBDA_NS) * 0.95 == 0.8,
@@ -70,3 +76,22 @@ def wide_ranges() -> dict[str, tuple[float, float]]:
         "b": (0.0, 4.0),
         "t_max": (0.5, 25.0),
     }
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a new interpreter that imports this package.
+
+    Returns the finished process, with its output as text. A fresh
+    interpreter shows which modules a call loads, and in what order.
+    """
+    package_root = str(Path(bountygame.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    return run

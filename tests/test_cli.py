@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from dataclasses import asdict
 
 import pytest
 
-import bountygame
 from bountygame import (
     MarketParams,
     ReleaseCurves,
@@ -75,6 +71,20 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "evaluate", str(path))
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [(b'{"market": "\xff"}', "can't decode byte 0xff"), (b"[" * 100_000, "recursion depth")],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_undecodable_or_deeply_nested_file_is_an_input_error(capsys, tmp_path, data, fragment):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    rc, out, err = run_cli(capsys, "evaluate", str(path))
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ScenarioFormatError" and fragment in payload["detail"]
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):
@@ -447,12 +457,25 @@ def test_output_bytes_are_pinned(capsys, tmp_path):
     assert digests == PINNED_SHA256
 
 
-def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc):
+def test_verify_bytes_are_pinned_in_a_fresh_interpreter(fresh_python):
+    # The suite loads on first use here, not with the package.
+    done = fresh_python("-m", "bountygame.cli", "verify", "--seed", "0", "--draws", "8")
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == PINNED_SHA256["verify"]
+
+
+# The only package modules evaluate, optimize and sweep run.
+SCALAR_MODULES = ("errors", "scenario", "hackers", "vendor", "_rootfind", "simulate", "cli")
+
+
+def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc, fresh_python):
     # The package uses no thread pool, only the grid oracle, the sampler and
     # simulate need numpy, and only verification reports need statistics;
-    # importing any of them would add to the start-up of every scalar command. A curves.t_max sweep re-validates
-    # every point; without a decision block, evaluate and sweep run the
-    # release optimizers first.
+    # importing any of them would add to the start-up of every scalar command.
+    # The verification suite and the ratio contest load on first use, so no
+    # package module beyond SCALAR_MODULES may load either. A curves.t_max
+    # sweep re-validates every point; without a decision block, evaluate and
+    # sweep run the release optimizers first.
     t_max_sweep = dict(
         baseline_doc, sweep={"path": "curves.t_max", "from": 5.0, "to": 15.0, "steps": 5}
     )
@@ -468,18 +491,17 @@ def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc):
         ["sweep", auto_path, "--out", str(tmp_path / "a.csv")],
     ]
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from bountygame.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    assert main({argv!r}) == 0\n" for argv in calls)
         + "lazy = ('concurrent.futures', 'numpy', 'statistics')\n"
-        "print([name for name in lazy if name in sys.modules])\n"
+        "print(json.dumps([name for name in lazy if name in sys.modules]))\n"
+        "print(json.dumps([name for name in sys.modules if name.partition('.')[0] == 'bountygame']))\n"
     )
-    package_root = str(Path(bountygame.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    lazy, loaded = map(json.loads, done.stdout.splitlines())
+    assert lazy == []
+    expected = ["bountygame"] + [f"bountygame.{name}" for name in SCALAR_MODULES]
+    assert sorted(loaded) == sorted(expected)

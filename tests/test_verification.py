@@ -164,6 +164,20 @@ def test_unknown_tier_and_range_key_are_rejected():
         FeasibleSampler(1, ranges={"volatility": (0.0, 1.0)})
 
 
+@pytest.mark.parametrize(
+    "count, fragment",
+    [(True, "integer"), (-1, "non-negative"), (2.5, "integer"), ("2", "integer")],
+)
+def test_draw_count_is_checked_at_the_call(count, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        FeasibleSampler(1).draws("basic", count)
+
+
+def test_zero_draws_yield_nothing():
+    sampler = FeasibleSampler(1)
+    assert list(sampler.draws("basic", 0)) == [] and sampler.proposals == 0
+
+
 def test_basic_tier_honors_its_filters():
     sampler = FeasibleSampler(11)
     regimes = set()
