@@ -408,7 +408,7 @@ class FeasibleSampler:
         return self._accept_loop(accept)
 
     def draws(self, tier: str, count: int):
-        """An iterator over ``count`` draws from the named tier, both checked here."""
+        """An iterator over ``count`` draws from ``tier``; both are checked at the call."""
         method = {
             "raw": self.draw_raw,
             "basic": self.draw_basic,

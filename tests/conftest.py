@@ -3,7 +3,8 @@
 The baseline market has 3 experts, 5 non-experts, and 4 black hats, with
 curve constants tuned so the severity likelihoods at t = 2.0 are exactly
 0.5 and 0.8 in binary64. Most golden values in the tests were derived by
-hand at those two constants.
+hand at those two constants. ``fresh_python`` runs code in a new
+interpreter, for tests of what a call or an import order loads.
 """
 
 from __future__ import annotations

@@ -497,7 +497,8 @@ def test_baseline_commands_do_not_import_thread_pools(tmp_path, baseline_doc, fr
         + "".join(f"    assert main({argv!r}) == 0\n" for argv in calls)
         + "lazy = ('concurrent.futures', 'numpy', 'statistics')\n"
         "print(json.dumps([name for name in lazy if name in sys.modules]))\n"
-        "print(json.dumps([name for name in sys.modules if name.partition('.')[0] == 'bountygame']))\n"
+        "print(json.dumps([name for name in sys.modules\n"
+        "                  if name.partition('.')[0] == 'bountygame']))\n"
     )
     done = fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
