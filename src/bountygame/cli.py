@@ -118,7 +118,10 @@ def load_scenario(path: str) -> ScenarioFile:
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except json.JSONDecodeError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # Undecodable bytes, or an integer literal past Python's digit limit.
             raise ScenarioFormatError(f"scenario file is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario file must hold one JSON object")

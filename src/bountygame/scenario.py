@@ -187,15 +187,6 @@ class ReleaseCurves:
     def revenue(self, t: float) -> float:
         return self.R0 - self.a * t - 0.5 * self.b * t * t
 
-    def k_severe_prime(self, t: float) -> float:
-        return -self.lambda_s * self.k_severe(t)
-
-    def k_nonsevere_prime(self, t: float) -> float:
-        return -self.lambda_ns * self.k_nonsevere(t)
-
-    def revenue_prime(self, t: float) -> float:
-        return -self.a - self.b * t
-
 
 @dataclass(frozen=True)
 class VendorDecision:
@@ -330,7 +321,7 @@ def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
             failures.append(f"{name}'(t) < 0")
         if lam != 0.0 and k0 < 0.0:
             failures.append(f"{name}''(t) >= 0")
-    if not (curves.a > 0.0 and curves.revenue_prime(t_max) < 0.0):
+    if not (curves.a > 0.0 and -curves.a - curves.b * t_max < 0.0):
         failures.append("R'(t) < 0")
     if curves.b < 0.0:
         failures.append("R''(t) <= 0")

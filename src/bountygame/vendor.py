@@ -446,7 +446,8 @@ def _slope(curves: ReleaseCurves, coefficients, t: float) -> float:
     ks, kns = curves.k_severe(t), curves.k_nonsevere(t)
     s1, s2, ns1, ns2 = coefficients(ks)
     return (
-        curves.revenue_prime(t)
+        -curves.a
+        - curves.b * t
         + curves.lambda_s * ks * (s1 + s2 * ks)
         + curves.lambda_ns * kns * (ns1 + ns2 * kns)
     )
@@ -467,16 +468,6 @@ def _slope_terms(curves: ReleaseCurves, coefficients, t: float) -> list[tuple[fl
 
 def _exp_sum(terms, t: float) -> float:
     return sum(c * math.exp(-mu * t) for mu, c in terms)
-
-
-def _profit_nb_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
-    """Analytic time derivative of the clamped no-program profit, for t in [0, t_max]."""
-    return _slope(curves, _no_bbp_coefficients(params)[0], t)
-
-
-def _concentrated_prime(params: MarketParams, curves: ReleaseCurves, t: float) -> float:
-    """Analytic time derivative of the concentrated with-program profit, for t in [0, t_max]."""
-    return _slope(curves, _bbp_coefficients(params), t)
 
 
 def _exp_sum_sign_changes(terms, lo: float, hi: float) -> list[float]:
@@ -755,8 +746,8 @@ def release_gap_term(params: MarketParams, curves: ReleaseCurves, t: float) -> f
     _check_market(params)
     ks = _positive_ks(k_severe(curves, t), t)
     kns = k_nonsevere(curves, t)
-    ks_prime = curves.k_severe_prime(t)
-    kns_prime = curves.k_nonsevere_prime(t)
+    ks_prime = -curves.lambda_s * ks
+    kns_prime = -curves.lambda_ns * kns
     n, m = params.n, params.m
     big_n = n + m
     kappa = big_n - 1

@@ -48,7 +48,8 @@ from .vendor import (
     BbpRelease,
     ReleaseOptimum,
     _feasibility_band,
-    _profit_nb_prime,
+    _no_bbp_coefficients,
+    _slope,
     concentrated_bbp_profit,
     condition1,
     optimal_bounties,
@@ -357,9 +358,10 @@ class FeasibleSampler:
                 return None
             # Cheap slope gate: an interior no-program optimum needs the
             # profit rising at t = 0 and falling at t_max.
-            if _profit_nb_prime(params, curves, 0.0) <= 0.0:
+            coefficients = _no_bbp_coefficients(params)[0]
+            if _slope(curves, coefficients, 0.0) <= 0.0:
                 return None
-            if _profit_nb_prime(params, curves, curves.t_max) >= 0.0:
+            if _slope(curves, coefficients, curves.t_max) >= 0.0:
                 return None
             try:
                 nb = optimal_release_no_bbp(params, curves)
@@ -438,24 +440,8 @@ class PropositionReport:
     excluded: int
     failures: tuple[dict, ...]
     passed: bool
-    min_margin: float | None
-    median_margin: float | None
-
-
-def _make_report(
-    report_id: str, margins: list[float], failures: list[dict], excluded: int = 0
-) -> PropositionReport:
-    import statistics
-
-    return PropositionReport(
-        id=report_id,
-        draws_tested=len(margins),
-        excluded=excluded,
-        failures=tuple(failures),
-        passed=not failures,
-        min_margin=min(margins) if margins else None,
-        median_margin=statistics.median(margins) if margins else None,
-    )
+    min_margin: float
+    median_margin: float
 
 
 def _require_draws(draws: int) -> int:
@@ -463,6 +449,42 @@ def _require_draws(draws: int) -> int:
     if draws < 1:
         raise DomainError("draws must be at least 1")
     return draws
+
+
+def _check_draws(report_id: str, draw, check, draws: int) -> PropositionReport:
+    """Test ``draws`` draws of ``draw()`` with ``check`` and report on them.
+
+    ``check`` returns None to exclude a draw, which is counted and replaced,
+    or else (scenario, margin, problem), problem None on a pass. Every
+    tested draw gives one margin, a failing one at most 0, and every
+    failure records its problem and the scenario it came from.
+    """
+    import statistics
+
+    draws = _require_draws(draws)
+    margins: list[float] = []
+    failures: list[dict] = []
+    excluded = 0
+    while len(margins) < draws:
+        outcome = check(draw())
+        if outcome is None:
+            excluded += 1
+            continue
+        scen, margin, problem = outcome
+        if problem is None:
+            margins.append(margin)
+        else:
+            margins.append(min(0.0, margin))
+            failures.append({"detail": problem, "scenario": asdict(scen)})
+    return PropositionReport(
+        id=report_id,
+        draws_tested=draws,
+        excluded=excluded,
+        failures=tuple(failures),
+        passed=not failures,
+        min_margin=min(margins),
+        median_margin=statistics.median(margins),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,55 +526,42 @@ def verify_proposition_1(
 
     Along an increasing severe-bounty grid, expert effort and the expert
     win probability must not fall and the black hat win probability must
-    not rise, strictly so wherever neither endpoint of a step is clamped.
-    Every grid entry must be finite.
+    not rise, strictly so wherever neither endpoint of a step is clamped
+    (a clamped step may move the wrong way by up to 1e-15). Every grid
+    entry must be finite.
     """
-    draws = _require_draws(draws)
     grid = [_require_finite("bounty_grid entry", p) for p in bounty_grid]
     if len(grid) < 10:
         raise DomainError("bounty_grid needs at least 10 points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("bounty_grid must be strictly increasing")
+    never_clipped = [False] * len(grid)
 
-    margins: list[float] = []
-    failures: list[dict] = []
-    for _ in range(draws):
-        scen = sampler.draw_basic()
+    def check(scen: SampledScenario):
         alphas, p_es, p_bs, clip_e, clip_b = _proposition_1_sweep(
             scen.params, scen.curves, scen.decision.t, grid
         )
+        # Each series with whether it rises along the grid.
+        series = (
+            ("alpha_s", True, alphas, never_clipped),
+            ("p_e_s", True, p_es, clip_e),
+            ("p_b_s", False, p_bs, clip_b),
+        )
         worst = math.inf
-        problem = None
         for i in range(len(grid) - 1):
-            d_alpha = alphas[i + 1] - alphas[i]
-            if d_alpha <= 0.0:
-                problem = f"alpha_s not strictly increasing at step {i}"
-                break
-            worst = min(worst, d_alpha)
-            d_e = p_es[i + 1] - p_es[i]
-            if not clip_e[i] and not clip_e[i + 1]:
-                if d_e <= 0.0:
-                    problem = f"p_e_s not strictly increasing at step {i}"
-                    break
-                worst = min(worst, d_e)
-            elif d_e < -1e-15:
-                problem = f"p_e_s decreases across a clamped step {i}"
-                break
-            d_b = p_bs[i] - p_bs[i + 1]
-            if not clip_b[i] and not clip_b[i + 1]:
-                if d_b <= 0.0:
-                    problem = f"p_b_s not strictly decreasing at step {i}"
-                    break
-                worst = min(worst, d_b)
-            elif d_b < -1e-15:
-                problem = f"p_b_s increases across a clamped step {i}"
-                break
-        if problem is None:
-            margins.append(worst)
-        else:
-            margins.append(0.0)
-            failures.append({"detail": problem, "scenario": asdict(scen)})
-    return _make_report("proposition-1", margins, failures)
+            for name, rising, values, clipped in series:
+                step = values[i + 1] - values[i] if rising else values[i] - values[i + 1]
+                if not (clipped[i] or clipped[i + 1]):
+                    if step <= 0.0:
+                        trend = "increasing" if rising else "decreasing"
+                        return scen, 0.0, f"{name} not strictly {trend} at step {i}"
+                    worst = min(worst, step)
+                elif step < -1e-15:
+                    move = "decreases" if rising else "increases"
+                    return scen, 0.0, f"{name} {move} across a clamped step {i}"
+        return scen, worst, None
+
+    return _check_draws("proposition-1", sampler.draw_basic, check, draws)
 
 
 def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionReport:
@@ -565,12 +574,8 @@ def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionRep
     must show a strictly positive profit gap and a decomposition residual
     within rounding.
     """
-    draws = _require_draws(draws)
-    margins: list[float] = []
-    failures: list[dict] = []
-    excluded = 0
-    while len(margins) + len(failures) < draws:
-        scen = sampler.draw_raw()
+
+    def check(scen: SampledScenario):
         params, curves = scen.params, scen.curves
         t = scen.decision.t
         bounties = optimal_bounties(params, curves, t)
@@ -578,23 +583,17 @@ def verify_proposition_2(sampler: FeasibleSampler, draws: int) -> PropositionRep
         p_e0, p_b0 = _corner_severe_probs(params, k_severe(curves, t), 0.0)
         unclipped = 0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0
         if not (bounties.bbp_viable and band.feasible and unclipped):
-            excluded += 1
-            continue
+            return None
         gap = (
             concentrated_bbp_profit(params, curves, t)
             - profit_without_bbp(params, t, curves).total
         )
         residual = profit_decomposition_check(params, curves, t)
         if gap <= 0.0 or abs(residual) > 1e-9:
-            failures.append(
-                {
-                    "detail": f"profit gap {gap!r}, decomposition residual {residual!r}",
-                    "scenario": asdict(scen),
-                }
-            )
-        else:
-            margins.append(gap)
-    return _make_report("proposition-2", margins, failures, excluded=excluded)
+            return scen, gap, f"profit gap {gap!r}, decomposition residual {residual!r}"
+        return scen, gap, None
+
+    return _check_draws("proposition-2", sampler.draw_raw, check, draws)
 
 
 def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionReport:
@@ -606,30 +605,19 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
     negative. The release tier only accepts draws whose two optima are
     interior, and hands them over with the draw, so no draw is excluded.
     """
-    draws = _require_draws(draws)
-    margins: list[float] = []
-    failures: list[dict] = []
-    for _ in range(draws):
-        scen, nb, bbp = sampler._release_draw()
+
+    def check(drawn: tuple[SampledScenario, ReleaseOptimum, BbpRelease]):
+        scen, nb, bbp = drawn
         time_gap = nb.t - bbp.t
         slope_gap = release_gap_term(scen.params, scen.curves, nb.t)
         if time_gap <= 0.0 or slope_gap >= 0.0:
-            failures.append(
-                {
-                    "detail": (
-                        f"t_no_program={nb.t!r}, t_with_program={bbp.t!r}, "
-                        f"slope gap at t_no_program={slope_gap!r}"
-                    ),
-                    "scenario": asdict(scen),
-                }
+            return scen, time_gap, (
+                f"t_no_program={nb.t!r}, t_with_program={bbp.t!r}, "
+                f"slope gap at t_no_program={slope_gap!r}"
             )
-        else:
-            margins.append(time_gap)
-    return _make_report("proposition-3", margins, failures)
+        return scen, time_gap, None
 
-
-def _slack(tolerance: float, error: float) -> float:
-    return (tolerance - error) / tolerance
+    return _check_draws("proposition-3", sampler._release_draw, check, draws)
 
 
 def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
@@ -643,26 +631,29 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
     p_s = 0 specialization of the general ones. Margins are reported as
     normalized slack (1 = exact, 0 = at tolerance).
     """
-    draws = _require_draws(draws)
-    margins: list[float] = []
-    failures: list[dict] = []
-    for _ in range(draws):
-        scen = sampler.draw_basic()
+
+    def check(scen: SampledScenario):
         params, curves, dec = scen.params, scen.curves, scen.decision
         n, l, m = params.n, params.l, params.m
         problems: list[str] = []
         slacks: list[float] = []
 
+        def expect(error: float, tolerance: float, detail: str) -> None:
+            slacks.append((tolerance - error) / tolerance)
+            if error > tolerance:
+                problems.append(f"{detail} {error!r}")
+
         profile = equilibrium(params, dec, curves)
         probs = success_probabilities(params, dec, curves, profile)
-        norm_err = abs(n * probs.p_e_s + m * probs.p_b_s - 1.0)
-        slacks.append(_slack(_NORMALIZATION_TOL, norm_err))
-        if norm_err > _NORMALIZATION_TOL:
-            problems.append(f"severe race normalization off by {norm_err!r}")
+        expect(
+            abs(n * probs.p_e_s + m * probs.p_b_s - 1.0),
+            _NORMALIZATION_TOL,
+            "severe race normalization off by",
+        )
 
+        ks = k_severe(curves, dec.t)
+        kns = k_nonsevere(curves, dec.t)
         if profile.regime is Regime.CORNER:
-            ks = k_severe(curves, dec.t)
-            kns = k_nonsevere(curves, dec.t)
             mass_ne = l * probs.p_ne_ns
             pi_terms = (
                 curves.revenue(dec.t)
@@ -673,17 +664,11 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
             )
             pi_poly = profit_with_bbp(params, dec, curves).total
             rel = abs(pi_terms - pi_poly) / max(1.0, abs(pi_terms), abs(pi_poly))
-            slacks.append(_slack(1e-12, rel))
-            if rel > 1e-12:
-                problems.append(f"profit forms disagree, relative gap {rel!r}")
+            expect(rel, 1e-12, "profit forms disagree, relative gap")
 
         residual = abs(profit_decomposition_check(params, curves, dec.t))
-        slacks.append(_slack(1e-9, residual))
-        if residual > 1e-9:
-            problems.append(f"decomposition residual {residual!r}")
+        expect(residual, 1e-9, "decomposition residual")
 
-        ks = k_severe(curves, dec.t)
-        kns = k_nonsevere(curves, dec.t)
         dec_b = VendorDecision(
             t=dec.t, p_s=dec.p_s, p_ns=_regime_boundary_p_ns(params, ks, kns, dec.p_s)
         )
@@ -694,9 +679,7 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
             abs(corner_b.alpha_ns - interior_b.alpha_ns),
             abs(corner_b.mu_s - interior_b.mu_s),
         )
-        slacks.append(_slack(1e-9, continuity_err))
-        if continuity_err > 1e-9:
-            problems.append(f"regime-boundary effort gap {continuity_err!r}")
+        expect(continuity_err, 1e-9, "regime-boundary effort gap")
 
         dec0 = VendorDecision(t=dec.t, p_s=0.0, p_ns=dec.p_ns)
         probs0 = success_probabilities(
@@ -708,31 +691,22 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
         p_e0 = min(1.0, max(0.0, (1.0 + m * ks * g0 / (kappa * big_n)) / big_n))
         p_b0 = min(1.0, max(0.0, (1.0 - n * ks * g0 / (kappa * big_n)) / big_n))
         zero_err = max(abs(probs0.p_e_s - p_e0), abs(probs0.p_b_s - p_b0))
-        slacks.append(_slack(1e-15, zero_err))
-        if zero_err > 1e-15:
-            problems.append(f"zero-bounty specialization gap {zero_err!r}")
+        expect(zero_err, 1e-15, "zero-bounty specialization gap")
 
-        margins.append(min(slacks))
-        if problems:
-            failures.append({"detail": "; ".join(problems), "scenario": asdict(scen)})
-    return _make_report("identity-suite", margins, failures)
+        return scen, min(slacks), "; ".join(problems) or None
+
+    return _check_draws("identity-suite", sampler.draw_basic, check, draws)
 
 
 def _condition1_band(sampler: FeasibleSampler, draws: int) -> PropositionReport:
     """The feasibility band is never empty, on arbitrary validated draws."""
-    margins: list[float] = []
-    failures: list[dict] = []
-    for _ in range(draws):
-        scen = sampler.draw_raw()
+
+    def check(scen: SampledScenario):
         band = condition1(scen.params, scen.curves, scen.decision.t)
         width = band.ub - band.lb
-        if width <= 0.0:
-            failures.append(
-                {"detail": f"band width {width!r}", "scenario": asdict(scen)}
-            )
-        else:
-            margins.append(width)
-    return _make_report("condition-1-band", margins, failures)
+        return scen, width, f"band width {width!r}" if width <= 0.0 else None
+
+    return _check_draws("condition-1-band", sampler.draw_raw, check, draws)
 
 
 def run_full_suite(seed: int, draws: int = 1000) -> dict:

@@ -32,10 +32,9 @@ from bountygame import (
     verify_proposition_2,
     verify_proposition_3,
 )
+from bountygame import vendor
 from bountygame.cli import main as cli_main
 from bountygame.vendor import (
-    _concentrated_prime,
-    _profit_nb_prime,
     _profit_polynomial,
     concentrated_bbp_profit,
     profit_without_bbp,
@@ -147,7 +146,7 @@ def test_criterion_05_program_vendor_releases_earlier(capsys):
             profit_without_bbp(params, t_bbp + h, curves).total
             - profit_without_bbp(params, t_bbp - h, curves).total
         ) / (2 * h)
-        analytic = _profit_nb_prime(params, curves, t_bbp)
+        analytic = vendor._slope(curves, vendor._no_bbp_coefficients(params)[0], t_bbp)
         worst_rel = max(worst_rel, abs(analytic - fd) / max(abs(analytic), 1e-6))
         compared += 1
 
@@ -159,7 +158,7 @@ def test_criterion_05_program_vendor_releases_earlier(capsys):
                 concentrated_bbp_profit(params, curves, t_nb + h)
                 - concentrated_bbp_profit(params, curves, t_nb - h)
             ) / (2 * h)
-            analytic = _concentrated_prime(params, curves, t_nb)
+            analytic = vendor._slope(curves, vendor._bbp_coefficients(params), t_nb)
             worst_rel = max(worst_rel, abs(analytic - fd) / max(abs(analytic), 1e-6))
             compared += 1
 

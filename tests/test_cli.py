@@ -75,8 +75,12 @@ def test_malformed_json_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "data, fragment",
-    [(b'{"market": "\xff"}', "can't decode byte 0xff"), (b"[" * 100_000, "recursion depth")],
-    ids=["not-utf8", "deeply-nested"],
+    [
+        (b'{"market": "\xff"}', "can't decode byte 0xff"),
+        (b"[" * 100_000, "recursion depth"),
+        (b'{"market": ' + b"9" * 5000 + b"}", "4300 digits"),
+    ],
+    ids=["not-utf8", "deeply-nested", "long-integer"],
 )
 def test_undecodable_or_deeply_nested_file_is_an_input_error(capsys, tmp_path, data, fragment):
     path = tmp_path / "bad.json"

@@ -33,7 +33,6 @@ from bountygame import (
 from bountygame import vendor
 from bountygame._rootfind import newton_bisect
 from bountygame.hackers import _corner_severe_probs
-from bountygame.vendor import _concentrated_prime, _profit_nb_prime
 from bountygame.verification import FeasibleSampler
 
 
@@ -198,12 +197,14 @@ def test_release_without_program_maximizes_clamped_profit(s0_params, s0_curves):
     best = _no_program_grid_max(params, s0_curves)
     assert nb.profit >= best - 1e-12 * max(1.0, abs(best))
     h = 1e-5
+    coefficients = vendor._no_bbp_coefficients(params)[0]
     for t in (1.0, nb.t):
         fd = (
             profit_without_bbp(params, t + h, s0_curves).total
             - profit_without_bbp(params, t - h, s0_curves).total
         ) / (2 * h)
-        assert _profit_nb_prime(params, s0_curves, t) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        slope = vendor._slope(s0_curves, coefficients, t)
+        assert slope == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 # Wide draw 205: p_e0 falls to 0 at t = 12.7152, where the profit slope
@@ -295,11 +296,13 @@ def test_release_picks_the_best_of_several_peaks():
     lo, hi = vendor._feasible_interval(params, curves)
     assert lo == 0.0 and hi == pytest.approx(2.47520, abs=1e-5)
 
+    coefficients = vendor._bbp_coefficients(params)
+
     def slope(t):
-        return _concentrated_prime(params, curves, t)
+        return vendor._slope(curves, coefficients, t)
 
     assert slope(lo) < 0.0 < slope(2.4) and slope(hi) < 0.0
-    terms = vendor._slope_terms(curves, vendor._bbp_coefficients(params), lo)
+    terms = vendor._slope_terms(curves, coefficients, lo)
     root = newton_bisect(
         slope, 2.4, hi, slope(2.4), slope(hi),
         ftol=vendor._FOC_TOL, fprime=lambda t: vendor._exp_sum(terms, t),
@@ -399,7 +402,7 @@ def test_release_without_program_sees_a_rising_then_falling_slope():
     # Two sign changes; only the falling one is a peak, and it beats both
     # endpoints.
     params, curves = _RISING_THEN_FALLING
-    assert _profit_nb_prime(params, curves, 0.0) < 0.0
+    assert vendor._slope(curves, vendor._no_bbp_coefficients(params)[0], 0.0) < 0.0
     nb = optimal_release_no_bbp(params, curves)
     assert not nb.boundary
     assert nb.t == pytest.approx(1.3623, abs=1e-4)
@@ -434,7 +437,8 @@ def test_program_release_sees_a_rising_then_falling_slope():
     params, curves = _PROGRAM_RISING_THEN_FALLING
     lo, hi = vendor._feasible_interval(params, curves)
     ts = [lo + (hi - lo) * i / 4000 for i in range(4000)] + [hi]
-    slopes = [_concentrated_prime(params, curves, t) for t in ts]
+    coefficients = vendor._bbp_coefficients(params)
+    slopes = [vendor._slope(curves, coefficients, t) for t in ts]
     assert slopes[0] < 0.0
     assert sum((a > 0.0) != (b > 0.0) for a, b in zip(slopes, slopes[1:])) == 2
     bbp = optimal_release_with_bbp(params, curves)
@@ -462,15 +466,17 @@ def test_release_search_roots_every_falling_bracket_of_a_dense_scan(monkeypatch,
     for ranges in (wide_ranges, {"t_max": (1.0, 30.0)}):
         for scen in FeasibleSampler(5, ranges=ranges).draws("raw", 1000):
             params, curves = scen.params, scen.curves
-            searches = [(optimal_release_no_bbp, _profit_nb_prime, (0.0, curves.t_max))]
+            nb_coefficients = vendor._no_bbp_coefficients(params)[0]
+            searches = [(optimal_release_no_bbp, nb_coefficients, (0.0, curves.t_max))]
             interval = vendor._feasible_interval(params, curves)
             if interval is not None:
-                searches.append((optimal_release_with_bbp, _concentrated_prime, interval))
-            for optimizer, slope, (lo, hi) in searches:
+                bbp_coefficients = vendor._bbp_coefficients(params)
+                searches.append((optimal_release_with_bbp, bbp_coefficients, interval))
+            for optimizer, coefficients, (lo, hi) in searches:
                 roots.clear()
                 optimizer(params, curves)
                 ts = [lo + (hi - lo) * i / 2000 for i in range(2000)] + [hi]
-                values = [slope(params, curves, t) for t in ts]
+                values = [vendor._slope(curves, coefficients, t) for t in ts]
                 for a, b, fa, fb in zip(ts, ts[1:], values, values[1:]):
                     if fa > 0.0 > fb:
                         falling += 1
@@ -694,27 +700,23 @@ def test_release_optimizers_refuse_a_severity_likelihood_that_is_not_positive(
 
 def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):
     h = 1e-5
+    nb_coefficients = vendor._no_bbp_coefficients(s0_params)[0]
+    conc_coefficients = vendor._bbp_coefficients(s0_params)
     for t in (0.5, 1.0, 2.0):
+        nb_slope = vendor._slope(s0_curves, nb_coefficients, t)
+        conc_slope = vendor._slope(s0_curves, conc_coefficients, t)
         fd_nb = (
             profit_without_bbp(s0_params, t + h, s0_curves).total
             - profit_without_bbp(s0_params, t - h, s0_curves).total
         ) / (2 * h)
-        assert _profit_nb_prime(s0_params, s0_curves, t) == pytest.approx(
-            fd_nb, rel=1e-6
-        )
+        assert nb_slope == pytest.approx(fd_nb, rel=1e-6)
         fd_conc = (
             concentrated_bbp_profit(s0_params, s0_curves, t + h)
             - concentrated_bbp_profit(s0_params, s0_curves, t - h)
         ) / (2 * h)
-        assert _concentrated_prime(s0_params, s0_curves, t) == pytest.approx(
-            fd_conc, rel=1e-6
-        )
+        assert conc_slope == pytest.approx(fd_conc, rel=1e-6)
         gap = release_gap_term(s0_params, s0_curves, t)
-        assert gap == pytest.approx(
-            _concentrated_prime(s0_params, s0_curves, t)
-            - _profit_nb_prime(s0_params, s0_curves, t),
-            rel=1e-9,
-        )
+        assert gap == pytest.approx(conc_slope - nb_slope, rel=1e-9)
         assert gap < 0.0
 
 
@@ -730,30 +732,36 @@ def test_slope_coefficients_match_finite_differences(wide_ranges, box):
     checked = 0
     for scen in FeasibleSampler(5, ranges=ranges).draws("raw", 200):
         params, curves = scen.params, scen.curves
-        coefficients, k_edges = vendor._no_bbp_coefficients(params)
+        k_edges = vendor._no_bbp_coefficients(params)[1]
         edges = [vendor._severe_decay_time(curves, curves.K_s0 / k) for k in k_edges]
         slopes = [
-            (coefficients, _profit_nb_prime, 0.0, curves.t_max,
+            (lambda: vendor._no_bbp_coefficients(params)[0], 0.0, curves.t_max,
              lambda t: profit_without_bbp(params, t, curves).total),
         ]
         interval = vendor._feasible_interval(params, curves)
         if interval is not None:
             slopes.append(
-                (vendor._bbp_coefficients(params), _concentrated_prime, *interval,
+                (lambda: vendor._bbp_coefficients(params), *interval,
                  lambda t: concentrated_bbp_profit(params, curves, t))
             )
-        for coefficients, prime, lo, hi, profit in slopes:
+        for build, lo, hi, profit in slopes:
+            coefficients = build()
+
+            def prime(t):
+                return vendor._slope(curves, coefficients, t)
+
             for _ in range(3):
                 t = rng.uniform(lo + 2 * h, hi - 2 * h)
                 if any(abs(t - edge) < 4 * h for edge in edges):
                     continue
                 checked += 1
-                slope = prime(params, curves, t)
-                assert slope == vendor._slope(curves, coefficients, t)
+                slope = prime(t)
+                # Coefficients built once per draw give the slope of fresh ones.
+                assert slope == vendor._slope(curves, build(), t)
                 fd = (profit(t + h) - profit(t - h)) / (2 * h)
                 scale = max(1.0, abs(profit(t)))
                 assert slope == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale), asdict(scen)
-                fd = (prime(params, curves, t + h) - prime(params, curves, t - h)) / (2 * h)
+                fd = (prime(t + h) - prime(t - h)) / (2 * h)
                 terms = vendor._slope_terms(curves, coefficients, t)
                 assert vendor._exp_sum(terms, t) == pytest.approx(
                     fd, rel=1e-6, abs=1e-8 * max(1.0, abs(slope))

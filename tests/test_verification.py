@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -428,6 +430,37 @@ def test_identity_suite_reports_a_violated_tolerance(monkeypatch):
     assert not report.passed
     assert report.failures
     assert "normalization" in report.failures[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "verifier, name, value",
+    [
+        (
+            functools.partial(verify_proposition_1, bounty_grid=[float(i) for i in range(10)]),
+            "_corner_alpha_s",
+            lambda params, ks, p_s: 0.5,
+        ),
+        (verify_proposition_2, "profit_decomposition_check", lambda params, curves, t: 1.0),
+        (verify_proposition_3, "release_gap_term", lambda params, curves, t: 1.0),
+        (identity_suite, "_NORMALIZATION_TOL", -1.0),
+        (
+            verification_module._condition1_band,
+            "condition1",
+            lambda params, curves, t: SimpleNamespace(lb=1.0, ub=1.0),
+        ),
+    ],
+    ids=["proposition-1", "proposition-2", "proposition-3", "identity-suite", "condition-1-band"],
+)
+def test_every_report_counts_its_failing_draws(monkeypatch, verifier, name, value):
+    # Every tested draw fails: each still counts in draws_tested, is
+    # recorded with its scenario, and gives a margin of at most 0.
+    monkeypatch.setattr(verification_module, name, value)
+    draws = 3
+    report = verifier(FeasibleSampler(31), draws)
+    assert not report.passed
+    assert report.draws_tested == draws and len(report.failures) == draws
+    assert report.min_margin <= 0.0
+    assert all(set(f) == {"detail", "scenario"} for f in report.failures)
 
 
 def test_full_suite_is_deterministic_and_green():
