@@ -7,123 +7,26 @@ equilibrium efforts and first-discovery probabilities in closed form,
 optimizes the vendor stage, cross-checks every formula against
 brute-force oracles and a Monte Carlo simulator, and ships a seeded
 verification suite over randomly drawn feasible markets.
+
+The package re-exports each module's ``__all__``; the verification suite
+and the ratio contest load on first use of one of their names.
 """
 
 from __future__ import annotations
 
 import importlib
 
-from .errors import (
-    AssumptionViolationError,
-    ConvergenceError,
-    DomainError,
-    FeasibilityWarning,
-    InfeasibleScenarioError,
-)
-from .hackers import (
-    EffortProfile,
-    HackerType,
-    Regime,
-    SuccessProfile,
-    best_response_oracle,
-    corner_equilibrium,
-    equilibrium,
-    focal_payoff,
-    interior_equilibrium,
-    select_regime,
-    success_probabilities,
-)
-from .scenario import (
-    MarketParams,
-    ReleaseCurves,
-    ValidationReport,
-    VendorDecision,
-    k_nonsevere,
-    k_severe,
-    revenue,
-    validate,
-)
-# Eager: the function shadows its module, which a lazy load could leave bound here.
-from .simulate import SimMode, SimOutcome, simulate
-from .vendor import (
-    BbpRelease,
-    Condition1Bounds,
-    OptimalBounties,
-    ProfitBreakdown,
-    ReleaseOptimum,
-    WhhCountReport,
-    concentrated_bbp_profit,
-    condition1,
-    optimal_bounties,
-    optimal_release_no_bbp,
-    optimal_release_with_bbp,
-    optimal_whh_count,
-    profit_decomposition_check,
-    profit_with_bbp,
-    profit_without_bbp,
-    release_gap_term,
-)
+# Each module's __all__ is the one list of its public names. Eager: the
+# simulate function shadows its module, which a lazy load could leave
+# bound here, so that module's list is read through an alias.
+from . import errors, hackers, scenario, simulate as _simulate, vendor
+from .errors import *
+from .hackers import *
+from .scenario import *
+from .simulate import *
+from .vendor import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionViolationError",
-    "BbpRelease",
-    "Condition1Bounds",
-    "ConvergenceError",
-    "DomainError",
-    "EffortProfile",
-    "FeasibilityWarning",
-    "FeasibleSampler",
-    "HackerType",
-    "InfeasibleScenarioError",
-    "MarketParams",
-    "OptimalBounties",
-    "ProfitBreakdown",
-    "PropositionReport",
-    "RatioEquilibrium",
-    "RatioSensitivities",
-    "Regime",
-    "ReleaseCurves",
-    "ReleaseOptimum",
-    "SampledScenario",
-    "SimMode",
-    "SimOutcome",
-    "SuccessProfile",
-    "ValidationReport",
-    "VendorDecision",
-    "WhhCountReport",
-    "best_response_oracle",
-    "concentrated_bbp_profit",
-    "condition1",
-    "corner_equilibrium",
-    "equilibrium",
-    "focal_payoff",
-    "identity_suite",
-    "interior_equilibrium",
-    "k_nonsevere",
-    "k_severe",
-    "optimal_bounties",
-    "optimal_release_no_bbp",
-    "optimal_release_with_bbp",
-    "optimal_whh_count",
-    "profit_decomposition_check",
-    "profit_with_bbp",
-    "profit_without_bbp",
-    "ratio_sensitivities",
-    "release_gap_term",
-    "revenue",
-    "run_full_suite",
-    "select_regime",
-    "simulate",
-    "solve_ratio_equilibrium",
-    "success_probabilities",
-    "validate",
-    "verify_proposition_1",
-    "verify_proposition_2",
-    "verify_proposition_3",
-    "__version__",
-]
 
 # Names loaded on first access, so the scalar commands skip their modules.
 _LAZY = dict.fromkeys(
@@ -134,6 +37,10 @@ _LAZY = dict.fromkeys(
      "run_full_suite", "verify_proposition_1", "verify_proposition_2", "verify_proposition_3"),
     "verification",
 )
+
+__all__ = [
+    name for module in (errors, hackers, scenario, _simulate, vendor) for name in module.__all__
+] + [*_LAZY, "__version__"]
 
 
 def __getattr__(name: str):

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "ConvergenceError",
+    "InfeasibleScenarioError",
+    "AssumptionViolationError",
+    "FeasibilityWarning",
+]
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""

@@ -295,18 +295,19 @@ def validate(params: MarketParams, curves: ReleaseCurves) -> ValidationReport:
 
 
 def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
-    """Shape failures of the curves, decided from their closed forms.
+    """Range failures of the curves on [0, t_max], decided from their closed forms.
 
-    K(t) = K0 exp(-lambda t) is monotone, so its range on [0, t_max] is
-    spanned by K(0) = K0 and K(t_max); K' = -lambda K and K'' = lambda^2 K
-    keep one sign throughout. R' = -a - b t is linear in t, so it is
-    negative on [0, t_max] when it is at both ends, and R'' = -b.
+    The slopes and curvatures need no check of their own: the parameter
+    checks in ``validate`` decide them. K(t) = K0 exp(-lambda t) is
+    monotone, so its range is spanned by K(0) = K0 and K(t_max), where it
+    can underflow to 0 or overflow. Where those checks pass R falls, so it
+    is least at t_max.
     """
     failures: list[str] = []
     t_max = curves.t_max
-    for name, k0, lam, curve in (
-        ("K_s", curves.K_s0, curves.lambda_s, curves.k_severe),
-        ("K_ns", curves.K_ns0, curves.lambda_ns, curves.k_nonsevere),
+    for name, k0, curve in (
+        ("K_s", curves.K_s0, curves.k_severe),
+        ("K_ns", curves.K_ns0, curves.k_nonsevere),
     ):
         try:
             k_end = curve(t_max)
@@ -317,14 +318,6 @@ def _release_curve_shape_failures(curves: ReleaseCurves) -> list[str]:
             tol = 1e-12 * max(1.0, abs(k0), abs(k_end))
             if min(k0, k_end) <= 0.0 or max(k0, k_end) > 1.0 + tol:
                 failures.append(f"{name}(t) in (0, 1]")
-        if not (lam > 0.0 and k0 > 0.0 or lam < 0.0 and k0 < 0.0):
-            failures.append(f"{name}'(t) < 0")
-        if lam != 0.0 and k0 < 0.0:
-            failures.append(f"{name}''(t) >= 0")
-    if not (curves.a > 0.0 and -curves.a - curves.b * t_max < 0.0):
-        failures.append("R'(t) < 0")
-    if curves.b < 0.0:
-        failures.append("R''(t) <= 0")
     if not curves.revenue(t_max) > 0.0:
         failures.append("R(t_max) > 0")
     return failures

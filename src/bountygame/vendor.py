@@ -18,7 +18,9 @@ Profit appears twice on purpose. ``profit_with_bbp`` assembles the
 expected-cost form term by term from success probabilities, while an
 expanded polynomial form of the same expression is evaluated separately;
 the two must agree to relative 1e-12, which guards the algebra whenever a
-profit is computed.
+profit is computed. A with-program profit whose evaluation overflows
+binary64 is a ``DomainError`` naming the decision, never a clamped or
+infinite value.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def _profit_polynomial(
 
     Same quantity as the term-by-term expected-cost form, distributed out,
     so the two evaluations take different floating-point routes and can
-    cross-check each other.
+    cross-check each other. An overflow is a ``DomainError``.
     """
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
@@ -266,21 +268,35 @@ def _profit_polynomial(
     kappa = big_n - 1
     g = (params.r_s + p_s) / params.c_w - params.W / params.c_b
     shared = m * n * ks * ks * g / (kappa * big_n * big_n)
-    return (
-        revenue(curves, t)
-        - m * ks * params.TC_s / big_n
-        + shared * params.TC_s
-        - n * ks * p_s / big_n
-        - shared * p_s
-        - (kns * p_ns) ** 2
-        - kns * params.TC_ns
-        + kns * kns * params.TC_ns * p_ns
+    try:
+        profit = (
+            revenue(curves, t)
+            - m * ks * params.TC_s / big_n
+            + shared * params.TC_s
+            - n * ks * p_s / big_n
+            - shared * p_s
+            - (kns * p_ns) ** 2
+            - kns * params.TC_ns
+            + kns * kns * params.TC_ns * p_ns
+        )
+    except OverflowError:  # float ** raises where * gives inf
+        profit = -math.inf
+    if not math.isfinite(profit):
+        raise _profit_overflow(t, p_s, p_ns)
+    return profit
+
+
+def _profit_overflow(t: float, p_s: float, p_ns: float) -> DomainError:
+    return DomainError(
+        f"with-program profit at t={t!r}, p_s={p_s!r}, p_ns={p_ns!r} overflows binary64"
     )
 
 
 def _with_bbp_breakdown(
     params: MarketParams, curves: ReleaseCurves, t: float, p_s: float, p_ns: float
 ) -> ProfitBreakdown:
+    # The polynomial goes first: it raises where the square below would.
+    check = _profit_polynomial(params, curves, t, p_s, p_ns)
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
     p_e, p_b = _corner_severe_probs(params, ks, p_s)
@@ -290,7 +306,8 @@ def _with_bbp_breakdown(
     bounty_ns = (kns * p_ns) ** 2
     user_cost = kns * params.TC_ns * (1.0 - kns * p_ns)
     total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
-    check = _profit_polynomial(params, curves, t, p_s, p_ns)
+    if not math.isfinite(total):
+        raise _profit_overflow(t, p_s, p_ns)
     if abs(total - check) > 1e-12 * max(1.0, abs(total), abs(check)):
         raise AssumptionViolationError(
             f"profit forms disagree: {total!r} vs {check!r} at t={t!r}, "

@@ -337,6 +337,47 @@ def test_profit_form_mismatch_exits_1(capsys, monkeypatch):
     assert "profit forms disagree" in payload["detail"]
 
 
+def overflow_argv(tmp_path, command, doc):
+    argv = [command, write_scenario(tmp_path, doc)]
+    return argv + ["--out", str(tmp_path / "out.csv")] if command == "sweep" else argv
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("evaluate", "p_ns", 1e160),
+        ("evaluate", "p_ns", 1e300),
+        ("evaluate", "p_ns", -1e300),
+        ("sweep", "p_ns", 1e160),
+        ("sweep", "p_ns", 1e300),
+        ("sweep", "p_ns", -1e300),
+        # K_s n p_e p_s is beyond binary64: the profit was -inf, printed as -Infinity.
+        ("evaluate", "p_s", 1e160),
+    ],
+)
+def test_with_program_profit_overflow_exits_2(
+    capsys, tmp_path, baseline_doc, command, key, value
+):
+    baseline_doc["decision"][key] = value
+    rc, out, err = run_cli(capsys, *overflow_argv(tmp_path, command, baseline_doc))
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert f"{key}={value!r}" in payload["detail"]
+    assert "overflows binary64" in payload["detail"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_into_an_overflowing_bounty_exits_2(capsys, tmp_path, baseline_doc):
+    baseline_doc["sweep"] = {"path": "decision.p_ns", "from": 0.0, "to": 1e200, "steps": 5}
+    rc, out, err = run_cli(capsys, *overflow_argv(tmp_path, "sweep", baseline_doc))
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "p_ns=2.5e+199" in payload["detail"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_baseline_csv(capsys, tmp_path):
     out_a = tmp_path / "a.csv"
     rc, out, _ = run_cli(capsys, "sweep", str(BASELINE), "--out", str(out_a))

@@ -1,11 +1,13 @@
 """The package surface: every public name, whichever module loads first.
 
 The verification suite and the ratio contest load on first access to one
-of their names, so each case runs in a fresh interpreter.
+of their names, so each case that depends on what is loaded runs in a
+fresh interpreter.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -17,11 +19,41 @@ LAZY_NAMES = {
     "ratio_sensitivities", "solve_ratio_equilibrium",
 }
 
+PUBLIC_NAMES = {
+    "AssumptionViolationError", "BbpRelease", "Condition1Bounds", "ConvergenceError",
+    "DomainError", "EffortProfile", "FeasibilityWarning", "FeasibleSampler",
+    "HackerType", "InfeasibleScenarioError", "MarketParams", "OptimalBounties",
+    "ProfitBreakdown", "PropositionReport", "RatioEquilibrium", "RatioSensitivities",
+    "Regime", "ReleaseCurves", "ReleaseOptimum", "SampledScenario", "SimMode",
+    "SimOutcome", "SuccessProfile", "ValidationReport", "VendorDecision",
+    "WhhCountReport", "__version__", "best_response_oracle", "concentrated_bbp_profit",
+    "condition1", "corner_equilibrium", "equilibrium", "focal_payoff", "identity_suite",
+    "interior_equilibrium", "k_nonsevere", "k_severe", "optimal_bounties",
+    "optimal_release_no_bbp", "optimal_release_with_bbp", "optimal_whh_count",
+    "profit_decomposition_check", "profit_with_bbp", "profit_without_bbp",
+    "ratio_sensitivities", "release_gap_term", "revenue", "run_full_suite",
+    "select_regime", "simulate", "solve_ratio_equilibrium", "success_probabilities",
+    "validate", "verify_proposition_1", "verify_proposition_2", "verify_proposition_3",
+}
+
 
 def run_script(fresh_python, script: str):
     done = fresh_python("-c", script)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_the_package_surface_is_its_modules_public_names():
+    import bountygame
+
+    assert len(bountygame.__all__) == len(PUBLIC_NAMES)
+    assert set(bountygame.__all__) == PUBLIC_NAMES
+    assert set(bountygame._LAZY) == LAZY_NAMES
+    for name, module in bountygame._LAZY.items():
+        assert name in importlib.import_module(f"bountygame.{module}").__all__, name
+    for module in ("errors", "hackers", "scenario", "simulate", "vendor"):
+        exported = importlib.import_module(f"bountygame.{module}").__all__
+        assert set(exported) <= set(bountygame.__all__), module
 
 
 def test_every_public_name_resolves_through_getattr(fresh_python):

@@ -97,6 +97,14 @@ def test_baseline_program_margin_decomposes(s0_params, s0_curves):
     assert abs(profit_decomposition_check(s0_params, s0_curves, 2.0)) <= 1e-9
 
 
+def test_profit_at_optimal_bounties_beyond_binary64_is_a_domain_error(s0_params, s0_curves):
+    # p_ns* = TC_ns / 2, so (K_ns p_ns*)^2 is beyond binary64; float ** raised.
+    params = replace(s0_params, TC_ns=1e160, TC_s=1e161)
+    for call in (concentrated_bbp_profit, profit_decomposition_check):
+        with pytest.raises(DomainError, match="p_ns=5e[+]159 overflows binary64"):
+            call(params, s0_curves, 2.0)
+
+
 def test_profit_warns_outside_its_regime(s0_params, s0_curves, s0_decision):
     with pytest.warns(FeasibilityWarning):
         profit_with_bbp(s0_params, replace(s0_decision, p_ns=2.0), s0_curves)

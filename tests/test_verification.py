@@ -141,8 +141,12 @@ def test_sampler_checks_its_ranges(ranges, message):
 
 def test_integer_bounds_of_float_fields_sample_as_floats():
     def digest(ranges):
+        # The dicts asdict gives, without its deep copy: the same repr.
         sampler = FeasibleSampler(8, ranges=ranges)
-        proposals = [asdict(sampler._propose()) for _ in range(20_000)]
+        proposals = [
+            {"params": vars(s.params), "curves": vars(s.curves), "decision": vars(s.decision)}
+            for s in (sampler._propose() for _ in range(20_000))
+        ]
         return hashlib.sha256(repr(proposals).encode()).hexdigest()
 
     # Recorded with CPython 3.11 and numpy 2.4 on x86-64 Linux, before the
@@ -390,6 +394,12 @@ def test_proposition_1_sweep_equals_the_closed_forms(s0_curves, s0_decision):
             lambda params, ks, p_s: (0.1 + 0.01 * p_s, p_s - 0.5),
             "p_b_s increases across a clamped step 0",
         ),
+        pytest.param(
+            "_corner_severe_probs",
+            lambda params, ks, p_s: (_clamped_step_p_e(p_s, 5e-15), 0.5 - 0.01 * p_s),
+            "p_e_s decreases across a clamped step 0",
+            id="p_e_s falls by 5e-15 across a clamped step",
+        ),
     ],
 )
 def test_proposition_1_names_the_failing_step(monkeypatch, helper, fake, detail):
@@ -399,6 +409,25 @@ def test_proposition_1_names_the_failing_step(monkeypatch, helper, fake, detail)
     assert report.min_margin == 0.0
     assert [f["detail"] for f in report.failures] == [detail] * 2
     assert all("scenario" in f for f in report.failures)
+
+
+def _clamped_step_p_e(p_s: float, drop: float) -> float:
+    """An expert win probability clamped to 1 except at p_s = 1, where it is 1 - drop.
+
+    Step 0 then falls by ``drop`` from a clamped point; every later step
+    rises or stays clamped.
+    """
+    return 1.0 - drop if p_s == 1.0 else 1.5
+
+
+def test_proposition_1_allows_rounding_across_a_clamped_step(monkeypatch):
+    monkeypatch.setattr(
+        verification_module,
+        "_corner_severe_probs",
+        lambda params, ks, p_s: (_clamped_step_p_e(p_s, 5e-16), 0.5 - 0.01 * p_s),
+    )
+    report = verify_proposition_1(FeasibleSampler(21), 2, [float(i) for i in range(10)])
+    assert report.passed and report.draws_tested == 2 and report.min_margin > 0.0
 
 
 def test_proposition_reports_pass_on_modest_populations():
