@@ -46,10 +46,12 @@ __all__ = [
 
 # Step of the oracle's effort grid on [0, 1]: 1001 points per axis.
 _ORACLE_STEP = 0.001
-# Rows of the expert oracle grid evaluated at once: two buffers of 32 rows of
-# at most 1001 doubles (256 KB each) stay in a core's cache. Only the rows and
-# columns whose payoff bound reaches a payoff the grid attains are evaluated
-# (see ``best_response_oracle``), so the winner is that of the whole grid.
+# Side of the expert oracle's blocks: the grid is cut into bands of 32 rows and
+# tiles of 32 columns, and each block of one band and one tile gets a payoff
+# bound. Only blocks whose bound reaches a payoff the grid attains are
+# evaluated (see ``best_response_oracle``), so the winner is that of the whole
+# grid; a band's evaluated rows of at most 1001 doubles (256 KB) stay in a
+# core's cache.
 _ORACLE_BLOCK_ROWS = 32
 
 
@@ -419,16 +421,19 @@ def best_response_oracle(
     deviation payoff directly, so agreement with the formulas is evidence
     rather than tautology.
 
-    The expert cross term e_s * e_ns is >= 0 and rounding is monotone, so no
-    payoff in row i exceeds fl(severe[i] + max nonsevere), and none in column
-    j exceeds fl(max severe + nonsevere[j]). The row of the largest severe
-    group is evaluated first; every row or column whose bound falls below
-    that row's maximum, a payoff the grid attains, cannot hold the maximum.
-    The rectangle spanning the rest is searched in row-major order with the
-    arithmetic of ``focal_payoff``, ``_ORACLE_BLOCK_ROWS`` rows at a time into
-    two cache-sized buffers, so the winner is that of the whole grid. Raises
-    ``DomainError`` when ``others`` holds a non-finite effort or the expert
-    payoff overflows.
+    The expert grid is cut into bands and tiles of ``_ORACLE_BLOCK_ROWS``
+    rows and columns. The grid values are >= 0 and rounding is monotone, so
+    no payoff in the block of band B and tile T exceeds fl(fl(max severe[B]
+    + max nonsevere[T]) - fl(g_B g_T)), with g_B and g_T the efforts of the
+    block's first row and column. The block with the largest bound is
+    evaluated first, and its maximum, a payoff the grid attains, is the
+    floor: a block whose bound falls below it cannot hold the maximum. Each
+    band with a block that reaches the floor is then evaluated, in row
+    order and with the arithmetic of ``focal_payoff``, over the columns from
+    its first to its last such tile; a later band replaces the best payoff
+    only when it beats it strictly, so the winner is that of the whole
+    grid. Raises ``DomainError`` when ``others`` holds a non-finite effort
+    or the expert payoff overflows.
     """
     _check_market(params)
     import numpy as np
@@ -440,26 +445,31 @@ def best_response_oracle(
 
     _check_profile(others)
     severe, nonsevere = _ewhh_payoff_groups(params, decision, curves, others, grid, grid)
-    top = int(np.argmax(severe))
-    floor = np.max((severe[top] + nonsevere) - grid[top] * grid)
+    size = _ORACLE_BLOCK_ROWS
+    starts = np.arange(0, grid.size, size)
+
+    def payoffs(r0: int, c0: int, c1: int) -> np.ndarray:
+        rows = slice(r0, r0 + size)
+        block = severe[rows, None] + nonsevere[c0:c1]
+        block -= grid[rows, None] * grid[c0:c1]
+        return block
+
+    bound = np.add.outer(
+        np.maximum.reduceat(severe, starts), np.maximum.reduceat(nonsevere, starts)
+    ) - np.multiply.outer(grid[starts], grid[starts])
+    band, tile = divmod(int(np.argmax(bound)), starts.size)
+    floor = np.max(payoffs(starts[band], starts[tile], starts[tile] + size))
     if not math.isfinite(floor):
         raise DomainError("expert payoff is not finite on the effort grid")
-    kept_rows = np.flatnonzero(severe + nonsevere.max() >= floor)
-    kept_cols = np.flatnonzero(severe.max() + nonsevere >= floor)
-    r0, r1, c0, c1 = kept_rows[0], kept_rows[-1] + 1, kept_cols[0], kept_cols[-1] + 1
-    width = c1 - c0
-    rows = min(_ORACLE_BLOCK_ROWS, r1 - r0)
-    payoff = np.empty((rows, width))
-    cross = np.empty((rows, width))
-    best, best_at = -np.inf, 0
-    for start in range(r0, r1, rows):
-        stop = min(start + rows, r1)
-        block, block_cross = payoff[: stop - start], cross[: stop - start]
-        np.add(severe[start:stop, None], nonsevere[c0:c1], out=block)
-        np.multiply(grid[start:stop, None], grid[c0:c1], out=block_cross)
-        np.subtract(block, block_cross, out=block)
+    kept = bound >= floor
+    first = kept.argmax(axis=1)
+    last = starts.size - kept[:, ::-1].argmax(axis=1)
+    best, best_at = -np.inf, (0, 0)
+    for band in np.flatnonzero(kept.any(axis=1)).tolist():
+        r0, c0, c1 = starts[band], starts[first[band]], starts[last[band] - 1] + size
+        block = payoffs(r0, c0, c1)
         at = int(np.argmax(block))
         if block.flat[at] > best:
-            best, best_at = block.flat[at], (start - r0) * width + at
-    i, j = divmod(best_at, width)
-    return float(grid[r0 + i]), float(grid[c0 + j])
+            i, j = divmod(at, block.shape[1])
+            best, best_at = block.flat[at], (r0 + i, c0 + j)
+    return float(grid[best_at[0]]), float(grid[best_at[1]])

@@ -26,6 +26,7 @@ infinite value.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -409,6 +410,12 @@ def concentrated_bbp_profit(params: MarketParams, curves: ReleaseCurves, t: floa
 # ---------------------------------------------------------------------------
 
 
+def _slope_overflow(program: str, params: MarketParams) -> DomainError:
+    return DomainError(
+        f"the {program}-program release slope overflows binary64 for the market {params}"
+    )
+
+
 def _bbp_coefficients(params: MarketParams):
     """The with-program slope's ``coefficients(K_s)`` (see ``_slope``), constant in K_s.
 
@@ -416,14 +423,20 @@ def _bbp_coefficients(params: MarketParams):
     slope. With p_s* = A - B/K_s, A = (TC_s + (c_w/c_b) W - r_s)/2, the
     severe bracket is s1 + s2 K_s with s1 = (m TC_s + n A)/N and
     s2 = -2 m n (A - TC_s)^2/(c_w kappa N^2); p_ns* = TC_ns/2 gives
-    ns1 = TC_ns and ns2 = -TC_ns^2/2.
+    ns1 = TC_ns and ns2 = -TC_ns^2/2. A coefficient that overflows is a
+    ``DomainError`` naming the market.
     """
     n, m = params.n, params.m
     big_n = n + m
     a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
     s1 = (m * params.TC_s + n * a) / big_n
-    s2 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
+    try:
+        s2 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
+    except OverflowError:  # float ** raises where * gives inf
+        s2 = -math.inf
     fixed = (s1, s2, params.TC_ns, -0.5 * params.TC_ns * params.TC_ns)
+    if not all(map(math.isfinite, fixed)):
+        raise _slope_overflow("with", params)
     return lambda ks: fixed
 
 
@@ -434,12 +447,18 @@ def _no_bbp_coefficients(params: MarketParams):
     factor f = N d(K_s p)/dK_s of each zero-bounty race probability p as
     ``profit_without_bbp`` clamps it: 1 + beta K_s (``_corner_slope_factors``)
     while that is in [-1, 2N - 1], else 0 below it (p = 0) and N above (p = 1).
-    So a clamp starts or ends at K_s = (level - 1)/beta.
+    So a clamp starts or ends at K_s = (level - 1)/beta. A market whose
+    coefficients can overflow is a ``DomainError`` naming it.
     """
     big_n = params.n + params.m
     g0 = params.r_s / params.c_w - params.W / params.c_b
     betas = [f - 1.0 for f in _corner_slope_factors(params, 1.0, g0)]
     weights = (params.m * params.TC_s / big_n, params.n * params.x * params.TC_s / big_n)
+    (beta_b, beta_e), (weight_b, weight_e) = betas, weights
+    # Bounds |s1| + |s2| over every combination of clamps.
+    reach = big_n * (weight_b + weight_e) + abs(beta_b * weight_b) + abs(beta_e * weight_e)
+    if not math.isfinite(reach):
+        raise _slope_overflow("no", params)
 
     def coefficients(ks: float) -> tuple[float, float, float, float]:
         s1 = s2 = 0.0
@@ -634,35 +653,59 @@ def _condition1_in_u(params: MarketParams) -> tuple[float, float, float]:
     )
 
 
-def _feasible_edge(ok, inside: float, estimate: float, end: float, step: float) -> float:
+def _float_order(t: float) -> int:
+    """The position of a non-negative float among the floats: its bits as an integer."""
+    return struct.unpack("<q", struct.pack("<d", t))[0]
+
+
+def _float_at(order: int) -> float:
+    """The non-negative float at position ``order`` (see ``_float_order``)."""
+    return struct.unpack("<d", struct.pack("<q", order))[0]
+
+
+def _feasible_edge(ok, inside: float, estimate: float, end: float) -> float:
     """The feasible float nearest ``end`` on the side of ``inside``.
 
     ``ok(inside)`` holds and ``estimate`` is the closed-form edge between
-    ``inside`` and ``end``. The bisection starts from a bracket of
-    ``step`` on either side of the estimate, falls back to ``inside`` or
-    ``end`` where rounding put the edge outside that bracket, and stops
-    when its two ends are adjacent floats.
+    ``inside`` and ``end``; all three are non-negative times. From the
+    estimate, clamped between the two, the search gallops in float order
+    with steps of 1, 2, 4, ... floats: toward ``end`` while ``ok`` holds,
+    else toward ``inside`` until it holds. It then bisects the floats
+    between the last feasible and the first infeasible float it met, so an
+    estimate k floats off the edge costs about 2 log2(k) + 2 calls of ``ok``.
     """
-    toward = 1.0 if end > inside else -1.0
-    bad = estimate + toward * step
-    if toward * (bad - end) >= 0.0:
-        bad = end
-    if ok(bad):
-        if bad == end or ok(end):
-            return end
-        good, bad = bad, end
+    toward = 1 if end > inside else -1
+    base = _float_order(inside)
+    span = toward * (_float_order(end) - base)
+
+    def at(distance: int) -> float:
+        return _float_at(base + toward * distance)
+
+    start = min(max(toward * (_float_order(estimate) - base), 0), span)
+    step = 1
+    if ok(at(start)):
+        good = start
+        while True:
+            if good == span:
+                return end
+            bad = min(good + step, span)
+            if not ok(at(bad)):
+                break
+            good, step = bad, 2 * step
     else:
-        good = estimate - toward * step
-        if toward * (good - inside) <= 0.0 or not ok(good):
-            good = inside
-    while True:
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            return good
-        if ok(mid):
+        bad = start
+        while True:
+            good = max(bad - step, 0)
+            if good == 0 or ok(at(good)):
+                break
+            bad, step = good, 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if ok(at(mid)):
             good = mid
         else:
             bad = mid
+    return at(good)
 
 
 def _feasible_interval(
@@ -674,16 +717,16 @@ def _feasible_interval(
     ``_condition1_in_u``), and u rises with t because ``validate``
     requires K_s to fall, so the feasible times form one interval. Its
     edges are estimated in closed form (``_severe_decay_time``); then a
-    short bisection of the band itself around each edge inside (0, t_max)
-    returns the last float at which the band holds, so the ends always
-    pass ``condition1``. Returns None when no time in [0, t_max] is
-    feasible.
+    search of the band itself in float order from each estimate
+    (``_feasible_edge``) returns the last float at which the band holds, so
+    the ends always pass ``condition1``. An estimate a few floats off costs
+    a few evaluations of the band. Returns None when no time in [0, t_max]
+    is feasible.
     """
     above_ub, above_lb, below_cap = _condition1_in_u(params)
     u_lo = max(above_ub, above_lb)
     if not u_lo < below_cap:
         return None
-    step = 1e-9 * curves.t_max
     t_lo = _severe_decay_time(curves, u_lo * curves.K_s0)
     t_hi = _severe_decay_time(curves, below_cap * curves.K_s0)
     if not t_lo < t_hi:
@@ -699,8 +742,8 @@ def _feasible_interval(
     if not ok(inside):
         return None
     return (
-        _feasible_edge(ok, inside, t_lo, 0.0, step),
-        _feasible_edge(ok, inside, t_hi, curves.t_max, step),
+        _feasible_edge(ok, inside, t_lo, 0.0),
+        _feasible_edge(ok, inside, t_hi, curves.t_max),
     )
 
 

@@ -378,6 +378,35 @@ def test_sweep_into_an_overflowing_bounty_exits_2(capsys, tmp_path, baseline_doc
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "market, curves, mode, program",
+    [
+        # m TC_s is beyond binary64: the no-program slope coefficients were
+        # (inf, nan, ...) and optimize printed "foc_value": NaN with exit 0.
+        ({"TC_ns": 1e300, "TC_s": 1.7e308}, {}, "both", "no"),
+        # (A - TC_s) ** 2 raised a bare OverflowError: a traceback, exit 1.
+        (
+            {"TC_s": 1e200},
+            {"lambda_s": 1.0, "t_max": 500.0, "R0": 1e7, "b": 0.0},
+            "with-bbp",
+            "with",
+        ),
+    ],
+)
+def test_overflowing_release_slope_exits_2(
+    capsys, tmp_path, baseline_doc, market, curves, mode, program
+):
+    baseline_doc["market"].update(market)
+    baseline_doc["curves"].update(curves)
+    path = write_scenario(tmp_path, baseline_doc)
+    rc, out, err = run_cli(capsys, "optimize", path, "--mode", mode)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert f"the {program}-program release slope overflows binary64" in payload["detail"]
+    assert f"TC_s={baseline_doc['market']['TC_s']!r}" in payload["detail"]
+
+
 def test_sweep_baseline_csv(capsys, tmp_path):
     out_a = tmp_path / "a.csv"
     rc, out, _ = run_cli(capsys, "sweep", str(BASELINE), "--out", str(out_a))

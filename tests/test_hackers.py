@@ -226,12 +226,46 @@ def _off_equilibrium_draws(ranges, count=25):
     return draws
 
 
-def test_blocked_expert_oracle_matches_full_grid(monkeypatch, basic_draws, wide_ranges):
-    # The expert oracle searches only the rows and columns that can hold the
-    # maximum, a block of rows at a time; the winner must be the first argmax
-    # of focal_payoff over the whole grid, also when the last block is short
-    # (1001 = 31 * 32 + 9 rows), and at profiles off the equilibrium.
-    for params, dec, curves, profile in basic_draws + _off_equilibrium_draws(wide_ranges):
+def _row_column_rectangle_cells(params, dec, curves, profile):
+    """Cells of the row-and-column rectangle the expert oracle searched before its blocks.
+
+    Every row and column whose payoff bound reached the best payoff of the
+    row of the largest severe group.
+    """
+    grid = np.arange(1001, dtype=np.float64) * 0.001
+    severe, nonsevere = hackers._ewhh_payoff_groups(params, dec, curves, profile, grid, grid)
+    top = int(np.argmax(severe))
+    floor = np.max((severe[top] + nonsevere) - grid[top] * grid)
+    rows = np.flatnonzero(severe + nonsevere.max() >= floor)
+    cols = np.flatnonzero(severe.max() + nonsevere >= floor)
+    return (rows[-1] - rows[0] + 1) * (cols[-1] - cols[0] + 1)
+
+
+@pytest.fixture(scope="module")
+def wide_rectangle_draws():
+    # The basic draws among the first 150 of FeasibleSampler(31) on which the
+    # row-and-column rectangle kept more than 100k cells: interior draws
+    # whose maximum sits far inside the grid.
+    draws = []
+    for scen in FeasibleSampler(31).draws("basic", 150):
+        profile = equilibrium(scen.params, scen.decision, scen.curves)
+        draw = (scen.params, scen.decision, scen.curves, profile)
+        if _row_column_rectangle_cells(*draw) > 100_000:
+            draws.append(draw)
+    assert len(draws) >= 20
+    return draws
+
+
+def test_blocked_expert_oracle_matches_full_grid(
+    monkeypatch, basic_draws, wide_rectangle_draws, wide_ranges
+):
+    # The expert oracle searches only the blocks that can hold the maximum;
+    # the winner must be the first argmax of focal_payoff over the whole
+    # grid, also when the last band and tile are short (1001 = 31 * 32 + 9),
+    # on draws where many blocks reach the floor, and at profiles off the
+    # equilibrium.
+    draws = basic_draws + wide_rectangle_draws + _off_equilibrium_draws(wide_ranges)
+    for params, dec, curves, profile in draws:
         want = _full_grid_expert_argmax(params, dec, curves, profile)
         for rows in (1, 7, 32, 2000):
             monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", rows)
@@ -257,16 +291,16 @@ def test_blocked_expert_oracle_breaks_ties_row_major(
     monkeypatch, s0_params, s0_curves, s0_decision, block_rows
 ):
     # Flat payoff groups leave only the cross term -e_s * e_ns, which is
-    # zero along the whole first row and first column: every block has a
+    # zero along the whole first row and first column: every band has a
     # tied maximum, and the first grid point must still win.
     monkeypatch.setattr(hackers, "_ORACLE_BLOCK_ROWS", block_rows)
     profile = equilibrium(s0_params, s0_decision, s0_curves)
     args = (s0_params, s0_decision, s0_curves, profile, HackerType.EWHH)
     _patch_groups(monkeypatch, {}, {})
     assert best_response_oracle(*args) == (0.0, 0.0)
-    # Severe maximum on rows 5 and 40 (different blocks), non-severe maximum
-    # on columns 0 and 600: cells (5, 0) and (40, 0) tie, and every bound of
-    # the kept rows and columns equals the maximum.
+    # Severe maximum on rows 5 and 40 (different bands), non-severe maximum
+    # on columns 0 and 600: cells (5, 0) and (40, 0) tie, and the bounds of
+    # the blocks holding both maxima reach the maximum.
     _patch_groups(monkeypatch, {5: 2.0, 40: 2.0}, {0: 1.0, 600: 1.0})
     assert best_response_oracle(*args) == (5 * 0.001, 0.0)
     assert _full_grid_expert_argmax(*args[:4]) == (5 * 0.001, 0.0)
@@ -275,6 +309,21 @@ def test_blocked_expert_oracle_breaks_ties_row_major(
     _patch_groups(monkeypatch, {0: 2.0, 40: 2.0}, {9: 1.0, 600: 1.0})
     assert best_response_oracle(*args) == (0.0, 9 * 0.001)
     assert _full_grid_expert_argmax(*args[:4]) == (0.0, 9 * 0.001)
+    # Cells (0, 600) and (3, 0) tie at 3: rows 0 and 3 share a band (but for
+    # one-row bands) and columns 0 and 600 lie in different tiles, so row
+    # order must win inside the band; visiting the tile of column 0 first
+    # would answer (3, 0). Every other payoff is below 3, (3, 600) by
+    # 0.003 * 0.6 - 2**-10.
+    _patch_groups(monkeypatch, {0: 1.0, 3: 1.0 + 2.0**-10}, {0: 2.0 - 2.0**-10, 600: 2.0})
+    assert best_response_oracle(*args) == (0.0, 600 * 0.001)
+    assert _full_grid_expert_argmax(*args[:4]) == (0.0, 600 * 0.001)
+    # Severe and non-severe maxima at row and column 63: at 32-row blocks
+    # the block of band 1 and tile 1 has the largest bound, 4 - 0.032**2,
+    # and seeds the floor with its best payoff, 4 - 0.063**2 at (63, 63).
+    # The winner is (0, 63) at 1.9975 + 2, in band 0, outside that block.
+    _patch_groups(monkeypatch, {0: 1.9975, 63: 2.0}, {63: 2.0})
+    assert best_response_oracle(*args) == (0.0, 63 * 0.001)
+    assert _full_grid_expert_argmax(*args[:4]) == (0.0, 63 * 0.001)
 
 
 def test_expert_oracle_seed_row_rounds_like_the_grid(
@@ -283,8 +332,8 @@ def test_expert_oracle_seed_row_rounds_like_the_grid(
     # Row 500 (e_s = 0.5) holds the largest severe group. Its payoff at
     # column 1000 is fl(fl(1.5 + 0.5 + 2**-52) - 0.5) = 1.5, a tie with
     # column 0 that column 0 wins; grouped as 1.5 + (0.5 + 2**-52 - 0.5) it
-    # would read 1.5 + 2**-52, above every payoff the grid attains, and
-    # would exclude the winning column.
+    # would read 1.5 + 2**-52, and a floor taken from it would be above
+    # every payoff the grid attains and exclude the winning column.
     _patch_groups(monkeypatch, {500: 1.5}, {0: 0.0, 1000: 0.5 + 2.0**-52})
     profile = equilibrium(s0_params, s0_decision, s0_curves)
     args = (s0_params, s0_decision, s0_curves, profile)

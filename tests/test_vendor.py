@@ -681,6 +681,99 @@ def test_feasible_interval_ends_are_the_last_feasible_floats(wide_ranges):
     assert feasible >= 100
 
 
+def _bisected_edge(ok, inside, estimate, end, step):
+    """The reference edge search: a bisection from a bracket of ``step`` around the estimate.
+
+    Falls back to ``inside`` or ``end`` where the edge lies outside the
+    bracket and stops when its two ends are adjacent floats; with step
+    1e-9 t_max it was ``_feasible_edge`` before the galloping search.
+    """
+    toward = 1.0 if end > inside else -1.0
+    bad = estimate + toward * step
+    if toward * (bad - end) >= 0.0:
+        bad = end
+    if ok(bad):
+        if bad == end or ok(end):
+            return end
+        good, bad = bad, end
+    else:
+        good = estimate - toward * step
+        if toward * (good - inside) <= 0.0 or not ok(good):
+            good = inside
+    while True:
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            return good
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+
+
+@pytest.mark.parametrize("box", ["default", "wide", "long"])
+def test_feasible_edge_search_matches_the_bisection(monkeypatch, wide_ranges, box):
+    # On raw draws, the galloping search ends each feasible interval on the
+    # float the bisection found, with a small share of its band evaluations.
+    ranges = {"default": None, "wide": wide_ranges, "long": {"t_max": (1.0, 30.0)}}[box]
+    band = vendor._feasibility_band
+    calls = {"gallop": 0, "bisect": 0}
+
+    def counted(search):
+        def evaluate(*args):
+            calls[search] += 1
+            return band(*args)
+
+        return evaluate
+
+    intervals = inner_ends = 0
+    for seed in (11, 12, 13):
+        for scen in FeasibleSampler(seed, ranges=ranges).draws("raw", 300):
+            params, curves = scen.params, scen.curves
+            step = 1e-9 * curves.t_max
+            with monkeypatch.context() as patch:
+                patch.setattr(vendor, "_feasibility_band", counted("gallop"))
+                got = vendor._feasible_interval(params, curves)
+                patch.setattr(vendor, "_feasibility_band", counted("bisect"))
+                patch.setattr(
+                    vendor, "_feasible_edge",
+                    lambda ok, inside, estimate, end: _bisected_edge(
+                        ok, inside, estimate, end, step
+                    ),
+                )
+                want = vendor._feasible_interval(params, curves)
+            assert got == want, asdict(scen)
+            if got is not None:
+                intervals += 1
+                inner_ends += (got[0] > 0.0) + (got[1] < curves.t_max)
+    assert intervals >= 300 and inner_ends >= 50
+    assert 3 * calls["gallop"] < calls["bisect"]
+
+
+@pytest.mark.parametrize("floats_off", [0, 1, -1, 1000, -1000, 2**20 + 3, -(2**20 + 3)])
+@pytest.mark.parametrize("edge, end", [(7.3, 10.0), (2.9, 0.0)])
+def test_feasible_edge_gallops_from_the_estimate(edge, end, floats_off):
+    # The band holds from inside = 5 to the edge. An estimate k floats off
+    # the edge, on either side, finds it in at most 2 log2(k) + 2 calls.
+    calls = []
+
+    def ok(t):
+        calls.append(t)
+        return t <= edge if end > edge else t >= edge
+
+    estimate = edge + floats_off * math.ulp(edge)
+    assert vendor._feasible_edge(ok, 5.0, estimate, end) == edge
+    assert len(calls) <= 2 * abs(floats_off).bit_length() + 2
+
+
+@pytest.mark.parametrize(
+    "estimate, end", [(0.0, 0.0), (1e-3, 0.0), (10.0, 10.0), (9.999, 10.0), (12.0, 10.0)]
+)
+def test_feasible_edge_reaches_zero_and_t_max(estimate, end):
+    # A band that holds up to the end returns the end itself, also from an
+    # estimate short of it or beyond it.
+    assert vendor._feasible_edge(lambda t: True, 5.0, estimate, end) == end
+
+
 @pytest.mark.parametrize("lambda_s", [0.0, -0.1])
 def test_release_optimizers_refuse_a_severity_that_does_not_fall(s0_params, s0_curves, lambda_s):
     # validate refuses these curves; the optimizers, which read the time
