@@ -41,7 +41,7 @@ from .errors import (
     FeasibilityWarning,
     InfeasibleScenarioError,
 )
-from .hackers import _corner_severe_probs, equilibrium, success_probabilities
+from .hackers import equilibrium, success_probabilities
 from .scenario import MarketParams, ReleaseCurves, VendorDecision, _require_finite, validate
 from .vendor import (
     condition1,
@@ -230,15 +230,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             report["detail"] = str(exc)
 
     if no_bbp is not None:
-        # The gap's closed form assumes unclamped zero-bounty probabilities.
-        p_e0, p_b0 = _corner_severe_probs(params, curves.k_severe(no_bbp.t), 0.0)
-        unclamped = 0.0 <= p_e0 <= 1.0 and 0.0 <= p_b0 <= 1.0
-        if unclamped and condition1(params, curves, no_bbp.t).feasible:
-            report["release_gap_at_no_bbp_optimum"] = release_gap_term(
-                params, curves, no_bbp.t
-            )
-        else:
-            report["release_gap_at_no_bbp_optimum"] = None
+        report["release_gap_at_no_bbp_optimum"] = (
+            release_gap_term(params, curves, no_bbp.t)
+            if condition1(params, curves, no_bbp.t).feasible
+            else None
+        )
 
     _emit(report)
     return 0

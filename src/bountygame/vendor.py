@@ -797,29 +797,17 @@ def release_gap_term(params: MarketParams, curves: ReleaseCurves, t: float) -> f
     """Derivative gap D(t) between the two concentrated profit slopes.
 
     D(t) is the time derivative of the with-program profit (bounties
-    re-optimized at each t) minus that of the no-program profit. Both
-    program-specific pieces scale with the severity decay, so D carries
-    the sign of how much earlier a program-running vendor wants to
-    release. It is meaningful where the feasibility band holds and the
-    zero-bounty race probabilities are in [0, 1], as it takes them unclamped.
+    re-optimized at each t) minus that of the clamped no-program profit:
+    the two release slopes the optimizers root. Both program-specific
+    pieces scale with the severity decay, so D carries the sign of how much
+    earlier a program-running vendor wants to release. It is meaningful
+    wherever condition 1 holds.
     """
     _check_market(params)
-    ks = _positive_ks(k_severe(curves, t), t)
-    kns = k_nonsevere(curves, t)
-    ks_prime = -curves.lambda_s * ks
-    kns_prime = -curves.lambda_ns * kns
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    p_s, p_ns = _bounty_pair(params, ks)
-    g0 = params.r_s / params.c_w - params.W / params.c_b
-    _, ewhh_factor = _corner_slope_factors(params, ks, g0)
-    bracket = (
-        n * p_s / big_n
-        + 2.0 * m * n * ks * p_s * p_s / (params.c_w * kappa * big_n * big_n)
-        + (n * params.x * params.TC_s / big_n) * ewhh_factor
+    _positive_ks(k_severe(curves, t), t)
+    return _slope(curves, _bbp_coefficients(params), t) - _slope(
+        curves, _no_bbp_coefficients(params)[0], t
     )
-    return ks_prime * bracket + 2.0 * kns * kns_prime * p_ns * p_ns
 
 
 def profit_decomposition_check(params: MarketParams, curves: ReleaseCurves, t: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 from bountygame import (
     MarketParams,
     ReleaseCurves,
+    concentrated_bbp_profit,
     condition1,
     optimal_release_no_bbp,
     profit_without_bbp,
@@ -273,11 +274,12 @@ def test_optimize_maximizes_clamped_no_program_profit(capsys, tmp_path, baseline
     assert no_bbp["profit"] >= best - 1e-12 * max(1.0, abs(best))
 
 
-def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_path):
+def test_optimize_reports_release_gap_where_probabilities_clamp(capsys, tmp_path):
     # Draw 27 of FeasibleSampler(5) over perfbench's WIDE_RANGES, as the
     # sampler drew before it drew proposals in blocks of 64. Condition 1
-    # holds at the no-program optimum, but p_e0 is clamped at 0 there, so
-    # the gap's closed form (-3.96) misstates the slope difference (-7.65).
+    # holds at the no-program optimum and p_e0 is clamped at 0 there; the
+    # gap is the slope of the clamped profit gap (-7.65), which a closed
+    # form taking p_e0 unclamped misstated as -3.96.
     market = {
         "n": 2, "l": 18, "m": 7, "c_w": 7.256036883958867, "c_b": 1.492787668882428,
         "r_s": 8.1089559502771, "W": 28.792139341570824, "TC_s": 373.8086447598759,
@@ -297,7 +299,17 @@ def test_optimize_reports_no_release_gap_where_probabilities_clamp(capsys, tmp_p
     params, release = MarketParams(**market), ReleaseCurves(**curves)
     assert condition1(params, release, t_nb).feasible
     assert report["with_bbp"] is not None
-    assert report["release_gap_at_no_bbp_optimum"] is None
+    gap = report["release_gap_at_no_bbp_optimum"]
+    assert gap == release_gap_term(params, release, t_nb)
+    h = 1e-5
+
+    def profit_gap(t):
+        return concentrated_bbp_profit(params, release, t) - profit_without_bbp(
+            params, t, release
+        ).total
+
+    assert gap == pytest.approx((profit_gap(t_nb + h) - profit_gap(t_nb - h)) / (2 * h), rel=1e-6)
+    assert gap == pytest.approx(-7.65195, abs=1e-5)
 
 
 def test_optimize_answers_a_slope_with_two_sign_changes(capsys, tmp_path):
@@ -378,6 +390,23 @@ def test_sweep_into_an_overflowing_bounty_exits_2(capsys, tmp_path, baseline_doc
     assert not (tmp_path / "out.csv").exists()
 
 
+# With TC_s = 1e200 the no-program slope falls from 8.2e199 at t = 0 to -2
+# at t_max as an exponential in t, so each Newton step moves t by about
+# 1/lambda_s = 1 toward the root near 459.5.
+_CRAWL_CURVES = {"lambda_s": 1.0, "t_max": 500.0, "R0": 1e7, "b": 0.0}
+
+
+def test_optimize_answers_a_no_program_slope_that_newton_crawls(capsys, tmp_path, baseline_doc):
+    baseline_doc["market"]["TC_s"] = 1e200
+    baseline_doc["curves"].update(_CRAWL_CURVES)
+    path = write_scenario(tmp_path, baseline_doc)
+    rc, out, err = run_cli(capsys, "optimize", path, "--mode", "no-bbp")
+    assert rc == 0 and err == ""
+    no_bbp = json.loads(out)["no_bbp"]
+    assert no_bbp["t"] == pytest.approx(459.4773488457743, rel=1e-12)
+    assert not no_bbp["boundary"] and abs(no_bbp["foc_value"]) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "market, curves, mode, program",
     [
@@ -385,12 +414,9 @@ def test_sweep_into_an_overflowing_bounty_exits_2(capsys, tmp_path, baseline_doc
         # (inf, nan, ...) and optimize printed "foc_value": NaN with exit 0.
         ({"TC_ns": 1e300, "TC_s": 1.7e308}, {}, "both", "no"),
         # (A - TC_s) ** 2 raised a bare OverflowError: a traceback, exit 1.
-        (
-            {"TC_s": 1e200},
-            {"lambda_s": 1.0, "t_max": 500.0, "R0": 1e7, "b": 0.0},
-            "with-bbp",
-            "with",
-        ),
+        ({"TC_s": 1e200}, _CRAWL_CURVES, "with-bbp", "with"),
+        # The no-program search ran out of Newton steps first: exit 1.
+        ({"TC_s": 1e200}, _CRAWL_CURVES, "both", "with"),
     ],
 )
 def test_overflowing_release_slope_exits_2(

@@ -61,3 +61,21 @@ def test_newton_gives_up_after_200_steps():
         newton_bisect(
             lambda x: x - 1e-300, 0.0, 1e300, -1e-300, 1e300, ftol=0.0, fprime=lambda x: 0.0
         )
+
+
+def test_newton_crawling_across_an_exponential_bisects():
+    # From the middle of [0, 500], each Newton step on C e^(-x) - 2 moves x
+    # by about 1 toward the root near 459.6: without bisecting after slow
+    # steps, 200 steps run out long before it. Counted, not timed.
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return 8.2e199 * math.exp(-x) - 2.0
+
+    root = newton_bisect(
+        f, 0.0, 500.0, 8.2e199 - 2.0, -2.0, ftol=1e-9, fprime=lambda x: -8.2e199 * math.exp(-x)
+    )
+    assert root == pytest.approx(math.log(4.1e199), rel=1e-15)
+    assert calls <= 40

@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from bountygame import (
@@ -530,10 +531,6 @@ def test_no_program_release_makes_few_slope_evaluations(monkeypatch):
     assert calls <= 12 * answered
 
 
-def _exp_sum(terms, t):
-    return sum(c * math.exp(-mu * t) for mu, c in terms)
-
-
 def test_exp_sum_zeros_closer_than_a_grid_cell_are_both_found():
     # (e^-t - e^-5.01)(e^-t - e^-5.02) has zeros 0.01 apart, inside one
     # cell of a 201-point grid of [0, 10]; one exponent is split in two and
@@ -582,9 +579,13 @@ def test_exp_sum_zeros_match_a_dense_sign_scan():
         changes = sum((a > 0.0) != (b > 0.0) for a, b in zip(coefficients, coefficients[1:]))
         assert len(zeros) <= changes, terms
         assert zeros == sorted(zeros) and all(0.0 < z < hi for z in zeros), terms
-        ts = [hi * i / 4000 for i in range(4001)]
-        signs = [_exp_sum(terms, t) > 0.0 for t in ts]
-        cells = [(a, b) for a, b, sa, sb in zip(ts, ts[1:], signs, signs[1:]) if sa != sb]
+        # The scan adds the terms in list order, as vendor._exp_sum does.
+        ts = hi * np.arange(4001) / 4000
+        total = np.zeros_like(ts)
+        for mu, c in terms:
+            total = total + c * np.exp(-mu * ts)
+        signs = total > 0.0
+        cells = [(ts[i], ts[i + 1]) for i in np.flatnonzero(signs[1:] != signs[:-1])]
         assert len(zeros) == len(cells), terms
         for (a, b), z in zip(cells, zeros):
             assert a - 1e-9 * hi <= z <= b + 1e-9 * hi, terms
@@ -821,30 +822,86 @@ def test_analytic_release_slopes_match_finite_differences(s0_params, s0_curves):
         assert gap < 0.0
 
 
-@pytest.mark.parametrize("box", ["wide", "long"])
+# Wide raw draw 2735 of FeasibleSampler(13): the program releases later,
+# at t = 2.1407 against 2.1038, and at the no-program optimum p_e0 = -0.59
+# is clamped at 0.
+_LATER_WITH_PROGRAM = (
+    MarketParams(
+        n=1, l=11, m=1, c_w=5.666369070705773, c_b=1.7319526130540508,
+        r_s=7.183824551755369, W=39.60380369449411, TC_s=82.96064811910708,
+        TC_ns=8.927956822138484, x=0.47097314280363906,
+    ),
+    ReleaseCurves(
+        K_s0=0.6235961913479, lambda_s=0.5360667468449906,
+        K_ns0=0.19807462205417165, lambda_ns=0.5150834376179564,
+        R0=679.1243121320183, a=6.120493705002187, b=1.5049113492000488,
+        t_max=13.525755012056345,
+    ),
+)
+
+
+def test_release_gap_agrees_with_a_later_program_release():
+    # A closed form taking p_e0 unclamped read -7.7556 here.
+    params, curves = _LATER_WITH_PROGRAM
+    t_nb = optimal_release_no_bbp(params, curves).t
+    assert optimal_release_with_bbp(params, curves).t > t_nb
+    assert _corner_severe_probs(params, curves.k_severe(t_nb), 0.0)[0] < 0.0
+    h = 1e-5
+
+    def profit_gap(t):
+        return concentrated_bbp_profit(params, curves, t) - profit_without_bbp(
+            params, t, curves
+        ).total
+
+    gap = release_gap_term(params, curves, t_nb)
+    assert gap == pytest.approx((profit_gap(t_nb + h) - profit_gap(t_nb - h)) / (2 * h), rel=1e-6)
+    assert gap == pytest.approx(0.22530, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "market, curves, t, message",
+    [
+        ({}, {}, -0.1, "outside"),
+        ({}, {}, 11.0, "outside"),
+        ({}, {"K_s0": 0.0}, 2.0, r"K_s\(t\) must be positive"),
+        ({"n": 0}, {}, 2.0, "at least one hacker"),
+    ],
+)
+def test_release_gap_checks_its_inputs(s0_params, s0_curves, market, curves, t, message):
+    # The slopes read K_s and K_ns unchecked, so the witness checks t, K_s
+    # and the market before it reads them.
+    with pytest.raises(DomainError, match=message):
+        release_gap_term(replace(s0_params, **market), replace(s0_curves, **curves), t)
+
+
+@pytest.mark.parametrize("box", ["default", "wide", "long"])
 def test_slope_coefficients_match_finite_differences(wide_ranges, box):
     # The one coefficient form of each slope, for both optimizers, at random
     # times away from the no-program clamp edges: its derivative terms match
     # a central difference of the slope, and the slope a central difference
-    # of the profit it differentiates.
-    ranges = {"wide": wide_ranges, "long": {"t_max": (1.0, 30.0)}}[box]
+    # of the profit it differentiates. Where a program is feasible, the
+    # release gap matches a central difference of the profit gap.
+    ranges = {"default": None, "wide": wide_ranges, "long": {"t_max": (1.0, 30.0)}}[box]
     rng = random.Random(8)
     h = 1e-5
-    checked = 0
+    checked = gaps = 0
     for scen in FeasibleSampler(5, ranges=ranges).draws("raw", 200):
         params, curves = scen.params, scen.curves
         k_edges = vendor._no_bbp_coefficients(params)[1]
         edges = [vendor._severe_decay_time(curves, curves.K_s0 / k) for k in k_edges]
+
+        def no_bbp_profit(t):
+            return profit_without_bbp(params, t, curves).total
+
+        def bbp_profit(t):
+            return concentrated_bbp_profit(params, curves, t)
+
         slopes = [
-            (lambda: vendor._no_bbp_coefficients(params)[0], 0.0, curves.t_max,
-             lambda t: profit_without_bbp(params, t, curves).total),
+            (lambda: vendor._no_bbp_coefficients(params)[0], 0.0, curves.t_max, no_bbp_profit),
         ]
         interval = vendor._feasible_interval(params, curves)
         if interval is not None:
-            slopes.append(
-                (lambda: vendor._bbp_coefficients(params), *interval,
-                 lambda t: concentrated_bbp_profit(params, curves, t))
-            )
+            slopes.append((lambda: vendor._bbp_coefficients(params), *interval, bbp_profit))
         for build, lo, hi, profit in slopes:
             coefficients = build()
 
@@ -867,7 +924,15 @@ def test_slope_coefficients_match_finite_differences(wide_ranges, box):
                 assert vendor._exp_sum(terms, t) == pytest.approx(
                     fd, rel=1e-6, abs=1e-8 * max(1.0, abs(slope))
                 ), asdict(scen)
-    assert checked >= 700
+                if profit is bbp_profit:
+                    gap = release_gap_term(params, curves, t)
+                    fd = (
+                        bbp_profit(t + h) - no_bbp_profit(t + h)
+                        - bbp_profit(t - h) + no_bbp_profit(t - h)
+                    ) / (2 * h)
+                    assert gap == pytest.approx(fd, rel=1e-6, abs=1e-8 * scale), asdict(scen)
+                    gaps += 1
+    assert checked >= 700 and gaps >= 200
 
 
 def test_optimal_whh_count_report(s0_params, s0_curves):
