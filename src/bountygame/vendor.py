@@ -14,13 +14,13 @@ K_ns (``_slope``). Its t-derivative is a short sum of exponentials in the
 same coefficients: the root search finds that sum's sign changes exactly,
 and Newton steps with its value.
 
-Profit appears twice on purpose. ``profit_with_bbp`` assembles the
-expected-cost form term by term from success probabilities, while an
-expanded polynomial form of the same expression is evaluated separately;
-the two must agree to relative 1e-12, which guards the algebra whenever a
-profit is computed. A with-program profit whose evaluation overflows
-binary64 is a ``DomainError`` naming the decision, never a clamped or
-infinite value.
+``profit_with_bbp`` computes its total once, as revenue minus the cost
+terms it reports, built from the success probabilities. The release
+optimizer climbs an expanded polynomial form of the same profit
+(``_profit_polynomial``), which ``profit_decomposition_check`` checks; the
+tests hold the two forms together to rounding on the scale of the terms
+that cancel. A with-program profit whose evaluation overflows binary64 is
+a ``DomainError`` naming the decision, never a clamped or infinite value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from functools import partial
 
 from ._rootfind import newton_bisect
 from .errors import (
-    AssumptionViolationError,
     DomainError,
     FeasibilityWarning,
     InfeasibleScenarioError,
@@ -258,9 +257,9 @@ def _profit_polynomial(
 ) -> float:
     """Expanded polynomial form of the with-program profit.
 
-    Same quantity as the term-by-term expected-cost form, distributed out,
-    so the two evaluations take different floating-point routes and can
-    cross-check each other. An overflow is a ``DomainError``.
+    Same quantity as ``profit_with_bbp``'s term-by-term expected-cost form,
+    distributed out: the concentrated objective and the left side of the
+    decomposition identity. An overflow is a ``DomainError``.
     """
     ks = k_severe(curves, t)
     kns = k_nonsevere(curves, t)
@@ -290,38 +289,6 @@ def _profit_polynomial(
 def _profit_overflow(t: float, p_s: float, p_ns: float) -> DomainError:
     return DomainError(
         f"with-program profit at t={t!r}, p_s={p_s!r}, p_ns={p_ns!r} overflows binary64"
-    )
-
-
-def _with_bbp_breakdown(
-    params: MarketParams, curves: ReleaseCurves, t: float, p_s: float, p_ns: float
-) -> ProfitBreakdown:
-    # The polynomial goes first: it raises where the square below would.
-    check = _profit_polynomial(params, curves, t, p_s, p_ns)
-    ks = k_severe(curves, t)
-    kns = k_nonsevere(curves, t)
-    p_e, p_b = _corner_severe_probs(params, ks, p_s)
-    rev = revenue(curves, t)
-    bhh_cost = ks * params.m * p_b * params.TC_s
-    bounty_s = ks * params.n * p_e * p_s
-    bounty_ns = (kns * p_ns) ** 2
-    user_cost = kns * params.TC_ns * (1.0 - kns * p_ns)
-    total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
-    if not math.isfinite(total):
-        raise _profit_overflow(t, p_s, p_ns)
-    if abs(total - check) > 1e-12 * max(1.0, abs(total), abs(check)):
-        raise AssumptionViolationError(
-            f"profit forms disagree: {total!r} vs {check!r} at t={t!r}, "
-            f"p_s={p_s!r}, p_ns={p_ns!r}"
-        )
-    return ProfitBreakdown(
-        revenue=rev,
-        bhh_exploit_cost=bhh_cost,
-        severe_bounty_cost=bounty_s,
-        nonsevere_bounty_cost=bounty_ns,
-        user_discovery_cost=user_cost,
-        uncoordinated_disclosure_cost=0.0,
-        total=total,
     )
 
 
@@ -355,7 +322,26 @@ def profit_with_bbp(
             FeasibilityWarning,
             stacklevel=2,
         )
-    return _with_bbp_breakdown(params, curves, t, p_s, p_ns)
+    rev = revenue(curves, t)
+    bhh_cost = ks * params.m * p_b * params.TC_s
+    bounty_s = ks * params.n * p_e * p_s
+    try:
+        bounty_ns = (kns * p_ns) ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        bounty_ns = math.inf
+    user_cost = kns * params.TC_ns * (1.0 - kns * p_ns)
+    total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
+    if not math.isfinite(total):
+        raise _profit_overflow(t, p_s, p_ns)
+    return ProfitBreakdown(
+        revenue=rev,
+        bhh_exploit_cost=bhh_cost,
+        severe_bounty_cost=bounty_s,
+        nonsevere_bounty_cost=bounty_ns,
+        user_discovery_cost=user_cost,
+        uncoordinated_disclosure_cost=0.0,
+        total=total,
+    )
 
 
 def _no_bbp_breakdown(

@@ -623,13 +623,13 @@ def verify_proposition_3(sampler: FeasibleSampler, draws: int) -> PropositionRep
 def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
     """Batch check of the algebraic identities the closed forms satisfy.
 
-    Per draw: the severe race normalizes (n p_e_s + m p_b_s = 1); the
-    term-by-term and polynomial profit forms agree (specialized regime);
-    the optimal-bounty profit decomposition residual vanishes; the two
-    equilibrium families agree on every effort except the non-expert's at
-    the regime boundary; and the zero-bounty probability forms are the
-    p_s = 0 specialization of the general ones. Margins are reported as
-    normalized slack (1 = exact, 0 = at tolerance).
+    Per draw: the severe race normalizes (n p_e_s + m p_b_s = 1); in the
+    specialized regime, the profit summed from the equilibrium's clamped
+    probabilities matches ``profit_with_bbp`` to rounding on the scale of
+    its terms; the decomposition residual vanishes at optimal bounties; the
+    equilibrium families agree at the regime boundary except on the
+    non-expert's effort; zero-bounty probabilities specialize the general
+    ones at p_s = 0. Margins are normalized slack (1 exact, 0 at tolerance).
     """
 
     def check(scen: SampledScenario):
@@ -655,15 +655,17 @@ def identity_suite(sampler: FeasibleSampler, draws: int) -> PropositionReport:
         kns = k_nonsevere(curves, dec.t)
         if profile.regime is Regime.CORNER:
             mass_ne = l * probs.p_ne_ns
-            pi_terms = (
-                curves.revenue(dec.t)
-                - ks * m * probs.p_b_s * params.TC_s
-                - ks * n * probs.p_e_s * dec.p_s
-                - kns * mass_ne * dec.p_ns
-                - kns * params.TC_ns * (1.0 - mass_ne)
+            terms = (
+                curves.revenue(dec.t),
+                ks * m * probs.p_b_s * params.TC_s,
+                ks * n * probs.p_e_s * dec.p_s,
+                kns * mass_ne * dec.p_ns,
+                kns * params.TC_ns * (1.0 - mass_ne),
             )
-            pi_poly = profit_with_bbp(params, dec, curves).total
-            rel = abs(pi_terms - pi_poly) / max(1.0, abs(pi_terms), abs(pi_poly))
+            rev, bhh_cost, bounty_s, bounty_ns, user_cost = terms
+            pi_terms = rev - bhh_cost - bounty_s - bounty_ns - user_cost
+            pi_bbp = profit_with_bbp(params, dec, curves).total
+            rel = abs(pi_terms - pi_bbp) / max(1.0, sum(map(abs, terms)))
             expect(rel, 1e-12, "profit forms disagree, relative gap")
 
         residual = abs(profit_decomposition_check(params, curves, dec.t))

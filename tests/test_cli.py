@@ -18,7 +18,6 @@ from bountygame import (
     optimal_release_no_bbp,
     profit_without_bbp,
     release_gap_term,
-    vendor,
     verification,
 )
 from bountygame.cli import main
@@ -336,17 +335,30 @@ def test_optimize_answers_a_slope_with_two_sign_changes(capsys, tmp_path):
     assert no_bbp["t"] == pytest.approx(1.3623, abs=1e-4)
 
 
-def test_profit_form_mismatch_exits_1(capsys, monkeypatch):
-    polynomial = vendor._profit_polynomial
-    monkeypatch.setattr(
-        vendor, "_profit_polynomial", lambda *args: polynomial(*args) + 1.0
-    )
-    rc, out, err = run_cli(capsys, "evaluate", str(BASELINE))
-    assert rc == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    payload = json.loads(err)
-    assert payload["error"] == "AssumptionViolationError"
-    assert "profit forms disagree" in payload["detail"]
+# Severe costs near 1.3e11 cancel to a with-program total of -2.5e6, so the
+# breakdown and the expanded polynomial differ by 6e-12 of the total.
+def _cancelling_market(baseline_doc):
+    baseline_doc["market"]["TC_s"] = 5e6
+    baseline_doc["decision"]["p_s"] = 5e6
+    return baseline_doc
+
+
+def test_evaluate_where_profit_terms_cancel_exits_0(capsys, tmp_path, baseline_doc):
+    doc = _cancelling_market(baseline_doc)
+    rc, out, err = run_cli(capsys, "evaluate", write_scenario(tmp_path, doc))
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["profit"]["with_bbp"]["total"] == -2499905.6399847413
+    assert any("probabilities leave [0, 1]" in note for note in report["notes"])
+
+
+def test_sweep_where_profit_terms_cancel_exits_0(capsys, tmp_path, baseline_doc):
+    doc = _cancelling_market(baseline_doc)
+    doc["sweep"] = {"path": "decision.p_s", "from": 0.0, "to": 5e6, "steps": 2}
+    rc, out, err = run_cli(capsys, "sweep", write_scenario(tmp_path, doc),
+                           "--out", str(tmp_path / "out.csv"))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["rows"] == 2
 
 
 def overflow_argv(tmp_path, command, doc):
