@@ -170,6 +170,11 @@ def _corner_alpha_s(params: MarketParams, ks: float, p_s: float) -> float:
     return ks * (params.r_s + p_s) / ((params.n + params.m) * params.c_w)
 
 
+def _bhh_effort(params: MarketParams, ks: float) -> float:
+    """Black hat severe effort K_s W / (c_b (n + m)), the same in both regimes."""
+    return ks * params.W / (params.c_b * (params.n + params.m))
+
+
 def corner_equilibrium(
     params: MarketParams, decision: VendorDecision, curves: ReleaseCurves
 ) -> EffortProfile:
@@ -179,7 +184,7 @@ def corner_equilibrium(
     kns = k_nonsevere(curves, decision.t)
     alpha_s = _corner_alpha_s(params, ks, decision.p_s)
     beta_ns = kns * decision.p_ns / params.l
-    mu_s = ks * params.W / (params.c_b * (params.n + params.m))
+    mu_s = _bhh_effort(params, ks)
     return EffortProfile(
         alpha_s=alpha_s,
         alpha_ns=0.0,
@@ -206,7 +211,7 @@ def interior_equilibrium(
     alpha_s = (e_s - e_ns) / (params.c_w - 1.0)
     alpha_ns = (params.c_w * e_ns - e_s) / (params.c_w - 1.0)
     beta_ns = e_ns
-    mu_s = k_severe(curves, decision.t) * params.W / (params.c_b * (params.n + params.m))
+    mu_s = _bhh_effort(params, k_severe(curves, decision.t))
     return EffortProfile(
         alpha_s=alpha_s,
         alpha_ns=alpha_ns,

@@ -14,13 +14,14 @@ K_ns (``_slope``). Its t-derivative is a short sum of exponentials in the
 same coefficients: the root search finds that sum's sign changes exactly,
 and Newton steps with its value.
 
-``profit_with_bbp`` computes its total once, as revenue minus the cost
-terms it reports, built from the success probabilities. The release
-optimizer climbs an expanded polynomial form of the same profit
-(``_profit_polynomial``), which ``profit_decomposition_check`` checks; the
-tests hold the two forms together to rounding on the scale of the terms
-that cancel. A with-program profit whose evaluation overflows binary64 is
-a ``DomainError`` naming the decision, never a clamped or infinite value.
+The with-program profit is written once (``_bbp_breakdown``): revenue
+minus the cost terms it reports, built from the success probabilities.
+``profit_with_bbp`` reports it, the release optimizer climbs it at the
+optimal bounties (``concentrated_bbp_profit``), and
+``profit_decomposition_check`` checks it against the no-program profit
+plus three increments. A with-program profit whose evaluation overflows
+binary64 is a ``DomainError`` naming the decision, never a clamped or
+infinite value.
 """
 
 from __future__ import annotations
@@ -193,14 +194,15 @@ def _positive_ks(ks: float, t: float) -> float:
     return ks
 
 
+def _severe_intercept(params: MarketParams) -> float:
+    """A = (TC_s + (c_w/c_b) W - r_s)/2, the limit of p_s* as K_s grows."""
+    return 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
+
+
 def _bounty_pair(params: MarketParams, ks: float) -> tuple[float, float]:
     """The closed-form optimal bounties (p_s*, p_ns*) where K_s(t) = ks."""
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    p_s = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s) - 0.5 * (
-        big_n * kappa * params.c_w
-    ) / (m * ks)
+    big_n = params.n + params.m
+    p_s = _severe_intercept(params) - 0.5 * (big_n * (big_n - 1) * params.c_w) / (params.m * ks)
     return p_s, 0.5 * params.TC_ns
 
 
@@ -252,43 +254,33 @@ def condition1(params: MarketParams, curves: ReleaseCurves, t: float) -> Conditi
 # ---------------------------------------------------------------------------
 
 
-def _profit_polynomial(
-    params: MarketParams, curves: ReleaseCurves, t: float, p_s: float, p_ns: float
-) -> float:
-    """Expanded polynomial form of the with-program profit.
-
-    Same quantity as ``profit_with_bbp``'s term-by-term expected-cost form,
-    distributed out: the concentrated objective and the left side of the
-    decomposition identity. An overflow is a ``DomainError``.
-    """
-    ks = k_severe(curves, t)
+def _bbp_breakdown(
+    params: MarketParams, curves: ReleaseCurves, t: float, ks: float, p_s: float, p_ns: float
+) -> ProfitBreakdown:
+    """With-program profit at t and (p_s, p_ns) from the unclamped corner race probabilities."""
     kns = k_nonsevere(curves, t)
-    n, m = params.n, params.m
-    big_n = n + m
-    kappa = big_n - 1
-    g = (params.r_s + p_s) / params.c_w - params.W / params.c_b
-    shared = m * n * ks * ks * g / (kappa * big_n * big_n)
+    p_e, p_b = _corner_severe_probs(params, ks, p_s)
+    rev = revenue(curves, t)
+    bhh_cost = ks * params.m * p_b * params.TC_s
+    bounty_s = ks * params.n * p_e * p_s
     try:
-        profit = (
-            revenue(curves, t)
-            - m * ks * params.TC_s / big_n
-            + shared * params.TC_s
-            - n * ks * p_s / big_n
-            - shared * p_s
-            - (kns * p_ns) ** 2
-            - kns * params.TC_ns
-            + kns * kns * params.TC_ns * p_ns
-        )
+        bounty_ns = (kns * p_ns) ** 2
     except OverflowError:  # float ** raises where * gives inf
-        profit = -math.inf
-    if not math.isfinite(profit):
-        raise _profit_overflow(t, p_s, p_ns)
-    return profit
-
-
-def _profit_overflow(t: float, p_s: float, p_ns: float) -> DomainError:
-    return DomainError(
-        f"with-program profit at t={t!r}, p_s={p_s!r}, p_ns={p_ns!r} overflows binary64"
+        bounty_ns = math.inf
+    user_cost = kns * params.TC_ns * (1.0 - kns * p_ns)
+    total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
+    if not math.isfinite(total):
+        raise DomainError(
+            f"with-program profit at t={t!r}, p_s={p_s!r}, p_ns={p_ns!r} overflows binary64"
+        )
+    return ProfitBreakdown(
+        revenue=rev,
+        bhh_exploit_cost=bhh_cost,
+        severe_bounty_cost=bounty_s,
+        nonsevere_bounty_cost=bounty_ns,
+        user_discovery_cost=user_cost,
+        uncoordinated_disclosure_cost=0.0,
+        total=total,
     )
 
 
@@ -322,26 +314,7 @@ def profit_with_bbp(
             FeasibilityWarning,
             stacklevel=2,
         )
-    rev = revenue(curves, t)
-    bhh_cost = ks * params.m * p_b * params.TC_s
-    bounty_s = ks * params.n * p_e * p_s
-    try:
-        bounty_ns = (kns * p_ns) ** 2
-    except OverflowError:  # float ** raises where * gives inf
-        bounty_ns = math.inf
-    user_cost = kns * params.TC_ns * (1.0 - kns * p_ns)
-    total = rev - bhh_cost - bounty_s - bounty_ns - user_cost
-    if not math.isfinite(total):
-        raise _profit_overflow(t, p_s, p_ns)
-    return ProfitBreakdown(
-        revenue=rev,
-        bhh_exploit_cost=bhh_cost,
-        severe_bounty_cost=bounty_s,
-        nonsevere_bounty_cost=bounty_ns,
-        user_discovery_cost=user_cost,
-        uncoordinated_disclosure_cost=0.0,
-        total=total,
-    )
+    return _bbp_breakdown(params, curves, t, ks, p_s, p_ns)
 
 
 def _no_bbp_breakdown(
@@ -387,8 +360,9 @@ def concentrated_bbp_profit(params: MarketParams, curves: ReleaseCurves, t: floa
     the bounty pair is substituted with its closed forms at each t, so the
     value is meaningful wherever the feasibility band holds.
     """
-    bounties = optimal_bounties(params, curves, t)
-    return _profit_polynomial(params, curves, t, bounties.p_s, bounties.p_ns)
+    _check_market(params)
+    ks = _positive_ks(k_severe(curves, t), t)
+    return _bbp_breakdown(params, curves, t, ks, *_bounty_pair(params, ks)).total
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +388,7 @@ def _bbp_coefficients(params: MarketParams):
     """
     n, m = params.n, params.m
     big_n = n + m
-    a = 0.5 * (params.TC_s + (params.c_w / params.c_b) * params.W - params.r_s)
+    a = _severe_intercept(params)
     s1 = (m * params.TC_s + n * a) / big_n
     try:
         s2 = -2.0 * m * n * (a - params.TC_s) ** 2 / (params.c_w * (big_n - 1) * big_n * big_n)
@@ -814,7 +788,7 @@ def profit_decomposition_check(params: MarketParams, curves: ReleaseCurves, t: f
     big_n = n + m
     kappa = big_n - 1
     p_s, p_ns = _bounty_pair(params, ks)
-    lhs = _profit_polynomial(params, curves, t, p_s, p_ns)
+    lhs = _bbp_breakdown(params, curves, t, ks, p_s, p_ns).total
     p_e0, p_b0 = _corner_severe_probs(params, ks, 0.0)
     rhs = (
         _no_bbp_breakdown(params, curves, t, ks, p_e0, p_b0).total

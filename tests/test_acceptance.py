@@ -35,7 +35,7 @@ from bountygame import (
 from bountygame import vendor
 from bountygame.cli import main as cli_main
 from bountygame.vendor import (
-    _profit_polynomial,
+    _bbp_breakdown,
     concentrated_bbp_profit,
     profit_without_bbp,
 )
@@ -183,22 +183,23 @@ def test_criterion_06_optimal_bounties_match_grid_max(capsys):
     for scen in sampler.draws("bbp", 200):
         params, curves = scen.params, scen.curves
         t, ps_star, pns_star = scen.decision.t, scen.decision.p_s, scen.decision.p_ns
+        ks = curves.k_severe(t)
+
+        def profit(p_s, p_ns):
+            return _bbp_breakdown(params, curves, t, ks, p_s, p_ns).total
+
         ps_grid = np.linspace(0.0, 2.0 * ps_star, 401)
         pns_grid = np.linspace(0.0, 2.0 * pns_star, 81)
-        f_vals = np.array(
-            [_profit_polynomial(params, curves, t, p, pns_star) for p in ps_grid]
-        )
-        g_vals = np.array(
-            [_profit_polynomial(params, curves, t, ps_star, q) for q in pns_grid]
-        )
-        base = _profit_polynomial(params, curves, t, ps_star, pns_star)
+        f_vals = np.array([profit(p, pns_star) for p in ps_grid])
+        g_vals = np.array([profit(ps_star, q) for q in pns_grid])
+        base = profit(ps_star, pns_star)
         surface = f_vals[:, None] + g_vals[None, :] - base
         i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
 
         # The bounty dimensions do not interact; spot-check that the outer
         # sum reproduces direct evaluations before trusting its argmax.
         for a, b in ((0, 0), (100, 40), (400, 80)):
-            direct = _profit_polynomial(params, curves, t, ps_grid[a], pns_grid[b])
+            direct = profit(ps_grid[a], pns_grid[b])
             gap = abs(direct - (f_vals[a] + g_vals[b] - base))
             sep_worst = max(sep_worst, gap / max(1.0, abs(direct)))
 

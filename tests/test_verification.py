@@ -514,29 +514,29 @@ def test_full_suite_is_deterministic_and_green():
 # sampler tiers; a change meant to keep every result bit-for-bit must leave
 # these alone.
 PINNED_SUITE_SHA256 = {
-    5: "72e6830a02a3a7dac85dc82ec74813aded21d4b2ffb6288c142b5455202fe727",
+    5: "545a63e0cc8fbc07575d3a6fbd841e25ec23c174f65245535608b6550ca71f28",
     10: "33cf9e5c6c8bb3bc9a7944d240b1141ac251f1304a02c82fbc8e25e715aa9948",
-    15: "bcea28313970e47f4a36f3ae263671d3abdd66bb270ddec558705aad9fe29a41",
-    20: "6523253d4a62d1b1d434fae4efb067b80e70895ecb0b369513d50fb69ce17db0",
-    25: "5a4021c0340eb00fdccf29395f9aac0940f86c7c527f85919565f2c69fabf2e4",
-    30: "eed5f7c66947ace62ba90427ce14e64f637db2888a227328b71061713ad9d2e7",
-    35: "b52e074346047e5f604ccceba4472b32738e99618b6f02d43f609d7a1a6b3156",
+    15: "8e466d2226c17497b81872e1ffcd6cc1114c11bad9684b536482c15db7360816",
+    20: "246cf76f0e471f0ebc5258517b86dadc9106f324453236423cd0248b35c3a3ce",
+    25: "05300983864d086b8d5d9f68dbf02f7ada2f1c9cc85f5aecfb4ab29a2f2944ed",
+    30: "2e4141f050947a9383d8599326b81f17e8d6b4925db6085786c0724ffab3d314",
+    35: "e6870110e6da73b4eb1c3491928b15821b80619888e458d3aa76d783f2a333c5",
     40: "e42a69c06b8ba045ee17c0da680e512fd449b82431a86889322ab5838b88fe13",
-    45: "9533aec54947745d6fc4a795da0418e6170f3cde4438a6805006b251c39aa25b",
-    50: "cb9b258f268cdd2298d740529842139cb60d59878cf95a13a31b4b6c07b2a17b",
-    55: "153a58c6980640b7b880207a2db0b3371297ad6e87fa89a934acc9fdcc7080c9",
-    60: "da7ebac6786196219ae14f2651604fcff1a14626d5567ed3779cf7d92a4ccff3",
-    65: "a32099317b2df648a83759d87f50000653c00b3faf9e6e191cf5669766bb085a",
-    70: "cd9e9d7745685f08ca17b1f2e6dd13a9dd1c27a89de185e1ad104aabd7190f53",
-    75: "0c1ec35e6a104a8867551f036f31a3b763f0373e3c66248207996c7949d9aaaa",
-    80: "4955900b8318b645db9b9a1f783a74beac1dd2025ce861180b89ccfe66fe2152",
-    85: "da8d8adb869d293abb59873fa6580e1796d29b55666848ffc92dcedde7e4d00c",
-    90: "9ce0ae95a1708f88ed15e9959ed12db677361040bf57045c07a28e2d0b6739f5",
-    95: "7346dea41d3e249fc1c1304b199b09512e90b4bb41f2312d91a9e53e8aa9351e",
-    100: "7e9aad26b620bfcdef9186d57251e45090a708126409f5347873a0ec2a723fb9",
-    105: "2f4ccc2b322efeacddee63d8e0aed24b2870e8cd1f895a56e54eb3946def1b25",
-    110: "932d17da5fff66b8b77f519a869bbe5e86be08fed25cc90e2f928daf8260ae6e",
-    115: "cacf0955e4d0a1b6447ec0431037d65946c962f1eb127b84e0f8e01398552656",
+    45: "2757dc7ff338251e3d85ac658aa744cf1bb750c5826dcb9ecf4a6c51e926ae67",
+    50: "8a69c7af7a761290dfb92e2c4745d4f2dd2ad33524d99b276f8ff0a4ef9a9c83",
+    55: "28e7806ec10bcb3be276d20ea4fbe3ab140a805b58836cbcbb688fafe55f1fe4",
+    60: "bf82482838b2c38c88dd921bccc7f3ff69b51df56d56ad58ff677772526d53bb",
+    65: "8a1585b0526272fba0c5338feeebd98c2fcf2268bf1ecc8322bd9e754c16f190",
+    70: "6e47d08c006d7369cb586b7de6654b5fa5439714b0048f1fd6121cf1b98fc89c",
+    75: "a13b29dca13eee60f5573b4daaea057402cd7b563787b65acfef72633db01cde",
+    80: "3e4c75ba730e6f60674021c6a23ef7f1e20da34f5f6cfd47e2064d4c0f99797d",
+    85: "d1dbbfd75eb8e19450c2499bd1ed22b6f98288cb0f23e083035384a4725761b9",
+    90: "410ca632b197a05c8407f4e1143b8319ddf29c259bb259e656d12cfa4f6f48bd",
+    95: "dd1e7ee321820ece931b618914736e84a7c4689143cdecc5735bf34829688f8f",
+    100: "959d5b933a5cefecad061e1fb8c02998f245280b779e375d6df0d5f537743999",
+    105: "afd5000b5520d68e83384218bd755675332127575181b6e7cad1015c1cb63e8a",
+    110: "ee07891b7e8fb90814924dd5afee6ff8c20e9a9a1170e86df4fc198976d8c521",
+    115: "57c306675a3838ac862cfe593d7c288c2994677fb40322684ab20dc65a7404a1",
     120: "a74e2795a1c4f5542dfcc734bdcf54585f4f31982f8c3f8773b3b6d9128da5a0",
 }
 
