@@ -15,9 +15,13 @@ two optional ones::
                     "steps": 81 }
     }
 
-Parsing is strict: unknown keys anywhere are an error. When the decision
-block is absent, ``evaluate`` and ``sweep`` run at the optimal release
-time and bounty pair and say so in their output.
+Parsing is strict: unknown keys anywhere are an error. The value types'
+fields are each block's keys, and their annotations the kinds: a JSON
+integer for an ``int`` and any JSON number for a ``float``; booleans are
+neither. A sweep between finite bounds has finite points, even where
+``to - from`` overflows. When the decision block is absent, ``evaluate``
+and ``sweep`` run at the optimal release time and bounty pair and say so in
+their output.
 
 Exit codes: 0 for success (including defined negative results such as
 "no viable bounty program"), 1 for verification failure or a model-level
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -56,11 +61,12 @@ from .vendor import (
 
 __all__ = ["main", "load_scenario", "ScenarioFile"]
 
-_MARKET_FIELDS = tuple(f.name for f in fields(MarketParams))
-_CURVE_FIELDS = tuple(f.name for f in fields(ReleaseCurves))
-_DECISION_FIELDS = tuple(f.name for f in fields(VendorDecision))
-_INT_FIELDS = frozenset({"n", "l", "m"})
-_SWEEP_FIELDS = ("path", "from", "to", "steps")
+# Each block's keys and their kinds: the value types' fields, annotated
+# with the strings "int" and "float", then the sweep spec.
+_VALUE_TYPES = {"market": MarketParams, "curves": ReleaseCurves, "decision": VendorDecision}
+_KINDS = {name: {f.name: f.type for f in fields(cls)} for name, cls in _VALUE_TYPES.items()}
+_KINDS["sweep"] = {"path": "str", "from": "float", "to": "float", "steps": "int"}
+
 
 class ScenarioFormatError(ValueError):
     """The scenario file does not follow the documented schema."""
@@ -76,41 +82,32 @@ class ScenarioFile:
     sweep: dict | None
 
 
-def _require_number(block: str, key: str, value) -> float:
+def _parse(block: str, key: str, kind: str, value):
+    """``value`` checked against ``kind``: a JSON string, integer or number."""
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ScenarioFormatError(f"{block}.{key} must be a string")
+        return value
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioFormatError(f"{block}.{key} must be an integer, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFormatError(f"{block}.{key} must be a number, got {value!r}")
     return _require_finite(key, value)
 
 
-def _require_int(block: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioFormatError(f"{block}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _strict_block(doc: dict, name: str, field_names: tuple[str, ...]) -> dict:
-    block = doc[name]
+def _strict_block(doc: dict, name: str) -> dict:
+    block, kinds = doc[name], _KINDS[name]
     if not isinstance(block, dict):
         raise ScenarioFormatError(f"{name!r} must be a JSON object")
-    unknown = set(block) - set(field_names)
+    unknown = set(block) - set(kinds)
     if unknown:
         raise ScenarioFormatError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    missing = set(field_names) - set(block)
+    missing = set(kinds) - set(block)
     if missing:
         raise ScenarioFormatError(f"missing keys in {name!r}: {sorted(missing)}")
-    out = {}
-    for key in field_names:
-        if key in _INT_FIELDS and name == "market":
-            out[key] = _require_int(name, key, block[key])
-        elif key == "steps":
-            out[key] = _require_int(name, key, block[key])
-        elif key == "path":
-            if not isinstance(block[key], str):
-                raise ScenarioFormatError("sweep.path must be a string")
-            out[key] = block[key]
-        else:
-            out[key] = _require_number(name, key, block[key])
-    return out
+    return {key: _parse(name, key, kind, block[key]) for key, kind in kinds.items()}
 
 
 def load_scenario(path: str) -> ScenarioFile:
@@ -125,21 +122,17 @@ def load_scenario(path: str) -> ScenarioFile:
             raise ScenarioFormatError(f"scenario file is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario file must hold one JSON object")
-    unknown = set(doc) - {"market", "curves", "decision", "sweep"}
+    unknown = set(doc) - set(_KINDS)
     if unknown:
         raise ScenarioFormatError(f"unknown top-level keys: {sorted(unknown)}")
     for required in ("market", "curves"):
         if required not in doc:
             raise ScenarioFormatError(f"missing required block {required!r}")
 
-    params = MarketParams(**_strict_block(doc, "market", _MARKET_FIELDS))
-    curves = ReleaseCurves(**_strict_block(doc, "curves", _CURVE_FIELDS))
-    decision = None
-    if "decision" in doc:
-        decision = VendorDecision(**_strict_block(doc, "decision", _DECISION_FIELDS))
-    sweep = None
-    if "sweep" in doc:
-        sweep = _strict_block(doc, "sweep", _SWEEP_FIELDS)
+    params = MarketParams(**_strict_block(doc, "market"))
+    curves = ReleaseCurves(**_strict_block(doc, "curves"))
+    decision = VendorDecision(**_strict_block(doc, "decision")) if "decision" in doc else None
+    sweep = _strict_block(doc, "sweep") if "sweep" in doc else None
 
     report = validate(params, curves)
     if not report.passed:
@@ -247,38 +240,31 @@ def _sweep_values(spec: dict) -> list[float]:
     lo, hi = spec["from"], spec["to"]
     if steps == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    points = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    # Where hi - lo or a multiple of it overflows, weigh the finite bounds instead.
+    return [
+        x if math.isfinite(x) else lo * (1 - i / (steps - 1)) + hi * (i / (steps - 1))
+        for i, x in enumerate(points)
+    ]
 
 
 def _apply_sweep_value(
     scen: ScenarioFile, decision: VendorDecision, path: str, value: float
 ) -> tuple[MarketParams, ReleaseCurves, VendorDecision]:
     block, _, field = path.partition(".")
-    params, curves = scen.params, scen.curves
-    if block == "market" and field in _MARKET_FIELDS:
-        if field in _INT_FIELDS:
-            rounded = round(value)
-            if abs(value - rounded) > 1e-9:
-                raise ScenarioFormatError(
-                    f"sweep over integer field {path!r} hit non-integer {value!r}"
-                )
-            value = int(rounded)
-        params = replace(params, **{field: value})
-    elif block == "curves" and field in _CURVE_FIELDS:
-        curves = replace(curves, **{field: value})
-    elif block == "decision" and field in _DECISION_FIELDS:
-        decision = replace(decision, **{field: value})
-    else:
+    blocks = {"market": scen.params, "curves": scen.curves, "decision": decision}
+    kind = _KINDS[block].get(field) if block in blocks else None
+    if kind is None:
         raise ScenarioFormatError(f"unknown sweep path {path!r}")
-    return params, curves, decision
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if kind == "int":
+        rounded = round(value)
+        if abs(value - rounded) > 1e-9:
+            raise ScenarioFormatError(
+                f"sweep over integer field {path!r} hit non-integer {value!r}"
+            )
+        value = int(rounded)
+    blocks[block] = replace(blocks[block], **{field: value})
+    return blocks["market"], blocks["curves"], blocks["decision"]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -328,11 +314,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "profit_without_bbp": pn.total,
             "p_s_opt": bounties.p_s,
             "p_ns_opt": bounties.p_ns,
-            "bbp_viable": bounties.bbp_viable,
+            "bbp_viable": int(bounties.bbp_viable),
             "cond1_lb": band.lb,
             "cond1_ub": band.ub,
             "cond1_gap": band.gap_value,
-            "cond1_feasible": band.feasible,
+            "cond1_feasible": int(band.feasible),
             "n_closed_form": heads.n_closed_form,
             "n_quadratic": heads.n_quadratic,
             "n_brute_force": heads.n_brute_force,
@@ -342,7 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(rows[0]))
-        writer.writerows([_format_cell(cell) for cell in row.values()] for row in rows)
+        writer.writerows(row.values() for row in rows)
     _emit({"out": args.out, "rows": len(rows), "path": path, "notes": notes})
     return 0
 

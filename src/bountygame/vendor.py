@@ -822,10 +822,8 @@ def optimal_whh_count(params: MarketParams, curves: ReleaseCurves, t: float) -> 
     """
     _check_market(params)
     m = params.m
-    disc = 9 * m * m - 10 * m + 1
-    if disc < 0:
-        raise DomainError("head-count discriminant is negative, no real closed form")
-    n_closed = math.sqrt(float(disc)) / 4.0 - (m - 1) / 4.0
+    # 9m^2 - 10m + 1 = (9m - 1)(m - 1) >= 0 for every count m >= 1.
+    n_closed = math.sqrt(float(9 * m * m - 10 * m + 1)) / 4.0 - (m - 1) / 4.0
     quad_disc = (m - 1) * (m - 1) + 8.0 * m * (m + 1)
     n_quad = (-(m - 1) + math.sqrt(quad_disc)) / 4.0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConvergenceError, DomainError, InfeasibleScenarioError
 from .hackers import (
@@ -102,13 +102,13 @@ DEFAULT_RANGES: dict[str, tuple[float, float]] = {
 _MAX_PROPOSALS = 200_000
 # Proposals drawn per refill of the sampler's block.
 _BATCH = 64
-# The ranged doubles of a proposal, in draw order: the 7 market fields after
-# the counts, then the 8 curve fields, each in its value type's field order.
-# Each row also holds t, p_s, the branch coin and the p_ns factor.
-_RANGED_FIELDS = (
-    "c_w", "c_b", "r_s", "W", "TC_s", "TC_ns", "x",
-    "K_s0", "lambda_s", "K_ns0", "lambda_ns", "R0", "a", "b", "t_max",
-)
+# The head counts lead the market's fields. The ranged doubles of a proposal
+# follow in draw order: the market's other fields (the first _MARKET_END),
+# then the curve fields, each in its value type's field order. Each row also
+# holds t, p_s, the branch coin and the p_ns factor.
+_COUNTS = tuple(f.name for f in fields(MarketParams) if f.type == "int")
+_RANGED_FIELDS = tuple(f.name for f in fields(MarketParams) + fields(ReleaseCurves))[len(_COUNTS):]
+_MARKET_END = len(fields(MarketParams)) - len(_COUNTS)
 _PROPOSAL_DOUBLES = len(_RANGED_FIELDS) + 4
 # The ranged doubles the condition-1 screen reads: the band's market fields
 # in ``_feasibility_band``'s order, then K_s0, lambda_s and t_max.
@@ -129,7 +129,7 @@ def _check_range(name: str, bounds) -> None:
     """
     if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
         raise DomainError(f"sampler range {name} must be a (low, high) pair, got {bounds!r}")
-    require = _require_count if name in ("n", "l", "m") else _require_finite
+    require = _require_count if name in _COUNTS else _require_finite
     for value in bounds:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise DomainError(f"sampler range {name} needs numeric bounds, got {value!r}")
@@ -217,7 +217,7 @@ class FeasibleSampler:
         import numpy as np
 
         self._rng = np.random.Generator(np.random.Philox(seed))
-        counts = [self.ranges[name] for name in ("n", "l", "m")]
+        counts = [self.ranges[name] for name in _COUNTS]
         self._counts = [(int(lo), int(hi) + 1) for lo, hi in counts]
         ranged = [self.ranges[name] for name in _RANGED_FIELDS]
         self._lo = np.array([lo for lo, _ in ranged], dtype=np.float64)
@@ -245,7 +245,7 @@ class FeasibleSampler:
     @staticmethod
     def _market(row) -> tuple[MarketParams, ReleaseCurves]:
         n, l, m, ranged, _ = row
-        return MarketParams(n, l, m, *ranged[:7]), ReleaseCurves(*ranged[7:])
+        return MarketParams(n, l, m, *ranged[:_MARKET_END]), ReleaseCurves(*ranged[_MARKET_END:])
 
     @staticmethod
     def _scenario(row, params: MarketParams, curves: ReleaseCurves) -> SampledScenario:

@@ -20,7 +20,7 @@ from bountygame import (
     release_gap_term,
     verification,
 )
-from bountygame.cli import main
+from bountygame.cli import _sweep_values, main
 
 BASELINE = Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json"
 
@@ -505,6 +505,61 @@ def test_sweep_input_errors(capsys, tmp_path, baseline_doc, sweep, fragment):
                          "--out", str(tmp_path / "out.csv"))
     assert rc == 2
     assert fragment in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize(
+    "key, value, detail",
+    [
+        ("path", 3, "sweep.path must be a string"),
+        ("steps", 2.0, "sweep.steps must be an integer, got 2.0"),
+        ("steps", True, "sweep.steps must be an integer, got True"),
+        ("from", "0", "sweep.from must be a number, got '0'"),
+        ("from", True, "sweep.from must be a number, got True"),
+    ],
+)
+def test_sweep_block_kinds_exit_2(capsys, tmp_path, baseline_doc, key, value, detail):
+    baseline_doc["sweep"][key] = value
+    rc, out, err = run_cli(capsys, "evaluate", write_scenario(tmp_path, baseline_doc))
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ScenarioFormatError", "detail": detail}
+
+
+def test_integer_decision_time_is_accepted(capsys, tmp_path, baseline_doc):
+    baseline_doc["decision"]["t"] = 2
+    rc, out, err = run_cli(capsys, "evaluate", write_scenario(tmp_path, baseline_doc))
+    assert rc == 0 and err == ""
+    assert repr(json.loads(out)["decision"]["t"]) == "2.0"
+
+
+@pytest.mark.parametrize(
+    "path, error, fragment",
+    [
+        ("market.n", "DomainError", "n must be at most 2**53 in magnitude"),
+        ("curves.R0", "ScenarioFormatError", "sweep point curves.R0=-1e+308 fails validation"),
+    ],
+)
+def test_sweep_between_bounds_whose_difference_overflows(
+    capsys, tmp_path, baseline_doc, path, error, fragment
+):
+    # 1e308 - (-1e308) is beyond binary64; the first point is still -1e308.
+    baseline_doc["sweep"] = {"path": path, "from": -1e308, "to": 1e308, "steps": 3}
+    rc, out, err = run_cli(capsys, "sweep", write_scenario(tmp_path, baseline_doc),
+                           "--out", str(tmp_path / "out.csv"))
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == error and fragment in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, steps, points",
+    [
+        (-1e308, 1e308, 5, [-1e308, -5e307, 0.0, 5e307, 1e308]),
+        # hi - lo is finite but (hi - lo) * 2 is not.
+        (0.0, 1.5e308, 3, [0.0, 7.5e307, 1.5e308]),
+    ],
+)
+def test_sweep_points_between_finite_bounds_are_finite(lo, hi, steps, points):
+    assert _sweep_values({"from": lo, "to": hi, "steps": steps}) == points
 
 
 def test_verify_command_round_trip(capsys, tmp_path):

@@ -96,6 +96,24 @@ def test_validate_flags_curve_violations(s0_params, s0_curves, patch, expected):
     assert expected in report.failures
 
 
+@pytest.mark.parametrize(
+    "tc_s, passed, warnings",
+    [
+        (5.0, True, ("TC_s >> TC_ns",)),
+        (10.0, True, ()),
+        (40.0, True, ()),  # the baseline
+        (1.0, False, ()),
+    ],
+)
+def test_validate_warns_on_a_mild_cost_asymmetry(s0_params, s0_curves, tc_s, passed, warnings):
+    # TC_ns is 1, so TC_s is the asymmetry ratio; below 10 it is too mild
+    # for the model's TC_s >> TC_ns but not a failure.
+    report = validate(replace(s0_params, TC_s=tc_s), s0_curves)
+    assert report.passed is passed
+    assert report.warnings == warnings
+    assert ("TC_s > TC_ns" in report.failures) is not passed
+
+
 _SIGN_FAILURES = {
     "K_s0 in (0, 1]", "lambda_s > 0", "K_ns0 in (0, 1]", "lambda_ns > 0",
     "R0 > 0", "a > 0", "b >= 0",
